@@ -18,24 +18,43 @@ from repro.crypto.keys import (
 from repro.crypto.keys import _verify_signature_uncached
 from repro.dns.message import Message, make_query
 from repro.dns.name import Name
-from repro.dns.rdata import A
+from repro.dns.rdata import NSEC3, RRSIG, SOA, A
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 
 
 @pytest.fixture(scope="module")
 def sample_response():
+    """What the campaigns actually exchange: a signed positive answer plus a
+    signed NSEC3 denial (SOA + closest-encloser proof), DO bit set."""
+    zone = "example.com"
+
+    def sig(covered):
+        return RRSIG(covered, 13, 2, 300, 1_760_000_000, 1_750_000_000, 4242, zone, bytes(64))
+
     msg = make_query("www.example.com", RdataType.A, want_dnssec=True)
-    for index in range(4):
-        msg.add_rrset(
-            msg.answer,
-            RRset("www.example.com", RdataType.A, 300, [A(f"192.0.2.{index + 1}")]),
+    msg.answer.append(
+        RRset("www.example.com", RdataType.A, 300, [A(f"192.0.2.{i + 1}") for i in range(4)])
+    )
+    msg.answer.append(RRset("www.example.com", RdataType.RRSIG, 300, [sig(RdataType.A)]))
+    msg.authority.append(
+        RRset(zone, RdataType.SOA, 300, [SOA("ns1." + zone, "h." + zone, 1, 7200, 900, 86400, 300)])
+    )
+    msg.authority.append(RRset(zone, RdataType.RRSIG, 300, [sig(RdataType.SOA)]))
+    for index in range(3):
+        owner = f"{index}k2pb1osrn0ll5bo33shl9ua41osiq6g.{zone}"
+        types = [RdataType.A, RdataType.NS, RdataType.SOA, RdataType.RRSIG, RdataType.DNSKEY]
+        msg.authority.append(
+            RRset(owner, RdataType.NSEC3, 300, [NSEC3(1, 0, 10, b"\xab\xcd", bytes(20), types)])
         )
+        msg.authority.append(RRset(owner, RdataType.RRSIG, 300, [sig(RdataType.NSEC3)]))
     return msg
 
 
 def test_message_encode(benchmark, sample_response):
-    benchmark(sample_response.to_wire)
+    """A relayed response: every rdata arrives with its bytes from decode."""
+    relayed = Message.from_wire(sample_response.to_wire())
+    benchmark(relayed.to_wire)
 
 
 def test_message_encode_memoized(benchmark, sample_response):

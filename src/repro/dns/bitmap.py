@@ -7,6 +7,9 @@ A type bitmap encodes the set of RR types present at a name as a sequence of
 
 from repro.dns.types import RdataType
 
+#: Bit offsets set in each possible octet, most significant bit first.
+_SET_BITS = [tuple(bit for bit in range(8) if octet & (0x80 >> bit)) for octet in range(256)]
+
 
 def encode_bitmap(types):
     """Encode an iterable of RR type codes into wire-format bitmap blocks."""
@@ -47,14 +50,24 @@ def decode_bitmap(wire):
             raise ValueError(f"invalid bitmap block length {length}")
         if pos + 2 + length > len(wire):
             raise ValueError("truncated type bitmap block body")
-        block = wire[pos + 2 : pos + 2 + length]
-        for index, octet in enumerate(block):
-            for bit in range(8):
-                if octet & (0x80 >> bit):
-                    types.append(window * 256 + index * 8 + bit)
+        for index, octet in enumerate(wire[pos + 2 : pos + 2 + length]):
+            if octet:
+                base = window * 256 + index * 8
+                types.extend([base + bit for bit in _SET_BITS[octet]])
         previous_window = window
         pos += 2 + length
     return types
+
+
+def is_canonical_bitmap(wire):
+    """True when *wire*, which :func:`decode_bitmap` accepted, is also what
+    :func:`encode_bitmap` would emit: no block ends in a zero octet."""
+    pos = 0
+    while pos < len(wire):
+        pos += 2 + wire[pos + 1]
+        if not wire[pos - 1]:
+            return False
+    return True
 
 
 def bitmap_to_text(types):

@@ -107,13 +107,13 @@ class Edns:
         return OPT(tuple(self.options))
 
     @classmethod
-    def from_opt(cls, rdata, klass, ttl):
+    def from_opt(cls, options, klass, ttl):
         """Rebuild EDNS state from a parsed OPT record's fields."""
         edns = cls(
             payload_size=klass,
             version=(ttl >> 16) & 0xFF,
             dnssec_ok=bool(ttl & 0x8000),
-            options=rdata.options,
+            options=options,
         )
         edns.ext_rcode_high = (ttl >> 24) & 0xFF
         return edns

@@ -3,28 +3,43 @@
 from __future__ import annotations
 
 import os
+import struct
 
 from repro.dns.edns import Edns
 from repro.dns.flags import Flag
 from repro.dns.name import Name
-from repro.dns.rcode import Rcode
+from repro.dns.rcode import RCODE_BY_VALUE, Rcode
 from repro.dns.rdata import parse_rdata
-from repro.dns.rdata.opt import OPT
 from repro.dns.rrset import RRset
-from repro.dns.types import Opcode, RdataClass, RdataType
+from repro.dns.types import (
+    CLASS_BY_VALUE,
+    OPCODE_BY_VALUE,
+    TYPE_BY_VALUE,
+    Opcode,
+    RdataClass,
+    RdataType,
+)
 from repro.dns.wire import (
+    HEADER,
     MAX_DECODE_RECORDS,
     MAX_EDNS_OPTIONS,
+    QUESTION_TAIL,
+    RR_FIXED,
+    U16,
     Reader,
     WireError,
     Writer,
 )
 
-HEADER_LENGTH = 12
+HEADER_LENGTH = HEADER.size
 
-#: Flag() construction is an enum metaclass call; decode resolves the
-#: masked flag word through this table instead (7 bits → ≤128 entries).
-_FLAG_CACHE = {}
+#: The header bits that are flags (everything but opcode, Z and rcode).
+_FLAG_MASK = 0x87B0
+
+#: The OPT pseudo-record up to RDLENGTH: root owner, TYPE 41, CLASS as
+#: payload size, TTL as extended rcode / version / DO.
+_OPT_FIXED = struct.Struct("!BHHIH")
+_OPT = int(RdataType.OPT)
 
 
 class Question:
@@ -69,7 +84,8 @@ class Message:
 
     def __init__(self, msg_id=None):
         self.id = int.from_bytes(os.urandom(2), "big") if msg_id is None else int(msg_id)
-        self.flags = Flag(0)
+        #: Header flag bits as a plain int (``Flag`` members are its masks).
+        self.flags = 0
         self.opcode = Opcode.QUERY
         self.rcode = Rcode.NOERROR
         self.question = []
@@ -83,13 +99,13 @@ class Message:
 
     def set_flag(self, flag, value=True):
         if value:
-            self.flags |= flag
+            self.flags = int(self.flags) | int(flag)
         else:
-            self.flags &= ~flag
+            self.flags = int(self.flags) & ~int(flag)
         return self
 
     def has_flag(self, flag):
-        return bool(self.flags & flag)
+        return int(self.flags) & int(flag) != 0
 
     @property
     def is_response(self):
@@ -169,66 +185,67 @@ class Message:
     def to_wire(self, max_size=None):
         """Encode to wire bytes; sets TC and truncates if *max_size* exceeded."""
         writer = Writer()
-        flags_word = (
-            int(self.flags)
-            | ((int(self.opcode) & 0xF) << 11)
-            | (int(self.rcode) & 0xF)
-        )
-        writer.write_u16(self.id)
-        writer.write_u16(flags_word)
-        writer.write_u16(len(self.question))
-        additional = list(self.additional)
-        if self.edns is not None:
-            additional.append(self._opt_rrset())
+        buf = writer.buf
+        edns = self.edns
+        sections = (self.answer, self.authority, self.additional)
         # Section counts are per-RR, not per-RRset.
-        writer.write_u16(sum(len(r) for r in self.answer))
-        writer.write_u16(sum(len(r) for r in self.authority))
-        writer.write_u16(sum(len(r) for r in additional))
+        counts = [sum([len(r.rdatas) for r in section]) for section in sections]
+        buf += HEADER.pack(
+            self.id & 0xFFFF,
+            int(self.flags) | ((self.opcode & 0xF) << 11) | (self.rcode & 0xF),
+            len(self.question),
+            counts[0],
+            counts[1],
+            counts[2] + (edns is not None),
+        )
         for question in self.question:
             writer.write_name(question.name)
-            writer.write_u16(question.rrtype)
-            writer.write_u16(int(question.rdclass))
-        for section in (self.answer, self.authority, additional):
+            buf += QUESTION_TAIL.pack(question.rrtype, question.rdclass)
+        for section in sections:
             for rrset in section:
                 self._write_rrset(writer, rrset)
-        wire = writer.getvalue()
-        if max_size is not None and len(wire) > max_size:
-            wire = self._truncated_wire(max_size)
-        return wire
+        if edns is not None:
+            # The OPT pseudo-record is synthesised last, straight from the
+            # EDNS state; only a record that carries options builds one.
+            body = edns.to_opt_rdata().packed() if edns.options else b""
+            buf += _OPT_FIXED.pack(
+                0, _OPT, edns.payload_size & 0xFFFF, edns.ttl_field(self.rcode), len(body)
+            )
+            buf += body
+        if max_size is not None and len(buf) > max_size:
+            return self._truncated_wire(max_size)
+        return bytes(buf)
 
     def _truncated_wire(self, max_size):
         """Re-encode with answers dropped and TC set (good enough for UDP sim)."""
         clone = Message(self.id)
-        clone.flags = self.flags | Flag.TC
+        clone.flags = int(self.flags) | int(Flag.TC)
         clone.opcode = self.opcode
         clone.rcode = self.rcode
         clone.question = list(self.question)
         clone.edns = self.edns
         return clone.to_wire()
 
-    def _opt_rrset(self):
-        rrset = RRset(
-            Name(()),
-            RdataType.OPT,
-            self.edns.ttl_field(int(self.rcode)),
-            [self.edns.to_opt_rdata()],
-            # OPT abuses CLASS for payload size; bypass RdataClass enum.
-        )
-        rrset.rdclass = self.edns.payload_size
-        return rrset
-
     @staticmethod
     def _write_rrset(writer, rrset):
+        buf = writer.buf
+        name = rrset.name
+        rrtype = rrset.rrtype
+        rdclass = rrset.rdclass
+        ttl = rrset.ttl & 0xFFFFFFFF
         for rdata in rrset.rdatas:
-            writer.write_name(rrset.name)
-            writer.write_u16(int(rrset.rrtype))
-            writer.write_u16(int(rrset.rdclass))
-            writer.write_u32(rrset.ttl)
-            length_at = len(writer)
-            writer.write_u16(0)
-            start = len(writer)
-            rdata.write_wire(writer)
-            writer.set_u16(length_at, len(writer) - start)
+            writer.write_name(name)
+            packed = rdata.packed()
+            if packed is not None:
+                buf += RR_FIXED.pack(rrtype, rdclass, ttl, len(packed))
+                buf += packed
+            else:
+                # Names inside may compress against what is already
+                # written, so the length is only known afterwards.
+                buf += RR_FIXED.pack(rrtype, rdclass, ttl, 0)
+                start = len(buf)
+                rdata.write_wire(writer)
+                U16.pack_into(buf, start - 2, len(buf) - start)
 
     @classmethod
     def from_wire(cls, wire):
@@ -249,25 +266,17 @@ class Message:
     @classmethod
     def _parse_wire(cls, wire):
         reader = Reader(wire)
-        if reader.remaining() < HEADER_LENGTH:
+        data = reader.data
+        if len(data) < HEADER_LENGTH:
             raise WireError("message shorter than header")
-        msg = cls(reader.read_u16())
-        flags_word = reader.read_u16()
-        flag_bits = flags_word & 0x87B0
-        flags = _FLAG_CACHE.get(flag_bits)
-        if flags is None:
-            flags = _FLAG_CACHE.setdefault(flag_bits, Flag(flag_bits))
-        msg.flags = flags
+        msg_id, flags_word, qdcount, ancount, nscount, arcount = HEADER.unpack_from(data)
+        reader.pos = HEADER_LENGTH
+        msg = cls(msg_id)
+        msg.flags = flags_word & _FLAG_MASK
         opcode_value = (flags_word >> 11) & 0xF
-        try:
-            msg.opcode = Opcode(opcode_value)
-        except ValueError:
-            raise WireError(f"unknown opcode {opcode_value}") from None
-        rcode_low = flags_word & 0xF
-        qdcount = reader.read_u16()
-        ancount = reader.read_u16()
-        nscount = reader.read_u16()
-        arcount = reader.read_u16()
+        msg.opcode = OPCODE_BY_VALUE.get(opcode_value)
+        if msg.opcode is None:
+            raise WireError(f"unknown opcode {opcode_value}")
         total_records = qdcount + ancount + nscount + arcount
         if total_records > MAX_DECODE_RECORDS:
             raise WireError(
@@ -276,46 +285,48 @@ class Message:
             )
         for __ in range(qdcount):
             name = reader.read_name()
-            rrtype = reader.read_u16()
-            rdclass = reader.read_u16()
-            msg.question.append(Question(name, rrtype, rdclass))
-        msg.answer = cls._read_section(reader, ancount, msg)
-        msg.authority = cls._read_section(reader, nscount, msg)
-        msg.additional = cls._read_section(reader, arcount, msg)
-        high = msg.edns.ext_rcode_high if msg.edns else 0
-        msg.rcode = Rcode((high << 4) | rcode_low) if ((high << 4) | rcode_low) in Rcode._value2member_map_ else (high << 4) | rcode_low
+            rrtype, rdclass = reader.unpack(QUESTION_TAIL)
+            msg.question.append(Question(name, rrtype, CLASS_BY_VALUE[rdclass]))
+        cls._read_section(reader, ancount, msg, msg.answer)
+        cls._read_section(reader, nscount, msg, msg.authority)
+        cls._read_section(reader, arcount, msg, msg.additional)
+        rcode = (flags_word & 0xF) | (msg.edns.ext_rcode_high << 4 if msg.edns else 0)
+        msg.rcode = RCODE_BY_VALUE.get(rcode, rcode)
         return msg
 
     @staticmethod
-    def _read_section(reader, count, msg):
-        section = []
+    def _read_section(reader, count, msg, section):
         # RRset merge index: without it a section of n records that never
         # coalesce costs O(n²) scans — the parse-work amplification the
         # decode caps exist to prevent; with it the caps are belt and braces.
         index = {}
         for __ in range(count):
             name = reader.read_name()
-            rrtype = reader.read_u16()
-            rdclass = reader.read_u16()
-            ttl = reader.read_u32()
-            rdlength = reader.read_u16()
-            rdata = parse_rdata(rrtype, reader, rdlength)
-            if rrtype == RdataType.OPT:
-                msg.edns = Edns.from_opt(rdata, rdclass, ttl)
-                if len(msg.edns.options) > MAX_EDNS_OPTIONS:
+            rrtype, rdclass, ttl, rdlength = reader.unpack(RR_FIXED)
+            if rrtype == _OPT:
+                # Option-less (every query, most responses): nothing to parse.
+                options = parse_rdata(rrtype, reader, rdlength).options if rdlength else ()
+                if len(options) > MAX_EDNS_OPTIONS:
                     raise WireError(
-                        f"OPT record carries {len(msg.edns.options)} options "
+                        f"OPT record carries {len(options)} options "
                         f"(decode cap {MAX_EDNS_OPTIONS})"
                     )
+                msg.edns = Edns.from_opt(options, rdclass, ttl)
                 continue
-            existing = index.get((name, rrtype, rdclass))
+            rdata = parse_rdata(rrtype, reader, rdlength)
+            key = (name, rrtype, rdclass)
+            existing = index.get(key)
             if existing is not None:
                 existing.add(rdata)
                 continue
-            rrset = RRset(name, rrtype, ttl, [rdata], RdataClass(rdclass) if rdclass in RdataClass._value2member_map_ else RdataClass.IN)
+            rrset = index[key] = RRset._trusted(
+                name,
+                TYPE_BY_VALUE.get(rrtype, rrtype),
+                ttl,
+                [rdata],
+                CLASS_BY_VALUE.get(rdclass, RdataClass.IN),
+            )
             section.append(rrset)
-            index[(name, rrtype, rdclass)] = rrset
-        return section
 
     def __repr__(self):
         q = self.question[0] if self.question else None

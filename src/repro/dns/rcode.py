@@ -36,3 +36,6 @@ class Rcode(enum.IntEnum):
 
 
 _RCODE_TEXT = {}
+
+#: Value → member table for the decode path (see ``types.TYPE_BY_VALUE``).
+RCODE_BY_VALUE = Rcode._value2member_map_

@@ -8,7 +8,9 @@ Every concrete rdata class registers itself against its
 - ``from_wire(reader, rdlength)`` — classmethod parser,
 - ``to_text()`` / ``from_text(text)`` — presentation format,
 - ``canonical_wire()`` — RFC 4034 §6.2 canonical form used for signing,
-  ordering within an RRset, and RRSIG computation.
+  ordering within an RRset, and RRSIG computation,
+- ``packed()`` — the memoised position-independent encoding the message
+  codec appends verbatim (and decode seeds with the rdata's own slice).
 
 Unknown types round-trip through :class:`GenericRdata` (RFC 3597 style).
 """
@@ -37,11 +39,19 @@ def class_for(rrtype):
     return _REGISTRY.get(int(rrtype), GenericRdata)
 
 
+_set = object.__setattr__
+
+
 class Rdata:
-    """Base class for all rdata. Instances are treated as immutable."""
+    """Base class for all rdata. Instances are treated as immutable.
+
+    ``_packed`` is a write-once memo, left unset until first use (an
+    unset slot raises ``AttributeError``, which :meth:`packed` treats as
+    "not computed yet"; the other memo slots follow the same idiom).
+    """
 
     rrtype = None
-    __slots__ = ()
+    __slots__ = ("_packed",)
 
     def write_wire(self, writer):
         raise NotImplementedError
@@ -57,19 +67,48 @@ class Rdata:
     def from_text(cls, text):
         raise NotImplementedError
 
+    @classmethod
+    def _trusted(cls, packed, *values):
+        """Build from field values the wire parser just produced.
+
+        Skips ``__init__``'s coercions; *values* fill ``__slots__`` in
+        order. *packed* is the rdata's own slice of the message when that
+        slice is provably what :meth:`write_wire` would emit, else None.
+        """
+        self = object.__new__(cls)
+        for slot, value in zip(cls.__slots__, values):
+            _set(self, slot, value)
+        if packed is not None:
+            _set(self, "_packed", packed)
+        return self
+
+    def packed(self):
+        """Position-independent wire-format rdata bytes (memoised).
+
+        None for :class:`CompressibleRdata` types, whose encoding depends
+        on (or feeds) the message's compression state.
+        """
+        try:
+            return self._packed
+        except AttributeError:
+            writer = Writer(enable_compression=False)
+            self.write_wire(writer)
+            _set(self, "_packed", writer.getvalue())
+            return self._packed
+
     def to_wire(self):
         """Standalone (uncompressed) wire-format rdata bytes."""
-        writer = Writer(enable_compression=False)
-        self.write_wire(writer)
-        return writer.getvalue()
+        packed = self.packed()
+        if packed is None:
+            writer = Writer(enable_compression=False)
+            self.write_wire(writer)
+            packed = writer.getvalue()
+        return packed
 
     def canonical_wire(self):
-        """Canonical form per RFC 4034 §6.2.
-
-        The default is the plain uncompressed wire form; types that embed
-        domain names override this to lowercase them.
-        """
-        return self.to_wire()
+        """Canonical form per RFC 4034 §6.2: the packed bytes, except for
+        :class:`NameBearingRdata` types, which lowercase their names."""
+        return self.packed()
 
     def __eq__(self, other):
         if not isinstance(other, Rdata):
@@ -92,6 +131,33 @@ class Rdata:
         return f"<{type(self).__name__} {self.to_text()}>"
 
 
+class NameBearingRdata(Rdata):
+    """Rdata embedding domain names, which the canonical form lowercases.
+
+    Subclasses provide ``_canonical_form()``; it is computed once.
+    """
+
+    __slots__ = ("_canonical",)
+
+    def canonical_wire(self):
+        try:
+            return self._canonical
+        except AttributeError:
+            _set(self, "_canonical", self._canonical_form())
+            return self._canonical
+
+
+class CompressibleRdata(NameBearingRdata):
+    """Rdata whose names go through ``Writer.write_name`` — compressed
+    (NS, CNAME, PTR, MX, SOA) or at least offered as targets to later
+    names (SRV) — so no position-independent encoding exists."""
+
+    __slots__ = ()
+
+    def packed(self):
+        return None
+
+
 class GenericRdata(Rdata):
     """Opaque rdata for types without a dedicated class (RFC 3597)."""
 
@@ -108,12 +174,11 @@ class GenericRdata(Rdata):
     def rrtype(self):
         return self._rrtype
 
+    def packed(self):
+        return self.data
+
     def write_wire(self, writer):
         writer.write(self.data)
-
-    @classmethod
-    def from_wire(cls, reader, rdlength, rrtype=None):
-        return cls(rrtype if rrtype is not None else 0, reader.read(rdlength))
 
     def to_text(self):
         return f"\\# {len(self.data)} {self.data.hex()}"
@@ -132,7 +197,7 @@ class GenericRdata(Rdata):
 def parse_rdata(rrtype, reader, rdlength):
     """Parse rdata of *rrtype* from *reader*, consuming exactly *rdlength*."""
     start = reader.pos
-    cls = _REGISTRY.get(int(rrtype))
+    cls = _REGISTRY.get(rrtype)
     if cls is None:
         rdata = GenericRdata(rrtype, reader.read(rdlength))
     else:
@@ -175,6 +240,8 @@ from repro.dns.rdata.opt import OPT  # noqa: E402
 
 __all__ = [
     "Rdata",
+    "NameBearingRdata",
+    "CompressibleRdata",
     "GenericRdata",
     "register",
     "class_for",

@@ -4,30 +4,43 @@ from __future__ import annotations
 
 import ipaddress
 
-from repro.dns.rdata import Rdata, register
+from repro.dns.rdata import Rdata, _set, register
 from repro.dns.types import RdataType
 
 
-@register(RdataType.A)
-class A(Rdata):
-    """An IPv4 address record."""
+class _Address(Rdata):
+    """Shared implementation: the packed address *is* the rdata.
 
-    __slots__ = ("address",)
+    Only the 4 or 16 octets are kept and :attr:`address` builds the
+    :mod:`ipaddress` object when asked: a record a server merely serves
+    or a resolver merely forwards never needs one, and the one reader on
+    a hot path (glue extraction) asks once per decoded record.
+    """
+
+    __slots__ = ()
+    _factory = None
+    _size = None
 
     def __init__(self, address):
-        object.__setattr__(self, "address", ipaddress.IPv4Address(address))
+        _set(self, "_packed", self._factory(address).packed)
 
     def __setattr__(self, name, value):
         raise AttributeError("rdata objects are immutable")
 
+    @property
+    def address(self):
+        return self._factory(self._packed)
+
     def write_wire(self, writer):
-        writer.write(self.address.packed)
+        writer.write(self._packed)
 
     @classmethod
     def from_wire(cls, reader, rdlength):
-        if rdlength != 4:
-            raise ValueError(f"A rdata must be 4 bytes, got {rdlength}")
-        return cls(reader.read(4))
+        if rdlength != cls._size:
+            raise ValueError(
+                f"{cls.__name__} rdata must be {cls._size} bytes, got {rdlength}"
+            )
+        return cls._trusted(reader.read(rdlength))
 
     def to_text(self):
         return str(self.address)
@@ -35,32 +48,21 @@ class A(Rdata):
     @classmethod
     def from_text(cls, text):
         return cls(text.strip())
+
+
+@register(RdataType.A)
+class A(_Address):
+    """An IPv4 address record."""
+
+    __slots__ = ()
+    _factory = ipaddress.IPv4Address
+    _size = 4
 
 
 @register(RdataType.AAAA)
-class AAAA(Rdata):
+class AAAA(_Address):
     """An IPv6 address record."""
 
-    __slots__ = ("address",)
-
-    def __init__(self, address):
-        object.__setattr__(self, "address", ipaddress.IPv6Address(address))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("rdata objects are immutable")
-
-    def write_wire(self, writer):
-        writer.write(self.address.packed)
-
-    @classmethod
-    def from_wire(cls, reader, rdlength):
-        if rdlength != 16:
-            raise ValueError(f"AAAA rdata must be 16 bytes, got {rdlength}")
-        return cls(reader.read(16))
-
-    def to_text(self):
-        return str(self.address)
-
-    @classmethod
-    def from_text(cls, text):
-        return cls(text.strip())
+    __slots__ = ()
+    _factory = ipaddress.IPv6Address
+    _size = 16

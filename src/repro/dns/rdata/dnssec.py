@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import base64
 import calendar
+import struct
 import time
 
 from repro.dns.name import Name
-from repro.dns.rdata import Rdata, register
+from repro.dns.rdata import Rdata, _set, register
 from repro.dns.types import RdataType
-from repro.dns.wire import Writer
+
+#: Fixed parts: DNSKEY flags/protocol/algorithm and DS key-tag/algorithm/
+#: digest-type share a layout; RRSIG's is everything before the signer.
+_KEY_FIXED = struct.Struct("!HBB")
+_RRSIG_FIXED = struct.Struct("!HBBIIIH")
 
 #: DNSKEY flag bit: Zone Key (bit 7).
 FLAG_ZONE = 0x0100
@@ -36,6 +41,19 @@ def sigtime_from_text(text):
     return int(text)
 
 
+def _key_from_wire(cls, reader, rdlength):
+    """DNSKEY / DS: three fixed fields, then opaque bytes to the end."""
+    start = reader.pos
+    fixed = reader.unpack(_KEY_FIXED)
+    body = reader.read(rdlength - _KEY_FIXED.size)
+    # Shorter than its own fixed part, the slice is not what the fields
+    # re-encode to; parse_rdata's length check decides what becomes of it.
+    keep = rdlength >= _KEY_FIXED.size
+    return cls._trusted(
+        reader.data[start : start + rdlength] if keep else None, *fixed, body
+    )
+
+
 @register(RdataType.DNSKEY)
 class DNSKEY(Rdata):
     """A public key record.
@@ -46,15 +64,13 @@ class DNSKEY(Rdata):
     in :mod:`repro.crypto`.
     """
 
-    __slots__ = ("flags", "protocol", "algorithm", "key", "_wire", "_key_tag")
+    __slots__ = ("flags", "protocol", "algorithm", "key", "_key_tag")
 
     def __init__(self, flags, protocol, algorithm, key):
         object.__setattr__(self, "flags", int(flags))
         object.__setattr__(self, "protocol", int(protocol))
         object.__setattr__(self, "algorithm", int(algorithm))
         object.__setattr__(self, "key", bytes(key))
-        object.__setattr__(self, "_wire", None)
-        object.__setattr__(self, "_key_tag", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("rdata objects are immutable")
@@ -68,42 +84,24 @@ class DNSKEY(Rdata):
     def is_revoked(self):
         return bool(self.flags & FLAG_REVOKE)
 
-    def to_wire(self):
-        # Memoized: the validator rebuilds the wire form for every key-tag
-        # comparison and memo key; DNSKEYs are immutable.
-        wire = self._wire
-        if wire is None:
-            wire = super().to_wire()
-            object.__setattr__(self, "_wire", wire)
-        return wire
-
     def key_tag(self):
         """RFC 4034 Appendix B key tag over the wire-format rdata (memoized)."""
-        tag = self._key_tag
-        if tag is not None:
-            return tag
-        wire = self.to_wire()
-        acc = 0
-        for index, byte in enumerate(wire):
-            acc += byte << 8 if index % 2 == 0 else byte
-        acc += (acc >> 16) & 0xFFFF
-        tag = acc & 0xFFFF
-        object.__setattr__(self, "_key_tag", tag)
-        return tag
+        try:
+            return self._key_tag
+        except AttributeError:
+            wire = self.packed()
+            acc = (sum(wire[0::2]) << 8) + sum(wire[1::2])
+            acc += (acc >> 16) & 0xFFFF
+            _set(self, "_key_tag", acc & 0xFFFF)
+            return self._key_tag
 
     def write_wire(self, writer):
-        writer.write_u16(self.flags)
-        writer.write_u8(self.protocol)
-        writer.write_u8(self.algorithm)
+        writer.pack(_KEY_FIXED, self.flags, self.protocol, self.algorithm)
         writer.write(self.key)
 
     @classmethod
     def from_wire(cls, reader, rdlength):
-        flags = reader.read_u16()
-        protocol = reader.read_u8()
-        algorithm = reader.read_u8()
-        key = reader.read(rdlength - 4)
-        return cls(flags, protocol, algorithm, key)
+        return _key_from_wire(cls, reader, rdlength)
 
     def to_text(self):
         key64 = base64.b64encode(self.key).decode("ascii")
@@ -132,7 +130,6 @@ class RRSIG(Rdata):
         "signer",
         "signature",
         "_prefix",
-        "_rdata_wire",
     )
 
     def __init__(
@@ -156,8 +153,6 @@ class RRSIG(Rdata):
         object.__setattr__(self, "key_tag", int(key_tag))
         object.__setattr__(self, "signer", Name.from_text(signer))
         object.__setattr__(self, "signature", bytes(signature))
-        object.__setattr__(self, "_prefix", None)
-        object.__setattr__(self, "_rdata_wire", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("rdata objects are immutable")
@@ -169,68 +164,46 @@ class RRSIG(Rdata):
         computed (RFC 4034 §3.1.8.1); the signer name is in canonical
         form. Memoized: the validator rebuilds it per verification.
         """
-        prefix = self._prefix
-        if prefix is None:
-            writer = Writer(enable_compression=False)
-            writer.write_u16(self.type_covered)
-            writer.write_u8(self.algorithm)
-            writer.write_u8(self.labels)
-            writer.write_u32(self.original_ttl)
-            writer.write_u32(self.expiration)
-            writer.write_u32(self.inception)
-            writer.write_u16(self.key_tag)
-            writer.write(self.signer.canonical_wire())
-            prefix = writer.getvalue()
-            object.__setattr__(self, "_prefix", prefix)
-        return prefix
+        try:
+            return self._prefix
+        except AttributeError:
+            _set(self, "_prefix", self._fixed() + self.signer.canonical_wire())
+            return self._prefix
+
+    def _fixed(self):
+        return _RRSIG_FIXED.pack(
+            self.type_covered,
+            self.algorithm,
+            self.labels,
+            self.original_ttl,
+            self.expiration,
+            self.inception,
+            self.key_tag,
+        )
 
     def is_valid_at(self, now):
         """True when *now* falls inside the inception/expiration window."""
         return self.inception <= now <= self.expiration
 
     def write_wire(self, writer):
-        # The signer name is never compressed (RFC 4034 §3.1.7), so the
-        # rdata is position-independent and its encoding is memoized —
-        # every signed response re-emits the same RRSIG rdatas. Unlike
+        # The signer name is never compressed (RFC 4034 §3.1.7), which is
+        # what makes the rdata position-independent. Unlike
         # :meth:`rdata_prefix` this preserves the signer's original case.
-        wire = self._rdata_wire
-        if wire is None:
-            sub = Writer(enable_compression=False)
-            sub.write_u16(self.type_covered)
-            sub.write_u8(self.algorithm)
-            sub.write_u8(self.labels)
-            sub.write_u32(self.original_ttl)
-            sub.write_u32(self.expiration)
-            sub.write_u32(self.inception)
-            sub.write_u16(self.key_tag)
-            sub.write(self.signer.to_wire())
-            sub.write(self.signature)
-            wire = sub.getvalue()
-            object.__setattr__(self, "_rdata_wire", wire)
-        writer.write(wire)
+        writer.write(self._fixed() + self.signer.to_wire() + self.signature)
 
     @classmethod
     def from_wire(cls, reader, rdlength):
-        end = reader.pos + rdlength
-        type_covered = reader.read_u16()
-        algorithm = reader.read_u8()
-        labels = reader.read_u8()
-        original_ttl = reader.read_u32()
-        expiration = reader.read_u32()
-        inception = reader.read_u32()
-        key_tag = reader.read_u16()
+        start = reader.pos
+        end = start + rdlength
+        fixed = reader.unpack(_RRSIG_FIXED)
         signer = reader.read_name()
+        # A compressed signer is legal to receive, but then these bytes
+        # mean something else at any other offset: keep them only when the
+        # name was spelled out (and ended inside the rdata).
+        keep = not reader.jumped and reader.pos <= end
         signature = reader.read(end - reader.pos)
-        return cls(
-            type_covered,
-            algorithm,
-            labels,
-            original_ttl,
-            expiration,
-            inception,
-            key_tag,
-            signer,
-            signature,
+        return cls._trusted(
+            reader.data[start:end] if keep else None, *fixed, signer, signature
         )
 
     def to_text(self):
@@ -281,18 +254,12 @@ class DS(Rdata):
         raise AttributeError("rdata objects are immutable")
 
     def write_wire(self, writer):
-        writer.write_u16(self.key_tag)
-        writer.write_u8(self.algorithm)
-        writer.write_u8(self.digest_type)
+        writer.pack(_KEY_FIXED, self.key_tag, self.algorithm, self.digest_type)
         writer.write(self.digest)
 
     @classmethod
     def from_wire(cls, reader, rdlength):
-        key_tag = reader.read_u16()
-        algorithm = reader.read_u8()
-        digest_type = reader.read_u8()
-        digest = reader.read(rdlength - 4)
-        return cls(key_tag, algorithm, digest_type, digest)
+        return _key_from_wire(cls, reader, rdlength)
 
     def to_text(self):
         return (

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import struct
+
 from repro.dns.name import Name
-from repro.dns.rdata import Rdata, register
+from repro.dns.rdata import CompressibleRdata, register
 from repro.dns.types import RdataType
-from repro.dns.wire import Writer
+from repro.dns.wire import U16
+
+_SRV_FIXED = struct.Struct("!HHH")
 
 
-class _SingleName(Rdata):
+class _SingleName(CompressibleRdata):
     """Shared implementation for NS/CNAME/PTR."""
 
     __slots__ = ("target",)
-    _compressible = True
 
     def __init__(self, target):
         object.__setattr__(self, "target", Name.from_text(target))
@@ -21,11 +24,11 @@ class _SingleName(Rdata):
         raise AttributeError("rdata objects are immutable")
 
     def write_wire(self, writer):
-        writer.write_name(self.target, compress=self._compressible)
+        writer.write_name(self.target)
 
     @classmethod
     def from_wire(cls, reader, rdlength):
-        return cls(reader.read_name())
+        return cls._trusted(None, reader.read_name())
 
     def to_text(self):
         return self.target.to_text()
@@ -34,7 +37,7 @@ class _SingleName(Rdata):
     def from_text(cls, text):
         return cls(text.strip())
 
-    def canonical_wire(self):
+    def _canonical_form(self):
         # RFC 4034 §6.2: embedded names are lowercased and never compressed.
         return self.target.canonical_wire()
 
@@ -55,7 +58,7 @@ class PTR(_SingleName):
 
 
 @register(RdataType.MX)
-class MX(Rdata):
+class MX(CompressibleRdata):
     """A mail exchanger record."""
 
     __slots__ = ("preference", "exchange")
@@ -73,8 +76,7 @@ class MX(Rdata):
 
     @classmethod
     def from_wire(cls, reader, rdlength):
-        preference = reader.read_u16()
-        return cls(preference, reader.read_name())
+        return cls._trusted(None, reader.read_u16(), reader.read_name())
 
     def to_text(self):
         return f"{self.preference} {self.exchange.to_text()}"
@@ -84,15 +86,12 @@ class MX(Rdata):
         preference, exchange = text.split()
         return cls(int(preference), exchange)
 
-    def canonical_wire(self):
-        writer = Writer(enable_compression=False)
-        writer.write_u16(self.preference)
-        writer.write(self.exchange.canonical_wire())
-        return writer.getvalue()
+    def _canonical_form(self):
+        return U16.pack(self.preference) + self.exchange.canonical_wire()
 
 
 @register(RdataType.SRV)
-class SRV(Rdata):
+class SRV(CompressibleRdata):
     """A service locator record (RFC 2782)."""
 
     __slots__ = ("priority", "weight", "port", "target")
@@ -107,17 +106,14 @@ class SRV(Rdata):
         raise AttributeError("rdata objects are immutable")
 
     def write_wire(self, writer):
-        writer.write_u16(self.priority)
-        writer.write_u16(self.weight)
-        writer.write_u16(self.port)
+        writer.pack(_SRV_FIXED, self.priority, self.weight, self.port)
+        # Never compressed itself, but write_name still offers the target's
+        # suffixes to later names — which appending packed bytes would not.
         writer.write_name(self.target, compress=False)
 
     @classmethod
     def from_wire(cls, reader, rdlength):
-        priority = reader.read_u16()
-        weight = reader.read_u16()
-        port = reader.read_u16()
-        return cls(priority, weight, port, reader.read_name())
+        return cls._trusted(None, *reader.unpack(_SRV_FIXED), reader.read_name())
 
     def to_text(self):
         return f"{self.priority} {self.weight} {self.port} {self.target.to_text()}"
@@ -127,10 +123,6 @@ class SRV(Rdata):
         priority, weight, port, target = text.split()
         return cls(int(priority), int(weight), int(port), target)
 
-    def canonical_wire(self):
-        writer = Writer(enable_compression=False)
-        writer.write_u16(self.priority)
-        writer.write_u16(self.weight)
-        writer.write_u16(self.port)
-        writer.write(self.target.canonical_wire())
-        return writer.getvalue()
+    def _canonical_form(self):
+        fixed = _SRV_FIXED.pack(self.priority, self.weight, self.port)
+        return fixed + self.target.canonical_wire()

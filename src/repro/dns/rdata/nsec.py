@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from repro.dns.bitmap import bitmap_to_text, decode_bitmap, encode_bitmap
 from repro.dns.name import Name
-from repro.dns.rdata import Rdata, register
+from repro.dns.rdata import NameBearingRdata, register
 from repro.dns.types import RdataType
-from repro.dns.wire import Writer
 
 
 @register(RdataType.NSEC)
-class NSEC(Rdata):
+class NSEC(NameBearingRdata):
     """The plain-text authenticated denial record.
 
     ``next_name`` is the next owner name in the zone's canonical order;
@@ -19,12 +18,11 @@ class NSEC(Rdata):
     was designed to mitigate (paper §2.2).
     """
 
-    __slots__ = ("next_name", "types", "_wire")
+    __slots__ = ("next_name", "types")
 
     def __init__(self, next_name, types):
         object.__setattr__(self, "next_name", Name.from_text(next_name))
         object.__setattr__(self, "types", tuple(sorted(set(int(t) for t in types))))
-        object.__setattr__(self, "_wire", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("rdata objects are immutable")
@@ -33,13 +31,9 @@ class NSEC(Rdata):
         return int(rrtype) in self.types
 
     def write_wire(self, writer):
-        # next_name is never compressed (RFC 3597/4034), so the rdata is
-        # position-independent and the encoding is memoized.
-        wire = self._wire
-        if wire is None:
-            wire = self.next_name.to_wire() + encode_bitmap(self.types)
-            object.__setattr__(self, "_wire", wire)
-        writer.write(wire)
+        # next_name is never compressed (RFC 3597/4034) nor offered as a
+        # compression target, so the rdata is position-independent.
+        writer.write(self.next_name.to_wire() + encode_bitmap(self.types))
 
     @classmethod
     def from_wire(cls, reader, rdlength):
@@ -56,8 +50,5 @@ class NSEC(Rdata):
         fields = text.split()
         return cls(fields[0], [RdataType.from_text(t) for t in fields[1:]])
 
-    def canonical_wire(self):
-        writer = Writer(enable_compression=False)
-        writer.write(self.next_name.canonical_wire())
-        writer.write(encode_bitmap(self.types))
-        return writer.getvalue()
+    def _canonical_form(self):
+        return self.next_name.canonical_wire() + encode_bitmap(self.types)

@@ -13,8 +13,15 @@ lives in :mod:`repro.core`.
 
 from __future__ import annotations
 
+import struct
+
 from repro.dns.base32 import b32hex_decode, b32hex_encode
-from repro.dns.bitmap import bitmap_to_text, decode_bitmap, encode_bitmap
+from repro.dns.bitmap import (
+    bitmap_to_text,
+    decode_bitmap,
+    encode_bitmap,
+    is_canonical_bitmap,
+)
 from repro.dns.rdata import Rdata, register
 from repro.dns.types import RdataType
 
@@ -25,12 +32,20 @@ NSEC3_HASH_SHA1 = 1
 NSEC3_FLAG_OPTOUT = 0x01
 
 
-def _encode_params(writer, hash_algorithm, flags, iterations, salt):
-    writer.write_u8(hash_algorithm)
-    writer.write_u8(flags)
-    writer.write_u16(iterations)
-    writer.write_u8(len(salt))
-    writer.write(salt)
+#: Hash algorithm, flags, iterations, salt length — common to both types.
+_PARAMS_FIXED = struct.Struct("!BBHB")
+
+
+def _read_params(reader):
+    hash_algorithm, flags, iterations, salt_length = reader.unpack(_PARAMS_FIXED)
+    return hash_algorithm, flags, iterations, reader.read(salt_length)
+
+
+def _write_params(writer, rdata):
+    writer.pack(
+        _PARAMS_FIXED, rdata.hash_algorithm, rdata.flags, rdata.iterations, len(rdata.salt)
+    )
+    writer.write(rdata.salt)
 
 
 def _salt_to_text(salt):
@@ -47,7 +62,6 @@ class NSEC3(Rdata):
 
     __slots__ = (
         "hash_algorithm", "flags", "iterations", "salt", "next_hash", "types",
-        "_wire",
     )
 
     def __init__(self, hash_algorithm, flags, iterations, salt, next_hash, types):
@@ -63,7 +77,6 @@ class NSEC3(Rdata):
         object.__setattr__(self, "salt", salt)
         object.__setattr__(self, "next_hash", bytes(next_hash))
         object.__setattr__(self, "types", tuple(sorted(set(int(t) for t in types))))
-        object.__setattr__(self, "_wire", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("rdata objects are immutable")
@@ -82,33 +95,27 @@ class NSEC3(Rdata):
 
     def write_wire(self, writer):
         # Rdata contains no domain name, so the wire form is position-
-        # independent: memoized — zone chain entries are re-encoded into
-        # every denial response (the bitmap encoding dominated encode time).
-        wire = self._wire
-        if wire is None:
-            out = bytearray()
-            out.append(self.hash_algorithm & 0xFF)
-            out.append(self.flags & 0xFF)
-            out += self.iterations.to_bytes(2, "big")
-            out.append(len(self.salt))
-            out += self.salt
-            out.append(len(self.next_hash))
-            out += self.next_hash
-            out += encode_bitmap(self.types)
-            wire = bytes(out)
-            object.__setattr__(self, "_wire", wire)
-        writer.write(wire)
+        # independent: zone chain entries are re-emitted into every
+        # denial response from the packed() memo.
+        _write_params(writer, self)
+        writer.write_u8(len(self.next_hash))
+        writer.write(self.next_hash + encode_bitmap(self.types))
 
     @classmethod
     def from_wire(cls, reader, rdlength):
-        end = reader.pos + rdlength
-        hash_algorithm = reader.read_u8()
-        flags = reader.read_u8()
-        iterations = reader.read_u16()
-        salt = reader.read(reader.read_u8())
+        start = reader.pos
+        end = start + rdlength
+        params = _read_params(reader)
         next_hash = reader.read(reader.read_u8())
+        inside = reader.pos <= end
         bitmap = reader.read(end - reader.pos)
-        return cls(hash_algorithm, flags, iterations, salt, next_hash, decode_bitmap(bitmap))
+        types = tuple(decode_bitmap(bitmap))
+        # An accepted bitmap may still pad blocks with zero octets; only a
+        # canonical one makes the slice what write_wire would emit.
+        keep = inside and is_canonical_bitmap(bitmap)
+        return cls._trusted(
+            reader.data[start:end] if keep else None, *params, next_hash, types
+        )
 
     def to_text(self):
         types_text = bitmap_to_text(self.types)
@@ -163,15 +170,13 @@ class NSEC3PARAM(Rdata):
         return (self.hash_algorithm, self.iterations, self.salt)
 
     def write_wire(self, writer):
-        _encode_params(writer, self.hash_algorithm, self.flags, self.iterations, self.salt)
+        _write_params(writer, self)
 
     @classmethod
     def from_wire(cls, reader, rdlength):
-        hash_algorithm = reader.read_u8()
-        flags = reader.read_u8()
-        iterations = reader.read_u16()
-        salt = reader.read(reader.read_u8())
-        return cls(hash_algorithm, flags, iterations, salt)
+        start = reader.pos
+        params = _read_params(reader)
+        return cls._trusted(reader.data[start : reader.pos], *params)
 
     def to_text(self):
         return (

@@ -8,8 +8,13 @@ That header-level handling lives in :mod:`repro.dns.edns` /
 
 from __future__ import annotations
 
+import struct
+
 from repro.dns.rdata import Rdata, register
 from repro.dns.types import RdataType
+
+#: OPTION-CODE, OPTION-LENGTH.
+_OPTION_HEAD = struct.Struct("!HH")
 
 
 class EdnsOption:
@@ -54,8 +59,7 @@ class OPT(Rdata):
 
     def write_wire(self, writer):
         for option in self.options:
-            writer.write_u16(option.code)
-            writer.write_u16(len(option.data))
+            writer.pack(_OPTION_HEAD, option.code, len(option.data))
             writer.write(option.data)
 
     @classmethod
@@ -63,8 +67,7 @@ class OPT(Rdata):
         end = reader.pos + rdlength
         options = []
         while reader.pos < end:
-            code = reader.read_u16()
-            length = reader.read_u16()
+            code, length = reader.unpack(_OPTION_HEAD)
             options.append(EdnsOption(code, reader.read(length)))
         return cls(options)
 

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import struct
+
 from repro.dns.name import Name
-from repro.dns.rdata import Rdata, register
+from repro.dns.rdata import CompressibleRdata, register
 from repro.dns.types import RdataType
-from repro.dns.wire import Writer
+
+#: Serial, refresh, retry, expire, minimum.
+_SOA_TAIL = struct.Struct("!IIIII")
 
 
 @register(RdataType.SOA)
-class SOA(Rdata):
+class SOA(CompressibleRdata):
     """A start-of-authority record.
 
     The ``minimum`` field doubles as the negative-caching TTL (RFC 2308),
@@ -30,25 +34,21 @@ class SOA(Rdata):
     def __setattr__(self, name, value):
         raise AttributeError("rdata objects are immutable")
 
+    def _tail(self):
+        return _SOA_TAIL.pack(
+            self.serial, self.refresh, self.retry, self.expire, self.minimum
+        )
+
     def write_wire(self, writer):
         writer.write_name(self.mname)
         writer.write_name(self.rname)
-        writer.write_u32(self.serial)
-        writer.write_u32(self.refresh)
-        writer.write_u32(self.retry)
-        writer.write_u32(self.expire)
-        writer.write_u32(self.minimum)
+        writer.write(self._tail())
 
     @classmethod
     def from_wire(cls, reader, rdlength):
         mname = reader.read_name()
         rname = reader.read_name()
-        serial = reader.read_u32()
-        refresh = reader.read_u32()
-        retry = reader.read_u32()
-        expire = reader.read_u32()
-        minimum = reader.read_u32()
-        return cls(mname, rname, serial, refresh, retry, expire, minimum)
+        return cls._trusted(None, mname, rname, *reader.unpack(_SOA_TAIL))
 
     def to_text(self):
         return (
@@ -63,13 +63,5 @@ class SOA(Rdata):
             raise ValueError(f"SOA needs 7 fields, got {len(fields)}")
         return cls(*fields)
 
-    def canonical_wire(self):
-        writer = Writer(enable_compression=False)
-        writer.write(self.mname.canonical_wire())
-        writer.write(self.rname.canonical_wire())
-        writer.write_u32(self.serial)
-        writer.write_u32(self.refresh)
-        writer.write_u32(self.retry)
-        writer.write_u32(self.expire)
-        writer.write_u32(self.minimum)
-        return writer.getvalue()
+    def _canonical_form(self):
+        return self.mname.canonical_wire() + self.rname.canonical_wire() + self._tail()

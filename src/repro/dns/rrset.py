@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.dns.name import Name
-from repro.dns.types import RdataClass, RdataType
+from repro.dns.types import TYPE_BY_VALUE, RdataClass, RdataType
 
 
 class RRset:
@@ -21,13 +21,23 @@ class RRset:
             self.rrtype = rrtype
         else:
             value = int(rrtype)
-            self.rrtype = (
-                RdataType(value) if value in RdataType._value2member_map_ else value
-            )
+            self.rrtype = TYPE_BY_VALUE.get(value, value)
         self.rdclass = rdclass if type(rdclass) is RdataClass else RdataClass(int(rdclass))
         self.ttl = int(ttl)
         self.rdatas = list(rdatas)
         self._canonical_memo = None
+
+    @classmethod
+    def _trusted(cls, name, rrtype, ttl, rdatas, rdclass):
+        """Wrap values the wire parser just produced, skipping coercion."""
+        self = cls.__new__(cls)
+        self.name = name
+        self.rrtype = rrtype
+        self.rdclass = rdclass
+        self.ttl = ttl
+        self.rdatas = rdatas
+        self._canonical_memo = None
+        return self
 
     def add(self, rdata):
         """Add *rdata* if not already present (RRsets are sets)."""

@@ -77,3 +77,10 @@ class Opcode(enum.IntEnum):
     STATUS = 2
     NOTIFY = 4
     UPDATE = 5
+
+
+#: Value → member tables for the decode path: a dict hit where calling
+#: the enum class would go through ``EnumMeta.__call__``.
+TYPE_BY_VALUE = RdataType._value2member_map_
+CLASS_BY_VALUE = RdataClass._value2member_map_
+OPCODE_BY_VALUE = Opcode._value2member_map_

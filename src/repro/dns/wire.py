@@ -23,45 +23,49 @@ MAX_DECODE_RECORDS = 16_384
 MAX_EDNS_OPTIONS = 64
 
 
+#: Fixed-layout blocks shared by the message codec, compiled once.
+HEADER = struct.Struct("!HHHHHH")
+QUESTION_TAIL = struct.Struct("!HH")
+RR_FIXED = struct.Struct("!HHIH")
+U16 = struct.Struct("!H")
+U32 = struct.Struct("!I")
+
+
 class Writer:
     """Accumulates wire bytes and performs name compression.
 
     Compression targets are remembered per canonical (lowercased) suffix;
     pointers may only reference offsets below 0x4000 per RFC 1035.
+    ``buf`` is the message so far: the codec appends its struct-packed
+    blocks and memoised rdata to it directly.
     """
 
     def __init__(self, enable_compression=True):
-        self._buf = bytearray()
+        self.buf = bytearray()
         self._targets = {}
         self._compress = enable_compression
 
     def __len__(self):
-        return len(self._buf)
+        return len(self.buf)
 
     def getvalue(self):
-        return bytes(self._buf)
+        return bytes(self.buf)
 
     def write(self, data):
-        self._buf.extend(data)
+        self.buf += data
 
     def write_u8(self, value):
-        self._buf.append(value & 0xFF)
+        self.buf.append(value & 0xFF)
 
     def write_u16(self, value):
-        buf = self._buf
-        buf.append((value >> 8) & 0xFF)
-        buf.append(value & 0xFF)
+        self.buf += U16.pack(value & 0xFFFF)
 
     def write_u32(self, value):
-        buf = self._buf
-        buf.append((value >> 24) & 0xFF)
-        buf.append((value >> 16) & 0xFF)
-        buf.append((value >> 8) & 0xFF)
-        buf.append(value & 0xFF)
+        self.buf += U32.pack(value & 0xFFFFFFFF)
 
-    def set_u16(self, offset, value):
-        """Patch a previously written 16-bit field (e.g. RDLENGTH)."""
-        self._buf[offset : offset + 2] = struct.pack("!H", value & 0xFFFF)
+    def pack(self, layout, *values):
+        """Append one fixed-layout block (a compiled :class:`struct.Struct`)."""
+        self.buf += layout.pack(*values)
 
     def write_name(self, name, compress=None):
         """Write *name*, emitting a compression pointer when a suffix matches.
@@ -75,7 +79,7 @@ class Writer:
         labels = name.labels
         key = name._key()
         count = len(labels)
-        buf = self._buf
+        buf = self.buf
         targets = self._targets
         for index in range(count + 1):
             suffix_key = key[: count - index]
@@ -95,91 +99,123 @@ class Writer:
 
 
 class Reader:
-    """Sequential reader over a full DNS message with pointer chasing."""
+    """Sequential reader over a full DNS message with pointer chasing.
+
+    ``names`` is the per-message name-offset table: every label start
+    parsed so far maps to ``(Name or None, labels, octets)`` for the name
+    that begins there, so a compression pointer at a known offset — every
+    RR owner in a response points at the question name — is one dict hit
+    instead of a label walk. ``jumped`` tells whether the last
+    :meth:`read_name` followed a pointer.
+    """
 
     def __init__(self, data):
         self.data = bytes(data)
         self.pos = 0
+        self.names = {}
+        self.jumped = False
 
     def remaining(self):
         return len(self.data) - self.pos
 
-    def _need(self, count):
-        if self.pos + count > len(self.data):
-            raise WireError(
-                f"truncated message: need {count} bytes at offset {self.pos}"
-            )
-
     def read(self, count):
-        self._need(count)
-        chunk = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
+        pos = self.pos
+        if pos + count > len(self.data):
+            raise WireError(f"truncated message: need {count} bytes at offset {pos}")
+        self.pos = pos + count
+        return self.data[pos : pos + count]
+
+    def unpack(self, layout):
+        """Read one fixed-layout block (a compiled :class:`struct.Struct`)."""
+        pos = self.pos
+        end = pos + layout.size
+        if end > len(self.data):
+            raise WireError(
+                f"truncated message: need {layout.size} bytes at offset {pos}"
+            )
+        self.pos = end
+        return layout.unpack_from(self.data, pos)
 
     def read_u8(self):
         pos = self.pos
-        data = self.data
-        if pos >= len(data):
+        if pos >= len(self.data):
             raise WireError(f"truncated message: need 1 byte at offset {pos}")
         self.pos = pos + 1
-        return data[pos]
+        return self.data[pos]
 
     def read_u16(self):
-        pos = self.pos
-        data = self.data
-        if pos + 2 > len(data):
-            raise WireError(f"truncated message: need 2 bytes at offset {pos}")
-        self.pos = pos + 2
-        return (data[pos] << 8) | data[pos + 1]
-
-    def read_u32(self):
-        pos = self.pos
-        data = self.data
-        if pos + 4 > len(data):
-            raise WireError(f"truncated message: need 4 bytes at offset {pos}")
-        self.pos = pos + 4
-        return int.from_bytes(data[pos : pos + 4], "big")
+        return self.unpack(U16)[0]
 
     def read_name(self):
-        """Read a (possibly compressed) name starting at the current offset."""
-        labels = []
+        """Read a (possibly compressed) name starting at the current offset.
+
+        A pointer to an offset in :attr:`names` resolves from the table;
+        a pointer anywhere else takes the loop-checked walk. Either way
+        the 255-octet cap counts every label of the result.
+        """
+        data = self.data
+        size = len(data)
+        names = self.names
         pos = self.pos
-        jumped = False
-        seen = None  # allocated lazily: most names contain no pointer
+        labels = []
+        offsets = []
+        tail = ()
+        end = None
+        seen = None  # allocated lazily: most names chase no unknown pointer
         total = 0
         while True:
-            if pos >= len(self.data):
+            if pos >= size:
                 raise WireError("name runs past end of message")
-            length = self.data[pos]
+            length = data[pos]
             if length & 0xC0 == 0xC0:
-                if pos + 1 >= len(self.data):
+                if pos + 1 >= size:
                     raise WireError("truncated compression pointer")
-                target = ((length & 0x3F) << 8) | self.data[pos + 1]
+                target = ((length & 0x3F) << 8) | data[pos + 1]
+                if end is None:
+                    end = pos + 2
+                known = names.get(target)
+                if known is not None:
+                    name, tail, octets = known
+                    total += octets
+                    if total > MAX_NAME_WIRE_LENGTH:
+                        raise WireError("name exceeds 255 octets")
+                    if labels:
+                        break
+                    if name is None:
+                        name = Name._trusted(tail)
+                        names[target] = (name, tail, octets)
+                    self.pos = end
+                    self.jumped = True
+                    return name
                 if seen is None:
                     seen = {target}
                 elif target in seen:
                     raise WireError("compression pointer loop")
                 else:
                     seen.add(target)
-                if not jumped:
-                    self.pos = pos + 2
-                    jumped = True
                 pos = target
             elif length & 0xC0:
                 raise WireError(f"reserved label type 0x{length:02x}")
             elif length == 0:
-                if not jumped:
-                    self.pos = pos + 1
                 break
             else:
-                if pos + 1 + length > len(self.data):
+                after = pos + 1 + length
+                if after > size:
                     raise WireError("label runs past end of message")
-                labels.append(self.data[pos + 1 : pos + 1 + length])
+                labels.append(data[pos + 1 : after])
+                offsets.append(pos)
                 total += length + 1
                 if total > MAX_NAME_WIRE_LENGTH:
                     raise WireError("name exceeds 255 octets")
-                pos += 1 + length
+                pos = after
+        self.jumped = end is not None
+        self.pos = pos + 1 if end is None else end
         # The loop established every Name invariant (labels non-empty,
         # ≤ 63 octets by the 0xC0 tag check, total ≤ 255), so skip the
         # revalidating constructor on this hot path.
-        return Name._trusted(tuple(labels))
+        labels = tuple(labels) + tail
+        name = Name._trusted(labels)
+        for index, offset in enumerate(offsets):
+            names[offset] = (name if index == 0 else None, labels[index:], total)
+            total -= len(labels[index]) + 1
+        return name

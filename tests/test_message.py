@@ -7,7 +7,7 @@ from repro.dns.flags import Flag
 from repro.dns.message import Message, Question, make_query, make_response
 from repro.dns.name import Name
 from repro.dns.rcode import Rcode
-from repro.dns.rdata import A, NS, SOA, TXT
+from repro.dns.rdata import A, DNSKEY, NS, NSEC3, RRSIG, SOA, TXT
 from repro.dns.rrset import RRset
 from repro.dns.types import Opcode, RdataType
 from repro.dns.wire import WireError
@@ -184,3 +184,96 @@ class TestFactories:
     def test_make_query_rd_flag(self):
         assert make_query("e.com", 1).has_flag(Flag.RD)
         assert not make_query("e.com", 1, recursion_desired=False).has_flag(Flag.RD)
+
+
+def _hand_built_response(rrtype, rdata):
+    """A response with one answer RR ``example.com. 300 IN <rrtype>``."""
+    qname = b"\x07example\x03com\x00"
+    header = b"\x12\x34\x84\x00\x00\x01\x00\x01\x00\x00\x00\x00"
+    question = qname + int(rrtype).to_bytes(2, "big") + b"\x00\x01"
+    record = (
+        b"\xc0\x0c" + int(rrtype).to_bytes(2, "big") + b"\x00\x01"
+        + (300).to_bytes(4, "big") + len(rdata).to_bytes(2, "big") + rdata
+    )
+    return header + question + record
+
+
+def _relayed(rrset):
+    """Re-encode *rrset* behind an extra leading RRset, then decode again."""
+    relay = Message(9)
+    relay.set_flag(Flag.QR)
+    relay.answer.append(RRset("padding.some-other-zone.net", RdataType.A, 60, [A("192.0.2.1")]))
+    relay.answer.append(rrset)
+    return round_trip(relay).answer[1]
+
+
+class TestCarriedRdataBytes:
+    """Rdata slices kept from decode must be position-independent."""
+
+    def test_compressed_rrsig_signer_survives_a_different_layout(self):
+        # Legal to receive, never to send: the signer is a pointer at the
+        # question name (offset 12). Were those two octets kept as the
+        # rdata's encoding, the relayed copy would point into "padding".
+        fixed = RRSIG(RdataType.A, 13, 2, 300, 1_760_000_000, 1_750_000_000, 4242,
+                      ".", b"").to_wire()[:-1]
+        signature = bytes(range(64))
+        wire = _hand_built_response(RdataType.RRSIG, fixed + b"\xc0\x0c" + signature)
+        rrsig = Message.from_wire(wire).answer[0]
+        assert rrsig[0].signer == Name.from_text("example.com")
+        relayed = _relayed(rrsig)
+        assert relayed[0].signer == Name.from_text("example.com")
+        assert relayed[0].signature == signature
+        assert relayed[0].to_wire() == fixed + b"\x07example\x03com\x00" + signature
+
+    def test_uncompressed_rrsig_signer_keeps_its_case(self):
+        rdata = RRSIG(RdataType.A, 13, 2, 300, 1_760_000_000, 1_750_000_000, 4242,
+                      "Example.COM", bytes(range(64)))
+        wire = _hand_built_response(RdataType.RRSIG, rdata.to_wire())
+        relayed = _relayed(Message.from_wire(wire).answer[0])
+        assert relayed[0].to_wire() == rdata.to_wire()
+        assert relayed[0].signer.labels == (b"Example", b"COM")
+
+    def test_non_canonical_nsec3_bitmap_is_re_encoded_canonically(self):
+        # Window 0 padded with trailing zero octets and an all-zero window
+        # 1: accepted on decode, but not what encode_bitmap would emit.
+        canonical = NSEC3(1, 0, 5, b"\xaa", bytes(range(20)), [RdataType.A, RdataType.NS])
+        head = canonical.to_wire()[: -len(b"\x00\x01\x60")]
+        assert canonical.to_wire() == head + b"\x00\x01\x60"
+        sloppy = head + b"\x00\x03\x60\x00\x00" + b"\x01\x01\x00"
+        wire = _hand_built_response(RdataType.NSEC3, sloppy)
+        nsec3 = Message.from_wire(wire).answer[0]
+        assert nsec3[0] == canonical
+        assert nsec3[0].to_wire() == canonical.to_wire()
+        assert _relayed(nsec3)[0].to_wire() == canonical.to_wire()
+        # Unsorted windows are not merely non-canonical, they are rejected.
+        with pytest.raises(WireError):
+            Message.from_wire(
+                _hand_built_response(RdataType.NSEC3, head + b"\x01\x01\x80" + b"\x00\x01\x60")
+            )
+
+
+class TestLargeRRsetDecode:
+    def test_decoding_2000_rdatas_encodes_each_at_most_once(self, monkeypatch):
+        # RRset.add's membership test compares canonical forms; without a
+        # memo each comparison re-encoded both sides through a fresh
+        # Writer — O(n²) write_wire calls for one AXFR-sized RRset.
+        for build in (
+            lambda i: TXT([f"record-{i}"]),
+            lambda i: NS(f"ns{i}.big.example"),
+            lambda i: DNSKEY(256, 3, 13, i.to_bytes(4, "big") * 8),
+        ):
+            msg = Message(1)
+            msg.answer.append(RRset("big.example", build(0).rrtype, 60, [build(i) for i in range(2000)]))
+            wire = msg.to_wire()
+            calls = [0]
+            cls = type(build(0))
+            inner = cls.write_wire
+
+            def counting(self, writer, inner=inner):
+                calls[0] += 1
+                return inner(self, writer)
+
+            monkeypatch.setattr(cls, "write_wire", counting)
+            decoded = Message.from_wire(wire)
+            assert len(decoded.answer[0]) == 2000
+            assert calls[0] <= 2000, (cls.__name__, calls[0])

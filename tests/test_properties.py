@@ -10,7 +10,25 @@ from repro.dns.base32 import b32hex_decode, b32hex_encode
 from repro.dns.bitmap import decode_bitmap, encode_bitmap
 from repro.dns.message import Message, Question, make_query
 from repro.dns.name import Name
-from repro.dns.rdata import A, TXT
+from repro.dns.rdata import (
+    A,
+    AAAA,
+    CNAME,
+    DNSKEY,
+    DS,
+    MX,
+    NS,
+    NSEC,
+    NSEC3,
+    NSEC3PARAM,
+    PTR,
+    RRSIG,
+    SOA,
+    SRV,
+    TXT,
+    GenericRdata,
+)
+from repro.dns.rdata import _REGISTRY as RDATA_REGISTRY
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dns.wire import Reader, Writer
@@ -141,6 +159,90 @@ class TestMessageProperties:
             for rdata in rrset
         }
         assert decoded_records == original_records
+
+
+# -- one strategy per registered rdata type -----------------------------------
+
+u8_st = st.integers(min_value=0, max_value=0xFF)
+u16_st = st.integers(min_value=0, max_value=0xFFFF)
+u32_st = st.integers(min_value=0, max_value=0xFFFFFFFF)
+types_st = st.lists(u16_st, max_size=6)
+
+RDATA_STRATEGIES = {
+    RdataType.A: st.builds(A, st.binary(min_size=4, max_size=4)),
+    RdataType.AAAA: st.builds(AAAA, st.binary(min_size=16, max_size=16)),
+    RdataType.NS: st.builds(NS, name_st),
+    RdataType.CNAME: st.builds(CNAME, name_st),
+    RdataType.PTR: st.builds(PTR, name_st),
+    RdataType.MX: st.builds(MX, u16_st, name_st),
+    RdataType.SRV: st.builds(SRV, u16_st, u16_st, u16_st, name_st),
+    RdataType.SOA: st.builds(SOA, name_st, name_st, u32_st, u32_st, u32_st, u32_st, u32_st),
+    RdataType.TXT: st.builds(TXT, st.lists(st.binary(max_size=40), min_size=1, max_size=3)),
+    RdataType.DNSKEY: st.builds(DNSKEY, u16_st, u8_st, u8_st, st.binary(max_size=48)),
+    RdataType.DS: st.builds(DS, u16_st, u8_st, u8_st, st.binary(max_size=48)),
+    RdataType.RRSIG: st.builds(
+        RRSIG, u16_st, u8_st, u8_st, u32_st, u32_st, u32_st, u16_st, name_st,
+        st.binary(max_size=64),
+    ),
+    RdataType.NSEC: st.builds(NSEC, name_st, types_st),
+    RdataType.NSEC3: st.builds(
+        NSEC3, u8_st, u8_st, u16_st, st.binary(max_size=8), st.binary(max_size=20), types_st
+    ),
+    RdataType.NSEC3PARAM: st.builds(NSEC3PARAM, u8_st, u8_st, u16_st, st.binary(max_size=8)),
+    # An unregistered type exercises the RFC 3597 opaque path.
+    65280: st.builds(GenericRdata, st.just(65280), st.binary(max_size=24)),
+}
+
+
+@st.composite
+def rrset_st(draw):
+    rrtype = draw(st.sampled_from(sorted(RDATA_STRATEGIES, key=int)))
+    rrset = RRset(draw(name_st), rrtype, draw(u32_st))
+    for rdata in draw(st.lists(RDATA_STRATEGIES[rrtype], min_size=1, max_size=3)):
+        rrset.add(rdata)
+    return rrset
+
+
+@st.composite
+def message_st(draw):
+    msg = Message(draw(u16_st))
+    msg.flags = draw(st.sampled_from([0, 0x8000, 0x8480, 0x81B0, 0x0110]))
+    msg.rcode = draw(st.sampled_from([0, 2, 3, 5, 16]))
+    msg.question.append(Question(draw(name_st), draw(st.sampled_from(sorted(RDATA_STRATEGIES, key=int)))))
+    for section in (msg.answer, msg.authority, msg.additional):
+        # One RRset per (owner, type): decode coalesces equal keys, which
+        # would legitimately reorder records.
+        seen = set()
+        for rrset in draw(st.lists(rrset_st(), max_size=3)):
+            if rrset.key() not in seen:
+                seen.add(rrset.key())
+                section.append(rrset)
+    if draw(st.booleans()):
+        edns = msg.use_edns(payload_size=draw(st.sampled_from([512, 1232, 4096])),
+                            dnssec_ok=draw(st.booleans()))
+        if draw(st.booleans()):
+            edns.add_extended_error(draw(st.sampled_from([6, 27])), draw(st.sampled_from(["", "why"])))
+    return msg
+
+
+class TestCodecProperties:
+    def test_every_registered_type_has_a_strategy(self):
+        assert set(RDATA_REGISTRY) - {int(RdataType.OPT)} <= {int(t) for t in RDATA_STRATEGIES}
+
+    @settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+    @given(message_st())
+    def test_decode_encode_is_a_fixed_point(self, msg):
+        wire = msg.to_wire()
+        decoded = Message.from_wire(wire)
+        assert decoded.to_wire() == wire
+        # ... and the rdata bytes the decoded message carries mean the same
+        # inside a different layout (sections rotated; only the case of
+        # compressed names may follow their new first occurrence).
+        decoded.answer, decoded.authority, decoded.additional = (
+            decoded.additional, decoded.answer, decoded.authority,
+        )
+        relayed = Message.from_wire(decoded.to_wire())
+        assert relayed.all_rrsets() == msg.additional + msg.answer + msg.authority
 
 
 class TestNsec3HashProperties:

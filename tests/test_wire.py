@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dns.name import Name
-from repro.dns.wire import Reader, WireError, Writer
+from repro.dns.wire import RR_FIXED, Reader, WireError, Writer
 
 
 class TestWriter:
@@ -14,12 +14,11 @@ class TestWriter:
         writer.write_u32(0xDEADBEEF)
         assert writer.getvalue() == bytes.fromhex("ab1234deadbeef")
 
-    def test_set_u16_patches(self):
+    def test_pack_appends_a_compiled_block(self):
         writer = Writer()
-        writer.write_u16(0)
         writer.write_u8(7)
-        writer.set_u16(0, 0x0102)
-        assert writer.getvalue() == b"\x01\x02\x07"
+        writer.pack(RR_FIXED, 46, 1, 300, 0x0102)
+        assert writer.getvalue() == bytes.fromhex("07002e00010000012c0102")
 
     def test_compression_pointer_emitted(self):
         writer = Writer()
@@ -92,6 +91,38 @@ class TestReader:
         data = b"\xc0\x02\xc0\x00"
         with pytest.raises(WireError):
             Reader(data).read_name()
+
+    def test_unpack_reads_a_compiled_block(self):
+        reader = Reader(bytes.fromhex("002e00010000012c0102ff"))
+        assert reader.unpack(RR_FIXED) == (46, 1, 300, 0x0102)
+        assert reader.remaining() == 1
+        with pytest.raises(WireError):
+            reader.unpack(RR_FIXED)
+
+    def test_pointer_to_parsed_name_resolves_from_the_table(self):
+        writer = Writer()
+        writer.write_name(Name.from_text("www.example.com"))
+        writer.write_name(Name.from_text("mail.example.com"))
+        writer.write_name(Name.from_text("www.example.com"))
+        reader = Reader(writer.getvalue())
+        first = reader.read_name()
+        assert not reader.jumped
+        assert sorted(reader.names) == [0, 4, 12]
+        assert reader.read_name() == Name.from_text("mail.example.com")
+        assert reader.jumped
+        assert reader.read_name() is first
+        assert reader.remaining() == 0
+
+    def test_table_hit_still_enforces_255_octets(self):
+        # 250 octets of labels at offset 0, then 6 more in front of a
+        # pointer to them: only the sum crosses the cap.
+        long_name = b"".join(b"\x3d" + b"x" * 61 for __ in range(4)) + b"\x01y\x00"
+        reader = Reader(long_name + b"\x05zzzzz\xc0\x00" + b"\x04zzzz\xc0\x00")
+        reader.read_name()
+        with pytest.raises(WireError, match="255"):
+            reader.read_name()
+        reader.pos = len(long_name) + 8
+        assert len(reader.read_name().labels) == 6
 
     def test_read_exact(self):
         reader = Reader(b"abcdef")

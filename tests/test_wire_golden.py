@@ -1,0 +1,76 @@
+"""Wire-compatibility pin: the bytes the campaigns put on the wire.
+
+A seeded 60-domain scan and a 4-resolver survey run on a private world
+while every datagram crossing the simulated network is captured. The
+digest covers, per datagram, the bytes as sent and the bytes a decode →
+re-encode of them produces (message ids are random, so bytes 0–1 are
+masked). It was generated on the commit *before* the codec rewrite, so
+"the encoded form of every message is unchanged" is a tier-1 assertion.
+"""
+
+import hashlib
+
+from repro.dns.message import Message
+from repro.resolver.policy import VENDOR_POLICIES
+from repro.scanner.engine import ScanEngine
+from repro.scanner.resolver_scan import ResolverSurvey
+from repro.testbed.internet import build_internet
+from repro.testbed.population import generate_population, generate_tlds
+from repro.testbed.resolvers import deploy_resolvers
+from repro.testbed.rfc9276_wild import build_probe_zones
+
+from tests.conftest import SMALL_CONFIG
+
+#: Probe-zone iteration counts the survey asks about (the e2e smoke set).
+ITERATIONS = (1, 10, 25, 50, 51, 100, 101, 150, 151, 300, 500)
+
+GOLDEN_DATAGRAMS = 1180
+GOLDEN_SHA256 = "8924a3f94e08eb66dab47e46b72bbe570290afb721b14ace71a6aec1d4e4f09f"
+
+
+def _capture(network, digest, counter):
+    """Wrap ``network.exchange`` so each query/response pair is folded in."""
+    inner = network.exchange
+
+    def fold(wire):
+        digest.update(len(wire).to_bytes(4, "big") + b"\0\0" + wire[2:])
+        again = Message.from_wire(wire).to_wire()
+        digest.update(len(again).to_bytes(4, "big") + b"\0\0" + again[2:])
+        counter[0] += 1
+
+    def exchange(src_ip, dst_ip, wire, via_tcp=False):
+        fold(wire)
+        response = yield from inner(src_ip, dst_ip, wire, via_tcp)
+        if response is not None:
+            fold(response)
+        return response
+
+    network.exchange = exchange
+
+
+def test_campaign_wire_bytes_match_parent_commit():
+    from repro.__main__ import _iter_domain_results
+
+    tlds = generate_tlds(SMALL_CONFIG)
+    domains = generate_population(SMALL_CONFIG, tlds=tlds)
+    inet = build_internet(domains, tlds, seed=5)
+    probes = build_probe_zones(inet)
+    digest = hashlib.sha256()
+    counter = [0]
+    _capture(inet.network, digest, counter)
+
+    upstream = inet.make_resolver(VENDOR_POLICIES["cloudflare"], name="golden-upstream")
+    engine = ScanEngine(inet.network, inet.allocator.next_v4(), upstream.ip)
+    results = list(_iter_domain_results(engine, domains))
+    assert results
+
+    deployment = deploy_resolvers(
+        inet, open_v4=4, open_v6=0, closed_v4=0, closed_v6=0, seed=11
+    )
+    survey = ResolverSurvey(
+        inet.network, probes, inet.allocator.next_v4(), iterations=ITERATIONS
+    )
+    assert len(survey.run(deployment)) == 4
+
+    assert counter[0] == GOLDEN_DATAGRAMS
+    assert digest.hexdigest() == GOLDEN_SHA256
