@@ -18,9 +18,16 @@ from repro.crypto.keys import (
 from repro.crypto.keys import _verify_signature_uncached
 from repro.dns.message import Message, make_query
 from repro.dns.name import Name
-from repro.dns.rdata import NSEC3, RRSIG, SOA, A
+from repro.dns.rdata import NS, NSEC3, RRSIG, SOA, A
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
+from repro.net.network import Host, Network
+from repro.server.authoritative import AuthoritativeServer
+from repro.testbed.internet import build_domain_zone
+from repro.testbed.population import DomainSpec
+from repro.zone.builder import ZoneBuilder
+from repro.zone.nsec3chain import Nsec3Params
+from repro.zone.signing import SigningPolicy, sign_zone
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +82,48 @@ def test_name_parse(benchmark):
 def test_name_canonical_order(benchmark):
     names = [Name.from_text(f"host-{i}.example.com") for i in range(64)]
     benchmark(sorted, names)
+
+
+def test_network_send_round_trip(benchmark):
+    """The fabric's fixed cost per datagram: the host returns a fixed reply."""
+    query = make_query("www.example.com", RdataType.A, want_dnssec=True).to_wire()
+
+    class FixedReply(Host):
+        def handle_datagram(self, wire, src_ip, via_tcp=False):
+            return query
+
+    net = Network()
+    net.attach("192.0.2.1", FixedReply())
+    benchmark(net.send, "198.51.100.1", "192.0.2.1", query)
+
+
+def test_authoritative_cache_hit(benchmark):
+    """A signed NXDOMAIN served from the packed-answer cache."""
+    zone = (
+        ZoneBuilder("example.com")
+        .soa("ns1.example.com", "h.example.com")
+        .ns("ns1.example.com.")
+        .a("ns1", "192.0.2.1")
+        .build()
+    )
+    sign_zone(
+        zone,
+        SigningPolicy(nsec3=Nsec3Params(iterations=10, salt=b"\xab")),
+        rng=random.Random(17),
+    )
+    server = AuthoritativeServer("bench").add_zone(zone)
+    query = make_query("nope.example.com", RdataType.A, want_dnssec=True).to_wire()
+    server.handle_datagram(query, "198.51.100.9")  # the miss that fills the cache
+    benchmark(server.handle_datagram, query, "198.51.100.9")
+    assert server.answer_cache.misses == 1 and server.answer_cache.hits > 0
+
+
+def test_build_domain_zone_unsigned(benchmark):
+    """One lazily hosted SLD zone, minus signing: SOA, NS, apex and www A."""
+    spec = DomainSpec("bench-site.com", "com", "generic-web", dnssec=False, denial="")
+    ns_pair = (NS("ns1.generic-web-dns.net."), NS("ns2.generic-web-dns.net."))
+    zone = benchmark(build_domain_zone, spec, 7, None, ns_pair)
+    assert zone.record_count() == 5
 
 
 @pytest.fixture(scope="module")

@@ -106,6 +106,19 @@ class Name:
             return text
         if text in (".", ""):
             return cls(())
+        if "\\" not in text and text.isascii():
+            # Escape-free ASCII: the labels are the dot-separated pieces.
+            labels = text.encode("ascii").split(b".")
+            if not labels[-1]:
+                labels.pop()
+            if not all(labels):
+                raise NameError_(f"empty label in {text!r}")
+            return cls(labels)
+        return cls._from_escaped_text(text)
+
+    @classmethod
+    def _from_escaped_text(cls, text):
+        """The general parser: one character at a time, escapes decoded."""
         labels = []
         current = bytearray()
         i = 0

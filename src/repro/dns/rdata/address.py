@@ -14,7 +14,8 @@ class _Address(Rdata):
     Only the 4 or 16 octets are kept and :attr:`address` builds the
     :mod:`ipaddress` object when asked: a record a server merely serves
     or a resolver merely forwards never needs one, and the one reader on
-    a hot path (glue extraction) asks once per decoded record.
+    a hot path (glue extraction) takes :meth:`to_text`, which for A
+    renders the octets directly.
     """
 
     __slots__ = ()
@@ -57,6 +58,9 @@ class A(_Address):
     __slots__ = ()
     _factory = ipaddress.IPv4Address
     _size = 4
+
+    def to_text(self):
+        return "%d.%d.%d.%d" % tuple(self._packed)
 
 
 @register(RdataType.AAAA)

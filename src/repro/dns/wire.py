@@ -120,6 +120,9 @@ class Reader:
 
     def read(self, count):
         pos = self.pos
+        if count < 0:
+            # A fixed part or embedded name that overran its RDLENGTH.
+            raise WireError(f"field overruns its record by {-count} bytes at {pos}")
         if pos + count > len(self.data):
             raise WireError(f"truncated message: need {count} bytes at offset {pos}")
         self.pos = pos + count

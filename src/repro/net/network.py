@@ -25,6 +25,10 @@ PUBLIC = "public"
 #: Resolved per-transport metric children for the exchange hot path.
 _EXCHANGE_CHILDREN = obs.ChildCache()
 
+#: Cap on a network's address-spelling table; cleared outright when
+#: reached — same policy as the other memo tables.
+_ADDRESS_TABLE_LIMIT = 65536
+
 
 class Host:
     """Interface for anything with an IP address.
@@ -67,6 +71,9 @@ class Network:
         #: host ip -> network id; queries to a non-public network id are
         #: only delivered when the source is in the same network.
         self._network_of = {}
+        #: address spelling -> canonical text, so a datagram between
+        #: known endpoints costs two dict hits instead of two parses.
+        self._canonical = {}
         self._rng = random.Random(seed)
         self.loss_rate = loss_rate
         self.base_latency_ms = base_latency_ms
@@ -93,9 +100,23 @@ class Network:
 
     # -- registration -------------------------------------------------------
 
+    def canonical(self, ip):
+        """Canonical text of *ip*, parsed once per distinct spelling.
+
+        A non-address raises ``ValueError`` every time: only successful
+        parses are remembered.
+        """
+        known = self._canonical.get(ip)
+        if known is None:
+            known = normalize(ip)
+            if len(self._canonical) >= _ADDRESS_TABLE_LIMIT:
+                self._canonical.clear()
+            self._canonical[ip] = known
+        return known
+
     def attach(self, ip, host, network_id=PUBLIC):
         """Register *host* at *ip*; non-public network ids are closed."""
-        ip = normalize(ip)
+        ip = self.canonical(ip)
         if ip in self._hosts:
             raise ValueError(f"address {ip} already attached")
         self._hosts[ip] = host
@@ -103,7 +124,7 @@ class Network:
         return ip
 
     def detach(self, ip):
-        ip = normalize(ip)
+        ip = self.canonical(ip)
         self._hosts.pop(ip, None)
         self._network_of.pop(ip, None)
 
@@ -113,11 +134,11 @@ class Network:
 
     def host_at(self, ip):
         """The host attached at *ip*, or None."""
-        return self._hosts.get(normalize(ip))
+        return self._hosts.get(self.canonical(ip))
 
     def network_of(self, ip):
         """The network segment an address belongs to (default: public)."""
-        return self._network_of.get(normalize(ip), PUBLIC)
+        return self._network_of.get(self.canonical(ip), PUBLIC)
 
     def addresses(self, ipv6=None):
         """All attached addresses, optionally filtered by family."""
@@ -141,8 +162,8 @@ class Network:
 
     def exchange(self, src_ip, dst_ip, wire, via_tcp=False):
         """Generator form of :meth:`send`: yields delays, returns response."""
-        src_ip = normalize(src_ip)
-        dst_ip = normalize(dst_ip)
+        src_ip = self.canonical(src_ip)
+        dst_ip = self.canonical(dst_ip)
         self.stats.datagrams += 1
         if via_tcp:
             self.stats.tcp_queries += 1
@@ -229,8 +250,9 @@ class Network:
             self.stats.dropped += 1
             self.stats.bytes_sent += len(wire)
             return None, "unreachable"
-        dst_network = self._network_of.get(dst_ip, PUBLIC)
-        if dst_network != PUBLIC and self.network_of(src_ip) != dst_network:
+        network_of = self._network_of
+        dst_network = network_of.get(dst_ip, PUBLIC)
+        if dst_network != PUBLIC and network_of.get(src_ip, PUBLIC) != dst_network:
             # Closed resolver: silently unreachable from the outside, the
             # reason the paper needed RIPE Atlas probes.
             self.stats.refused_closed += 1

@@ -199,7 +199,7 @@ class IterativeResolver:
         addresses = []
         for rrset in response.additional:
             if int(rrset.rrtype) in (int(RdataType.A), int(RdataType.AAAA)):
-                addresses.extend(str(r.address) for r in rrset)
+                addresses.extend(r.to_text() for r in rrset)
         if not addresses:
             addresses = self._resolve_glueless(ns_rrset, depth)
         cut.addresses = addresses
@@ -214,7 +214,7 @@ class IterativeResolver:
                 if sub.ok and sub.response.rcode == Rcode.NOERROR:
                     for rrset in sub.response.answer:
                         if int(rrset.rrtype) == int(rrtype):
-                            addresses.extend(str(r.address) for r in rrset)
+                            addresses.extend(r.to_text() for r in rrset)
             if addresses:
                 break
         return addresses

@@ -61,20 +61,23 @@ def _count_response(server, rcode_text):
 
 
 class _CachedAnswer:
-    """One packed response: encoded wire plus its recorded cost charges."""
+    """One packed response: the encoded wire after the id, its recorded
+    cost charges, and what the query log and the span say about a hit."""
 
-    __slots__ = ("wire", "rcode_text", "charges")
+    __slots__ = ("tail", "rcode_text", "charges", "qname", "qtype")
 
-    def __init__(self, wire, rcode_text, charges):
-        self.wire = wire
+    def __init__(self, tail, rcode_text, charges, qname, qtype):
+        self.tail = tail
         self.rcode_text = rcode_text
         self.charges = charges
+        self.qname = qname
+        self.qtype = qtype
 
 
 class PackedAnswerCache:
-    """Fully encoded responses keyed by the question shape.
+    """Fully encoded responses keyed by the raw query bytes (id aside).
 
-    A hit splices the query id into the cached wire (the
+    A hit splices the query id onto the cached wire (the
     ``Message.encode()`` memo technique) and :meth:`CostMeter.replay`\\ s
     the charge sequence recorded when the response was first built, so
     the cost model and guard budgets behave exactly as if the server had
@@ -201,16 +204,25 @@ class AuthoritativeServer(Host):
     # -- datagram entry point ------------------------------------------------
 
     def handle_datagram(self, wire, src_ip, via_tcp=False):
-        """Parse wire bytes, dispatch AXFR or a normal query, encode the reply."""
+        """Serve bytes answered before from the packed-answer cache; else
+        parse, dispatch AXFR or a normal query, and encode the reply."""
+        cache_key = None
+        if fastpath.enabled("answer_cache"):
+            # Everything after the id, plus the transport that drives UDP
+            # truncation: a strict refinement of "same question shape",
+            # so a hit needs no decode. Nothing is stored without a
+            # successful decode, so unparseable bytes can never hit.
+            cache_key = (bytes(wire[2:]), via_tcp)
+            entry = self.answer_cache.get(cache_key)
+            if entry is not None:
+                return self._serve_cached(bytes(wire[:2]), entry, src_ip)
         try:
             query = Message.from_wire(wire)
         except WireError:
             return None
-        cache_key = self._cache_key(query, via_tcp)
+        if cache_key is not None and not self._cacheable(query):
+            cache_key = None
         if cache_key is not None:
-            entry = self.answer_cache.get(cache_key)
-            if entry is not None:
-                return self._serve_cached(query, entry, src_ip)
             self.answer_cache.misses += 1
             if obs.enabled:
                 _count_cache("miss")
@@ -249,50 +261,32 @@ class AuthoritativeServer(Host):
             if cache_key is not None:
                 meter.recorder = previous_recorder
         if cache_key is not None:
+            question = query.question[0]
             self.answer_cache.put(
                 cache_key,
                 _CachedAnswer(
-                    encoded, Rcode.to_text(response.rcode), tuple(recorder_charges)
+                    encoded[2:],
+                    Rcode.to_text(response.rcode),
+                    tuple(recorder_charges),
+                    question.name.to_text(),
+                    question.rrtype,
                 ),
             )
         return encoded
 
-    def _cache_key(self, query, via_tcp):
-        """The packed-answer cache key for *query*, or None if uncacheable.
-
-        Only plain single-question QUERY opcodes are cached. The key
-        captures everything the response bytes (id aside) depend on: the
-        question exactly as asked (raw labels — responses echo the
-        question's case), RD (mirrored into the response flags), the
-        EDNS shape, and the transport/payload size that drives UDP
-        truncation.
-        """
-        if not fastpath.enabled("answer_cache"):
-            return None
-        if query.is_response or query.opcode != Opcode.QUERY:
-            return None
-        if len(query.question) != 1:
-            return None
-        question = query.question[0]
-        rrtype = int(question.rrtype)
-        if rrtype == int(RdataType.AXFR):
-            return None
+    @staticmethod
+    def _cacheable(query):
+        """Only plain single-question QUERY opcodes are cached, never AXFR."""
         return (
-            question.name.labels,
-            rrtype,
-            int(question.rdclass),
-            query.has_flag(Flag.RD),
-            query.edns is not None,
-            query.dnssec_ok,
-            query.edns.payload_size if query.edns else None,
-            via_tcp,
+            not query.is_response
+            and query.opcode == Opcode.QUERY
+            and len(query.question) == 1
+            and query.question[0].rrtype != int(RdataType.AXFR)
         )
 
-    def _serve_cached(self, query, entry, src_ip):
+    def _serve_cached(self, id_bytes, entry, src_ip):
         """Log, re-charge the cost model, and splice the query id in."""
-        question = query.question[0]
-        clock = self._log_clock()
-        self.log.record(src_ip, question.name.to_text(), question.rrtype, clock)
+        self.log.record(src_ip, entry.qname, entry.qtype, self._log_clock())
         self.answer_cache.hits += 1
         if not obs.enabled:
             meter.replay(entry.charges)
@@ -300,14 +294,14 @@ class AuthoritativeServer(Host):
             _count_cache("hit")
             if obs.tracing:
                 with obs.span(
-                    "auth.query", server=self.name, qname=question.name.to_text()
+                    "auth.query", server=self.name, qname=entry.qname
                 ) as span:
                     span.set(rcode=entry.rcode_text, cached=True)
                     meter.replay(entry.charges)
             else:
                 meter.replay(entry.charges)
             _count_response(self.name, entry.rcode_text)
-        return query.id.to_bytes(2, "big") + entry.wire[2:]
+        return id_bytes + entry.tail
 
     def _dispatch(self, query, src_ip, via_tcp):
         if (

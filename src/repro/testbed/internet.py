@@ -20,7 +20,7 @@ from repro import obs
 from repro.crypto.keys import ALG_RSASHA256, KeyPair, generate_keypair, make_ds
 from repro.crypto.rsa import RsaPrivateKey
 from repro.dns.name import Name
-from repro.dns.rdata import NS
+from repro.dns.rdata import NS, A
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.net.address import AddressAllocator
@@ -235,24 +235,31 @@ def _sign_from_spec(zone, spec, pool, rng, name):
     return zone
 
 
-def build_domain_zone(spec, seed, pool, ns_domain):
+def _host_address(rng):
+    return A._trusted(bytes((198, 18, rng.randrange(256), rng.randrange(1, 255))))
+
+
+def build_domain_zone(spec, seed, pool, ns_pair):
     """Build (and sign, per its spec) one registered-domain zone.
 
     Everything is derived from ``(spec, seed)``: addresses and salt from
     the per-zone rng, keys from :meth:`KeyPool.pair_for`. The eager
     build loop and the lazy on-first-query factory both call this, which
     is what makes the two hosting modes wire-identical.
+
+    Assembled from values, not presentation text: *ns_pair* is the
+    operator's shared ``(NS, NS)`` rdata, names derive from the origin
+    and the A rdata from their octets. Same records, in the same order,
+    as ``ZoneBuilder(name).soa(...).ns(...).a("@", ...).a("www", ...)``.
     """
     rng = zone_rng(seed, spec.name)
-    ns_names = (f"ns1.{ns_domain}.", f"ns2.{ns_domain}.")
-    zone = (
-        ZoneBuilder(spec.name)
-        .soa(ns_names[0], f"hostmaster.{spec.name}")
-        .ns(*ns_names)
-        .a("@", f"198.18.{rng.randrange(256)}.{rng.randrange(1, 255)}")
-        .a("www", f"198.18.{rng.randrange(256)}.{rng.randrange(1, 255)}")
-        .build()
-    )
+    builder = ZoneBuilder(spec.name)
+    zone, origin, ttl = builder.zone, builder.origin, builder.ttl
+    builder.soa(ns_pair[0].target, origin.prepend("hostmaster"))
+    for ns in ns_pair:
+        zone.add(origin, RdataType.NS, ttl, ns)
+    zone.add(origin, RdataType.A, ttl, _host_address(rng))
+    zone.add(origin.prepend("www"), RdataType.A, ttl, _host_address(rng))
     if spec.dnssec:
         _sign_from_spec(zone, spec, pool, rng, spec.name)
     return zone
@@ -280,9 +287,9 @@ class LazyZoneHost:
     (eviction therefore does **not** invalidate answer caches).
     """
 
-    def __init__(self, population, ns_domains, seed, pool, limit=256):
+    def __init__(self, population, ns_rdata, seed, pool, limit=256):
         self.population = population
-        self.ns_domains = ns_domains
+        self.ns_rdata = ns_rdata
         self.seed = seed
         self.pool = pool
         self.limit = limit
@@ -305,7 +312,7 @@ class LazyZoneHost:
         if spec is None or spec.operator != operator_key:
             return None
         zone = build_domain_zone(
-            spec, self.seed, self.pool, self.ns_domains[spec.operator]
+            spec, self.seed, self.pool, self.ns_rdata[spec.operator]
         )
         server.host_lazily(zone)
         self._resident[zone.origin] = server
@@ -406,7 +413,7 @@ class _NullProfiler:
         pass
 
 
-def _warm_shard_cache(population, scope, seed, pool, ns_domains, progress):
+def _warm_shard_cache(population, scope, seed, pool, ns_rdata, progress):
     """Pre-sign this shard's own DNSSEC SLD zones into the build cache.
 
     The shard's unit sub-stream (``iter_shard(shard, workers)``) names
@@ -428,7 +435,7 @@ def _warm_shard_cache(population, scope, seed, pool, ns_domains, progress):
         with meter.suspended():
             for spec in population.iter_shard(scope.shard, scope.workers):
                 if spec.dnssec:
-                    build_domain_zone(spec, seed, pool, ns_domains[spec.operator])
+                    build_domain_zone(spec, seed, pool, ns_rdata[spec.operator])
                 progress()
     finally:
         obs.profiler = saved_profiler
@@ -522,11 +529,15 @@ def build_internet(
         tld_builders[spec.label] = builder
 
     # --- operator nameserver infrastructure domains --------------------------------
-    ns_domains = {}
+    # One immutable NS rdata pair per operator: a million delegations and
+    # every SLD apex share ~two dozen objects instead of re-parsing the
+    # same nameserver names once per cut and per zone (the rdata bytes —
+    # and hence the signed zones and every wire datagram — are identical).
+    ns_rdata = {}
     for key in sorted(operator_keys):
         profile = OPERATORS_BY_KEY.get(key)
         ns_domain = profile.ns_domain if profile else f"{key.replace('.', '-')}-dns.net"
-        ns_domains[key] = ns_domain
+        ns_rdata[key] = (NS(f"ns1.{ns_domain}."), NS(f"ns2.{ns_domain}."))
         v4, v6 = operator_ips[key]
         zone = (
             ZoneBuilder(ns_domain)
@@ -557,20 +568,10 @@ def build_internet(
     domain_zones = {}
     lazy_host = None
     if host_domains:
-        # One immutable NS rdata pair per operator: a million delegations
-        # share ~two dozen objects instead of re-parsing the same
-        # nameserver names once per cut (the rdata bytes — and hence the
-        # signed zones and every wire datagram — are identical).
-        ns_rdata = {
-            key: (NS(f"ns1.{domain}."), NS(f"ns2.{domain}."))
-            for key, domain in ns_domains.items()
-        }
         for index, spec in enumerate(domain_specs):
             ds_records = domain_ds_records(spec, pool)
             if not lazy_domains:
-                zone = build_domain_zone(
-                    spec, seed, pool, ns_domains[spec.operator]
-                )
+                zone = build_domain_zone(spec, seed, pool, ns_rdata[spec.operator])
                 operator_servers[spec.operator].add_zone(zone)
                 domain_zones[zone.origin] = zone
             tld_builder = tld_builders.get(spec.tld)
@@ -584,7 +585,7 @@ def build_internet(
                 progress()
         if lazy_domains:
             lazy_host = LazyZoneHost(
-                domain_specs, ns_domains, seed, pool, limit=lazy_zone_limit
+                domain_specs, ns_rdata, seed, pool, limit=lazy_zone_limit
             )
             for key, server in operator_servers.items():
                 server.zone_factory = lazy_host.factory_for(key, server)
@@ -658,7 +659,7 @@ def build_internet(
         and host_domains
         and build_cache.active() is not None
     ):
-        _warm_shard_cache(domain_specs, build_scope, seed, pool, ns_domains, progress)
+        _warm_shard_cache(domain_specs, build_scope, seed, pool, ns_rdata, progress)
 
     return Internet(
         network=network,

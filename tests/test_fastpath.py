@@ -23,7 +23,9 @@ from repro.crypto.keys import (
     ALG_RSASHA256,
     generate_keypair,
 )
-from repro.dns.message import Message, make_query
+from repro.dns.edns import EdnsOption
+from repro.dns.flags import Flag
+from repro.dns.message import Message, Question, make_query
 from repro.dns.name import Name
 from repro.dns.rdata import A
 from repro.dns.rdata.soa import SOA
@@ -352,6 +354,80 @@ class TestAnswerCache:
                 slow = _ask_wire(plain_server, qname, qtype, msg_id=index)
             assert fast == slow, (qname, qtype)
         assert cached_server.answer_cache.hits == 2
+
+    def test_hit_does_not_decode_the_query(self, monkeypatch):
+        server, _ = _build_server()
+        plain_server, _ = _build_server()
+        _ask_wire(server, "www.example.com", RdataType.A, msg_id=0x1111)
+        again = make_query(
+            "www.example.com", RdataType.A, want_dnssec=True, msg_id=0x2222
+        ).to_wire()
+        with fastpath.disabled("answer_cache"):
+            expected = plain_server.handle_datagram(again, "198.51.100.9")
+        decodes = []
+        real = Message.from_wire.__func__
+
+        def counting(cls, wire):
+            decodes.append(wire)
+            return real(cls, wire)
+
+        monkeypatch.setattr(Message, "from_wire", classmethod(counting))
+        served = server.handle_datagram(again, "198.51.100.9")
+        assert decodes == []
+        assert server.answer_cache.hits == 1
+        assert served == expected and type(served) is bytes
+        # A bytearray datagram (what a socket frontend may hand over) hits too.
+        assert server.handle_datagram(bytearray(again), "198.51.100.9") == expected
+        assert decodes == [] and server.answer_cache.hits == 2
+
+    @pytest.mark.parametrize("variant", ["cd-bit", "edns-option"])
+    def test_bytes_the_old_key_ignored_get_their_own_entry(self, variant):
+        server, _ = _build_server()
+        plain_server, _ = _build_server()
+        base = make_query("www.example.com", RdataType.A, want_dnssec=True, msg_id=7)
+        other = make_query("www.example.com", RdataType.A, want_dnssec=True, msg_id=7)
+        if variant == "cd-bit":
+            other.set_flag(Flag.CD)
+        else:
+            other.edns.options.append(EdnsOption(10, b"\x01" * 8))
+        for query in (base, other, base, other):
+            wire = query.to_wire()
+            with fastpath.disabled("answer_cache"):
+                expected = plain_server.handle_datagram(wire, "198.51.100.9")
+            assert server.handle_datagram(wire, "198.51.100.9") == expected
+        assert len(server.answer_cache.entries) == 2
+        assert (server.answer_cache.misses, server.answer_cache.hits) == (2, 2)
+
+    def test_uncacheable_datagrams_store_nothing(self):
+        server, zone = _build_server()
+        server.axfr_allowed.add(zone.origin)
+        axfr = make_query("example.com", RdataType.AXFR, msg_id=1)
+        two_questions = make_query("www.example.com", RdataType.A, msg_id=2)
+        two_questions.question.append(Question("example.com", RdataType.SOA))
+        is_response = make_query("www.example.com", RdataType.A, msg_id=3)
+        is_response.set_flag(Flag.QR)
+        for query in (axfr, two_questions, is_response):
+            for via_tcp in (False, True):
+                for __ in range(2):
+                    assert server.handle_datagram(
+                        query.to_wire(), "198.51.100.9", via_tcp=via_tcp
+                    )
+        for garbage in (b"", b"\x00", b"\xff" * 40, axfr.to_wire()[:-3]):
+            for __ in range(2):
+                assert server.handle_datagram(garbage, "198.51.100.9") is None
+        assert not server.answer_cache.entries
+        assert (server.answer_cache.misses, server.answer_cache.hits) == (0, 0)
+
+    def test_hit_logs_what_a_miss_logs(self):
+        server, _ = _build_server()
+        _ask_wire(server, "WWW.example.com", RdataType.A, msg_id=1)
+        _ask_wire(server, "WWW.example.com", RdataType.A, msg_id=2)
+        assert server.answer_cache.hits == 1
+        miss_entry, hit_entry = server.log.entries
+        assert hit_entry == miss_entry
+        assert hit_entry.source_ip == "198.51.100.9"
+        assert hit_entry.qtype == int(RdataType.A)
+        assert server.log.by_source["198.51.100.9"] == 2
 
     def test_fifo_eviction_is_deterministic(self):
         cache = PackedAnswerCache(limit=2)

@@ -1,6 +1,8 @@
 """Tests for repro.dns.name: parsing, canonical ordering, structure."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.dns.name import MAX_LABEL_LENGTH, Name, NameError_, root
 
@@ -60,6 +62,55 @@ class TestParsing:
     def test_trailing_backslash(self):
         with pytest.raises(NameError_):
             Name.from_text("abc\\")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).labels
+    except ValueError as exc:  # NameError_, or bytearray's for code points > 255
+        return type(exc)
+
+
+class TestSplitPathMatchesTheLoop:
+    """Escape-free ASCII text is split on dots; the loop is the reference."""
+
+    #: Dots, escapes (``\\X`` and ``\\ddd``), Latin-1 and wider code
+    #: points, and runs long enough to cross the 63/255 limits.
+    pieces = st.one_of(
+        st.sampled_from(
+            [".", "..", "\\", "\\.", "\\046", "\\999", "\\12", "\u00e9", "\u0100", " "]
+        ),
+        st.text(alphabet="abcXYZ019-_*", min_size=1, max_size=70),
+        st.text(min_size=1, max_size=3),
+    )
+
+    @given(st.lists(pieces, max_size=8).map("".join))
+    @example("a..b")
+    @example(".a")
+    @example("a.")
+    @example("a..")
+    @example("..")
+    @example("x" * 64 + ".com")
+    @example(".".join(["a" * 63] * 4))
+    @example(".".join(["a" * 63] * 3 + ["b" * 61]))
+    @example("caf\u00e9.example")
+    @example("a\\.b.example.")
+    def test_same_labels_or_same_error(self, text):
+        if text in (".", ""):  # answered before either path
+            assert Name.from_text(text) == root
+            return
+        assert _outcome(Name.from_text, text) == _outcome(
+            Name._from_escaped_text, text
+        )
+
+    def test_split_path_is_taken(self, monkeypatch):
+        def unreachable(text):
+            raise AssertionError(f"loop used for {text!r}")
+
+        monkeypatch.setattr(Name, "_from_escaped_text", unreachable)
+        assert Name.from_text("WWW.Example.com.").labels == (b"WWW", b"Example", b"com")
+        with pytest.raises(NameError_):
+            Name.from_text("a..b")
 
 
 class TestOrdering:

@@ -101,6 +101,71 @@ class TestDelivery:
         assert len(net.addresses()) == 2
 
 
+class TestCanonicalAddresses:
+    """Addresses are parsed where they enter, not once per datagram."""
+
+    def test_each_spelling_is_parsed_at_most_once(self, monkeypatch):
+        import ipaddress
+
+        parsed = []
+        real = ipaddress.ip_address
+
+        def counting(address):
+            parsed.append(address)
+            return real(address)
+
+        monkeypatch.setattr(ipaddress, "ip_address", counting)
+        net = Network()
+        hosts = ["192.0.2.1", "192.0.2.2", "2001:db8::1", "2001:db8::2"]
+        sources = ["198.51.100.1", "198.51.100.2", "2001:DB8:0:0:0:0:0:9"]
+        for ip in hosts:
+            net.attach(ip, Echo())
+        wire = make_query("x.test", 1).to_wire()
+        for index in range(500):
+            src = sources[index % len(sources)]
+            dst = hosts[index % len(hosts)]
+            assert net.send(src, dst, wire) is not None
+        assert net.stats.datagrams == 500
+        assert len(parsed) == len(set(parsed)) <= len(hosts) + len(sources)
+
+    def test_non_canonical_spelling_reaches_the_host(self):
+        net = Network()
+        echo = Echo()
+        net.attach("2001:db8::1", echo, network_id="corp")
+        net.attach("10.0.0.2", Mute(), network_id="corp")
+        wire = make_query("x.test", 1).to_wire()
+        for __ in range(2):  # first parse, then the remembered spelling
+            assert net.send("10.0.0.2", "2001:DB8:0:0:0:0:0:1", wire)
+        assert net.host_at("2001:0db8::0001") is echo
+        assert net.network_of("2001:DB8::1") == "corp"
+        assert echo.received == [("10.0.0.2", False)] * 2
+        net.detach("2001:DB8:0:0:0:0:0:1")
+        assert net.host_at("2001:db8::1") is None
+
+    def test_non_address_raises_every_time(self):
+        net = Network()
+        net.attach("192.0.2.1", Echo())
+        for __ in range(3):
+            with pytest.raises(ValueError):
+                net.send("not-an-address", "192.0.2.1", b"\x00" * 12)
+            with pytest.raises(ValueError):
+                net.send("192.0.2.1", "192.0.2.999", b"\x00" * 12)
+            with pytest.raises(ValueError):
+                net.host_at("")
+        assert net.stats.datagrams == 0
+
+    def test_spelling_table_is_bounded(self, monkeypatch):
+        from repro.net import network
+
+        monkeypatch.setattr(network, "_ADDRESS_TABLE_LIMIT", 8)
+        net = Network()
+        net.attach("192.0.2.1", Echo())
+        wire = make_query("x.test", 1).to_wire()
+        for index in range(40):
+            assert net.send(f"198.51.100.{index}", "192.0.2.1", wire) is not None
+        assert len(net._canonical) <= 8
+
+
 class TestClosedNetworks:
     def test_closed_host_unreachable_from_public(self):
         net = Network()

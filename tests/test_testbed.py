@@ -6,17 +6,27 @@ from collections import Counter
 import pytest
 
 from repro.dns.rcode import Rcode
+from repro.dns.rdata import NS
 from repro.dns.types import RdataType
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.resolver.stub import StubClient
+from repro.testbed.internet import (
+    KeyPool,
+    _sign_from_spec,
+    build_domain_zone,
+    zone_rng,
+)
 from repro.testbed.operators import OPERATORS, normalized_param_mix
 from repro.testbed.population import (
+    DomainSpec,
     PopulationConfig,
     generate_population,
     generate_tlds,
     inject_tail_domains,
 )
 from repro.testbed.tranco import assign_tranco_ranks
+
+from repro.zone.builder import ZoneBuilder
 
 from tests.conftest import SMALL_CONFIG
 
@@ -211,3 +221,75 @@ class TestBuiltInternet:
         assert set(range(1, 26)).issubset(ints)
         assert {50, 51, 101, 151, 500}.issubset(ints)
         assert "valid" in keys and "expired" in keys and "it-2501-expired" in keys
+
+
+class TestDomainZoneFromValues:
+    """``build_domain_zone`` assembles values; this is the text it replaced."""
+
+    SEED = 7
+
+    @staticmethod
+    def _from_text(spec, seed, pool, ns_domain):
+        rng = zone_rng(seed, spec.name)
+        ns_names = (f"ns1.{ns_domain}.", f"ns2.{ns_domain}.")
+        zone = (
+            ZoneBuilder(spec.name)
+            .soa(ns_names[0], f"hostmaster.{spec.name}")
+            .ns(*ns_names)
+            .a("@", f"198.18.{rng.randrange(256)}.{rng.randrange(1, 255)}")
+            .a("www", f"198.18.{rng.randrange(256)}.{rng.randrange(1, 255)}")
+            .build()
+        )
+        if spec.dnssec:
+            _sign_from_spec(zone, spec, pool, rng, spec.name)
+        return zone
+
+    @staticmethod
+    def _image(zone):
+        """Everything observable, in insertion order, names in exact case."""
+
+        def rows(rrsets):
+            return [
+                (rrset.name.labels, int(rrset.rrtype), rrset.ttl, [r.to_wire() for r in rrset])
+                for rrset in rrsets
+            ]
+
+        chain = zone.nsec3_chain
+        return (
+            zone.origin.labels,
+            rows(rrset for node in zone.nodes.values() for rrset in node.values()),
+            rows(zone.rrsigs.values()),
+            zone.generation,
+            zone.signed,
+            chain and (chain.params.salt, chain.params.iterations, chain.params.opt_out),
+            zone.nsec_chain is not None,
+        )
+
+    def test_equals_the_text_build_over_200_specs(self):
+        pool = KeyPool(size=2, seed=self.SEED + 1)
+        kinds = [
+            dict(dnssec=False, denial=""),
+            dict(dnssec=True, denial="nsec"),
+            dict(dnssec=True, denial="nsec3", iterations=0, salt_length=0),
+            dict(dnssec=True, denial="nsec3", iterations=5, salt_length=8),
+            dict(dnssec=True, denial="nsec3", iterations=1, salt_length=4, opt_out=True),
+        ]
+        operators = ["squarespace", "generic-web", "Mixed-Case.Example"]
+        images = set()
+        for index in range(200):
+            operator = operators[index % len(operators)]
+            ns_domain = f"{operator.replace('.', '-')}-dns.net"
+            tld = ("com", "org", "co-op")[index % 3]
+            spec = DomainSpec(
+                name=f"Site-{index}.{tld}" if index % 7 == 0 else f"site-{index}.{tld}",
+                tld=tld,
+                operator=operator,
+                **kinds[index % len(kinds)],
+            )
+            ns_pair = (NS(f"ns1.{ns_domain}."), NS(f"ns2.{ns_domain}."))
+            built = self._image(build_domain_zone(spec, self.SEED, pool, ns_pair))
+            assert built == self._image(
+                self._from_text(spec, self.SEED, pool, ns_domain)
+            ), spec
+            images.add(repr(built))
+        assert len(images) == 200

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.wire import RR_FIXED, Reader, WireError, Writer
 
@@ -81,6 +82,23 @@ class TestReader:
         reader = Reader(b"\x01")
         with pytest.raises(WireError):
             reader.read_u16()
+
+    def test_negative_count_rejected(self):
+        reader = Reader(b"abcd")
+        reader.read(3)
+        with pytest.raises(WireError):
+            reader.read(-1)
+        assert reader.pos == 3  # the cursor never moves back
+
+    def test_fixed_part_overrunning_rdlength_rejected(self):
+        # A DNSKEY whose RDLENGTH (3) is shorter than its 4-octet fixed
+        # part, followed by an A record so the octets exist: reading the
+        # key's "remaining" -1 octets used to step back and line up.
+        header = b"\x12\x34\x84\x00" + b"\x00\x00\x00\x02\x00\x00\x00\x00"
+        short_key = b"\x00\x00\x30\x00\x01\x00\x00\x00\x3c\x00\x03" + b"\x01\x00\x03"
+        a_record = b"\x00\x00\x01\x00\x01\x00\x00\x00\x3c\x00\x04" + b"\xc0\x00\x02\x01"
+        with pytest.raises(WireError):
+            Message.from_wire(header + short_key + a_record)
 
     def test_reserved_label_type(self):
         with pytest.raises(WireError):

@@ -122,10 +122,15 @@ def test_edns_options_at_the_cap_decode():
 # (pointers into rdata, forward pointers, a known suffix that overflows
 # 255 octets) and the carried rdata slices (accepted mutants are
 # re-encoded). The digest over accept/reject plus re-encoded bytes was
-# generated on the parent commit; a decoder that accepts, rejects or
-# re-encodes any mutant differently fails it.
+# generated on the pre-rewrite decoder (4 614 accepted / 2 531 rejected)
+# and re-recorded once, when ``Reader.read`` stopped taking a negative
+# count: 40 mutants whose RRSIG/NSEC3/DNSKEY/DS fixed part or embedded
+# name overran its RDLENGTH moved from accepted to rejected, none the
+# other way, and no accepted mutant re-encodes differently. A decoder
+# that accepts, rejects or re-encodes any mutant differently fails it.
 
-FUZZ_GOLDEN = "1bc61494300c6dc128a4f793c6bd24be7e730176d7530d46dc75192f1f6737f8"
+FUZZ_GOLDEN = "945db5ac1b8e7e2d0f5a0361a1825e685c4ad9ae7994ed0554ec6ccea5c652a8"
+FUZZ_ACCEPTED, FUZZ_REJECTED = 4574, 2571
 
 _FIXED_LAYOUT_TYPES = (
     RdataType.A,
@@ -304,7 +309,7 @@ def test_dnssec_corpus_accepts_rejects_and_reencodes_like_the_parent():
         digest.update(b"\x01" + len(again).to_bytes(4, "big") + again)
         accepted += 1
     # Both outcomes must be well represented or the corpus proves little.
-    assert accepted > 500 and rejected > 500
+    assert (accepted, rejected) == (FUZZ_ACCEPTED, FUZZ_REJECTED)
     assert digest.hexdigest() == FUZZ_GOLDEN
 
 
