@@ -1,0 +1,42 @@
+"""Report pin: the bytes ``python -m repro study|scan|survey`` print.
+
+The stdout of the three measurement commands at one small fixed size is
+pinned as sha256 digests, recorded on the commit *before* the pipeline
+was unified — so a refactor of how the commands build their world, walk
+their units and fold their results is checked against a constant, not
+against itself. ``--concurrency`` only overlaps sessions on the simulated
+clock, so both widths share one digest per command.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+SIZE = ["--domains", "300", "--tlds", "40", "--resolvers", "16", "--seed", "7"]
+
+GOLDEN_SHA256 = {
+    "study": "69e4e3461072cdfa6667c053a72e7bdc7ba667d97f3da23b5efedd691de17242",
+    "scan": "4915e2db523d1d258fad26fdf887bd537fefdfb1cf9d42a8fe5a51a1ac5a1087",
+    "survey": "50c7737a5c67d28ad18ce8eaa432af75f32ee3001a16c75e121a6bca0d69caa2",
+}
+
+
+@pytest.mark.parametrize("concurrency", ["1", "32"])
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_cli_stdout_matches_pinned_digest(command, concurrency):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", command, *SIZE,
+         "--concurrency", concurrency],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        cwd=str(REPO_ROOT),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256[command]
