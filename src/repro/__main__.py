@@ -57,96 +57,61 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from repro import __version__, fastpath, obs
 from repro.analysis.longitudinal import compliance_timeline, paper_anchor
 from repro.core.guidance import GUIDANCE
-from repro.core.report import StudyAggregates, render_study_report
+from repro.core.report import StudyAggregates
 from repro.dns.rcode import Rcode
 from repro.dns.types import RdataType
 from repro.obs import render_span_tree
-from repro.net.faults import parse_fault_spec
 from repro.dnssec.costmodel import meter
 from repro.resolver.guard import GUARD_PROFILES
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.resolver.stub import StubClient
-from repro.scanner.atlas import AtlasCampaign
-from repro.scanner.campaign import CampaignError
-from repro.scanner.engine import ScanEngine
-from repro.scanner.nsec3_scan import domain_rng, scan_domain, scan_tlds
-from repro.scanner.resolver_scan import ResolverSurvey, SurveyRetryPolicy
-from repro.testbed.internet import build_internet
+from repro.scanner.campaign import CampaignError, run_units
+from repro.scanner.pipeline import CampaignPlan, FoldSink, World
+from repro.scanner.supervisor import run_supervised
 from repro.zone import build_cache
-from repro.scanner.supervisor import deployment_counts
-from repro.testbed.population import (
-    Population,
-    generate_population,
-    generate_tlds,
-    inject_tail_domains,
-    scaled_config,
-)
-from repro.testbed.resolvers import deploy_resolvers
-from repro.testbed.rfc9276_wild import build_probe_zones
 
 
-def _streamed(args):
-    """The constant-memory pipeline is on unless the switch disabled it."""
-    return fastpath.enabled("streamed_pipeline")
-
-
-def _build(args, with_probes):
-    # The scaling rule lives in repro.testbed.population.scaled_config:
-    # campaign workers must derive the identical population.
-    config = scaled_config(args.domains, args.tlds)
-    tlds = generate_tlds(config)
-    # A --state-dir also hosts the cross-process signed-zone build
-    # cache: a second run (or a worker fleet pointed at the same dir)
-    # loads its DNSSEC artifacts instead of re-signing the testbed.
-    # ``--disable-fastpath build_cache`` makes active() return None,
-    # forcing the cold path while the summaries keep reporting.
-    state_dir = getattr(args, "state_dir", None)
-    if state_dir is not None:
-        build_cache.activate(os.path.join(state_dir, "build-cache"))
+def _build_world(args, role):
+    """Build the world *role* runs in; progress lines go to stderr."""
+    plan = CampaignPlan.from_args(args, role)
     started = time.perf_counter()
-    if _streamed(args):
-        # Streamed default: the population is an index-addressed stream
-        # (no global list) and SLD zones materialise lazily on first
-        # authoritative query, bounded by an LRU — identical wire
-        # behaviour to the eager build.
-        domains = Population(config, tlds=tlds)
-        inet = build_internet(domains, tlds, seed=args.seed, lazy_domains=True)
-    else:
-        domains = inject_tail_domains(generate_population(config, tlds=tlds))
-        inet = build_internet(domains, tlds, seed=args.seed)
-    # Claim the tracer clock for this run's kernel: later Network
-    # constructions (none today, but nothing stops a plugin) can no
-    # longer silently rebind it.
-    inet.network.kernel.bind_obs()
-    probes = build_probe_zones(inet) if with_probes else None
+    world = World.build(plan)
     print(
-        f"[testbed] {len(domains)} domains, {len(tlds)} TLDs "
+        f"[testbed] {len(world.universe.population)} domains, "
+        f"{len(world.universe.tld_specs)} TLDs "
         f"({time.perf_counter() - started:.1f}s)",
         file=sys.stderr,
     )
-    return inet, probes, domains, tlds
+    if plan.faults:
+        models = world.inet.network.faults.models
+        kinds = ", ".join(type(m).__name__ for m in models) or "none"
+        print(f"[chaos] fault plan active ({kinds})", file=sys.stderr)
+    return world
 
 
 def _metrics_requested(args):
     return getattr(args, "metrics_out", None) is not None
 
 
-def _telemetry_requested(args):
-    """Any collection at all: metrics snapshot, event journal, series,
-    or the live console — they all need the obs registry switched on."""
+def _streaming_requested(args):
+    """Per-kernel streaming telemetry: event journal, series, console."""
     return (
-        _metrics_requested(args)
-        or getattr(args, "events_out", None) is not None
+        getattr(args, "events_out", None) is not None
         or getattr(args, "series_out", None) is not None
         or getattr(args, "progress", False)
     )
+
+
+def _telemetry_requested(args):
+    """Any collection at all — a metrics snapshot or streaming telemetry
+    needs the obs registry switched on."""
+    return _metrics_requested(args) or _streaming_requested(args)
 
 
 def _start_telemetry(args, inet, label):
@@ -156,11 +121,7 @@ def _start_telemetry(args, inet, label):
     Build this *after* the testbed so construction noise stays out of the
     journal, and *before* the campaign so heartbeats cover it.
     """
-    if not (
-        getattr(args, "events_out", None) is not None
-        or getattr(args, "series_out", None) is not None
-        or getattr(args, "progress", False)
-    ):
+    if not _streaming_requested(args):
         return None
     from repro.obs.live import LiveTelemetry
 
@@ -179,22 +140,6 @@ def _finish_telemetry(live):
     """Final scrape, file writes, console summary (stderr only)."""
     if live is not None:
         live.finish()
-
-
-def _chaos_requested(args):
-    return bool(getattr(args, "faults", None))
-
-
-def _apply_faults(args, inet):
-    """Install the ``--faults`` plan once the testbed is built (so zone
-    signing and deployment stay clean — the weather hits the measurement,
-    not the infrastructure)."""
-    if not _chaos_requested(args):
-        return
-    plan = parse_fault_spec(args.faults, seed=args.seed)
-    inet.network.set_faults(plan)
-    kinds = ", ".join(type(m).__name__ for m in plan.models) or "none"
-    print(f"[chaos] fault plan active ({kinds})", file=sys.stderr)
 
 
 def _dump_metrics(args, inet=None):
@@ -216,77 +161,6 @@ def _dump_metrics(args, inet=None):
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"[obs] metrics written to {args.metrics_out}", file=sys.stderr)
-
-
-def _make_engine(inet, chaos=False, concurrency=1):
-    upstream = inet.make_resolver(VENDOR_POLICIES["cloudflare"], name="cli-upstream")
-    return ScanEngine(
-        inet.network,
-        inet.allocator.next_v4(),
-        upstream.ip,
-        max_qps=14_700,
-        # Under injected faults, spend extra attempts per target so the
-        # headline numbers converge to the clean run's.
-        retries=2 if chaos else 1,
-        target_retries=3 if chaos else 0,
-        concurrency=concurrency,
-        # Spread the in-flight window over a small scanner fleet, like
-        # the paper's zdns deployment.
-        shards=min(max(1, concurrency), 8),
-    )
-
-
-def _iter_domain_results(engine, domains, seed=1355):
-    """Stage 1 + stage 2 as one per-domain stream.
-
-    For each domain: the DNSKEY gate (§4.1 stage 1), then — only for
-    DNSSEC-enabled names — the stage-2 NSEC3 probes, yielded as they
-    complete. This is the campaign supervisor's unit order, so the
-    single-process and fleet runs issue the same per-domain query
-    sequences; memory stays O(1) in the population size when the caller
-    folds results instead of collecting them.
-    """
-    for spec in domains:
-        name = spec.name
-        answer = engine.query(
-            name, RdataType.DNSKEY, want_dnssec=True, checking_disabled=True
-        )
-        if answer.rcode != Rcode.NOERROR:
-            continue
-        if not any(
-            int(rrset.rrtype) == int(RdataType.DNSKEY) for rrset in answer.answer
-        ):
-            continue
-        yield scan_domain(engine, name, domain_rng(seed, name))
-    # Settle the in-flight window so the next pipeline stage starts
-    # after every session has completed on the simulated clock.
-    engine.drain()
-
-
-def _run_survey(inet, probes, args):
-    # The deployment mix is shared with the campaign supervisor's
-    # workers (repro.scanner.supervisor.deployment_counts): both paths
-    # must deploy the identical resolver population.
-    deployment = deploy_resolvers(
-        inet, seed=args.seed, **deployment_counts(args.resolvers)
-    )
-    retry_policy = (
-        SurveyRetryPolicy(require_stable=True) if _chaos_requested(args) else None
-    )
-    concurrency = getattr(args, "concurrency", 1)
-    survey = ResolverSurvey(
-        inet.network,
-        probes,
-        inet.allocator.next_v4(),
-        retry_policy=retry_policy,
-        concurrency=concurrency,
-    )
-    entries = survey.run(deployment)
-    atlas = AtlasCampaign(
-        inet.network, probes, retry_policy=retry_policy, concurrency=concurrency
-    )
-    entries += atlas.run(deployment)
-    return entries
 
 
 def _start_mem_stats(args):
@@ -366,22 +240,43 @@ def _sim_summary(args, inet):
     )
 
 
-def _run_supervised_command(args, role):
-    """Route a measurement command through the campaign supervisor.
+def _print_report(role, aggregates, total_domains):
+    if role != "survey":
+        print(aggregates.render(total_domains))
+        return
+    print("validating resolver survey (paper §5.2):")
+    for label, paper, measured in aggregates.resolver_headline.headline().rows():
+        print(f"  {label:40s} paper={paper:>6}  measured={measured}")
 
-    The merged report on stdout is byte-identical to the inline
-    single-process run (clean network or ``kill:`` faults); everything
-    fleet-related goes to stderr.
-    """
+
+def _run_in_process(args, role):
+    """Measure in this process, as shard 0 of 1, folding as units settle."""
+    if _telemetry_requested(args):
+        obs.enable()
+    _start_mem_stats(args)
+    world = _build_world(args, role)
+    live = _start_telemetry(args, world.inet, label=role)
+
+    def progress(phase, units_done, executed):
+        if executed is None and obs.console is not None:
+            obs.console.phase(f"{role}:{phase}")
+            if phase == "survey":
+                obs.console.expect(world.universe.n_resolver_units)
+
+    aggregates = StudyAggregates()
+    run_units(world, world.universe, FoldSink(aggregates), progress)
+    _print_report(role, aggregates, len(world.universe.population))
+    _sim_summary(args, world.inet)
+    _finish_telemetry(live)
+    _dump_metrics(args, world.inet)
+
+
+def _run_supervised(args, role):
+    """Measure across the supervised worker fleet and fold its merge;
+    everything fleet-related goes to stderr."""
     import tempfile
 
-    from repro.scanner.supervisor import CampaignPlan, run_supervised
-
-    if (
-        getattr(args, "events_out", None) is not None
-        or getattr(args, "series_out", None) is not None
-        or getattr(args, "progress", False)
-    ):
+    if _streaming_requested(args):
         print(
             "[supervisor] streaming telemetry (--events-out/--series-out/"
             "--progress) is per-kernel and not available with --workers; "
@@ -393,31 +288,18 @@ def _run_supervised_command(args, role):
         print(f"[supervisor] state dir {args.state_dir}", file=sys.stderr)
     if _metrics_requested(args):
         obs.enable()
-    plan = CampaignPlan.from_args(args, role)
-    outcome = run_supervised(plan)
-    if role == "study":
-        print(
-            render_study_report(
-                outcome.domain_results,
-                outcome.total_domains,
-                outcome.tld_results,
-                outcome.entries,
-            )
-        )
-    elif role == "scan":
-        print(render_study_report(outcome.domain_results, outcome.total_domains))
-    else:
-        from repro.analysis.stats import resolver_headline_stats
-
-        headline = resolver_headline_stats(
-            [e.classification for e in outcome.entries]
-        )
-        print("validating resolver survey (paper §5.2):")
-        for label, paper, measured in headline.rows():
-            print(f"  {label:40s} paper={paper:>6}  measured={measured}")
+    outcome = run_supervised(CampaignPlan.from_args(args, role))
+    aggregates = StudyAggregates()
+    for result in outcome.domain_results:
+        aggregates.update_domain(result)
+    for result in outcome.tld_results:
+        aggregates.update_tld(result)
+    for entry in outcome.entries:
+        aggregates.update_survey(entry)
+    _print_report(role, aggregates, outcome.total_domains)
     _dump_metrics(args)
     coverage = outcome.coverage
-    if getattr(args, "exit_code_on_partial", False) and not coverage.complete:
+    if args.exit_code_on_partial and not coverage.complete:
         print(
             f"[supervisor] partial coverage "
             f"{coverage.units_merged}/{coverage.units_total}; "
@@ -427,104 +309,16 @@ def _run_supervised_command(args, role):
         return 4
 
 
-def cmd_study(args):
-    """Run both pipelines and print the combined study report.
+def cmd_campaign(args):
+    """Run ``study``, ``scan`` or ``survey`` and print its report.
 
-    Both modes of the ``streamed_pipeline`` switch walk the identical
-    per-domain query sequence through :func:`_iter_domain_results`; they
-    differ only in whether results are folded into
-    :class:`StudyAggregates` as they arrive (streamed, the default) or
-    collected into lists first (materialised) — the reports are
-    byte-identical.
+    ``--workers 1`` measures in this process; ``--workers N`` merges a
+    supervised fleet. Both run the same pipeline over the same global
+    unit list and fold into the same aggregates, so the report on stdout
+    is byte-identical (clean network or ``kill:`` faults).
     """
-    if getattr(args, "workers", 1) > 1:
-        return _run_supervised_command(args, "study")
-    if _telemetry_requested(args):
-        obs.enable()
-    _start_mem_stats(args)
-    inet, probes, domains, tlds = _build(args, with_probes=True)
-    _apply_faults(args, inet)
-    live = _start_telemetry(args, inet, label="study")
-    if obs.console is not None:
-        obs.console.phase("study:domains")
-    engine = _make_engine(
-        inet, chaos=_chaos_requested(args), concurrency=args.concurrency
-    )
-    stream = _iter_domain_results(engine, domains)
-    if _streamed(args):
-        aggregates = StudyAggregates()
-        for result in stream:
-            aggregates.update_domain(result)
-        for tld_result in scan_tlds(engine, tlds):
-            aggregates.update_tld(tld_result)
-        if obs.console is not None:
-            obs.console.phase("study:survey")
-        for entry in _run_survey(inet, probes, args):
-            aggregates.update_survey(entry)
-        report = aggregates.render(len(domains))
-    else:
-        results = list(stream)
-        tld_results = scan_tlds(engine, tlds)
-        if obs.console is not None:
-            obs.console.phase("study:survey")
-        entries = _run_survey(inet, probes, args)
-        report = render_study_report(results, len(domains), tld_results, entries)
-    print(report)
-    _sim_summary(args, inet)
-    _finish_telemetry(live)
-    _dump_metrics(args, inet)
-
-
-def cmd_scan(args):
-    """Run the §4.1 domain pipeline and print its report."""
-    if getattr(args, "workers", 1) > 1:
-        return _run_supervised_command(args, "scan")
-    if _telemetry_requested(args):
-        obs.enable()
-    _start_mem_stats(args)
-    inet, __, domains, __tlds = _build(args, with_probes=False)
-    _apply_faults(args, inet)
-    live = _start_telemetry(args, inet, label="scan")
-    engine = _make_engine(
-        inet, chaos=_chaos_requested(args), concurrency=args.concurrency
-    )
-    stream = _iter_domain_results(engine, domains)
-    if _streamed(args):
-        aggregates = StudyAggregates()
-        for result in stream:
-            aggregates.update_domain(result)
-        report = aggregates.render(len(domains))
-    else:
-        report = render_study_report(list(stream), len(domains))
-    print(report)
-    _sim_summary(args, inet)
-    _finish_telemetry(live)
-    _dump_metrics(args, inet)
-
-
-def cmd_survey(args):
-    """Run the §4.2 resolver survey and print the headline numbers."""
-    if getattr(args, "workers", 1) > 1:
-        return _run_supervised_command(args, "survey")
-    if _telemetry_requested(args):
-        obs.enable()
-    _start_mem_stats(args)
-    args.domains = min(args.domains, 20)
-    inet, probes, __, __tlds = _build(args, with_probes=True)
-    _apply_faults(args, inet)
-    live = _start_telemetry(args, inet, label="survey")
-    from repro.analysis.stats import ResolverHeadlineAccumulator
-
-    accumulator = ResolverHeadlineAccumulator()
-    for entry in _run_survey(inet, probes, args):
-        accumulator.update(entry.classification)
-    headline = accumulator.headline()
-    print("validating resolver survey (paper §5.2):")
-    for label, paper, measured in headline.rows():
-        print(f"  {label:40s} paper={paper:>6}  measured={measured}")
-    _sim_summary(args, inet)
-    _finish_telemetry(live)
-    _dump_metrics(args, inet)
+    run = _run_supervised if args.workers > 1 else _run_in_process
+    return run(args, args.command)
 
 
 def cmd_trace(args):
@@ -536,8 +330,7 @@ def cmd_trace(args):
     NSEC3 closest-encloser hashing, and signature verification.
     """
     obs.enable(tracing_spans=True)
-    inet, __probes, __, __tlds = _build(args, with_probes=True)
-    _apply_faults(args, inet)
+    inet = _build_world(args, "trace").inet
     resolver = inet.make_resolver(
         VENDOR_POLICIES[args.policy], name="trace-resolver"
     )
@@ -584,8 +377,7 @@ def cmd_attack(args):
 
     if _telemetry_requested(args):
         obs.enable()
-    inet, __, __, __tlds = _build(args, with_probes=False)
-    _apply_faults(args, inet)
+    inet = _build_world(args, "attack").inet
     live = _start_telemetry(args, inet, label="attack")
     attack = build_attack_zones(inet, seed=args.seed + 50_861)
     profile = GUARD_PROFILES[args.guard]
@@ -979,15 +771,15 @@ def main(argv=None):
     pipeline = _campaign_parent(400, 120, resolvers=40, concurrency=True)
     small = _campaign_parent(60, 40)
 
-    for name, handler, help_text in (
-        ("study", cmd_study, "full study: domains + TLDs + resolvers"),
-        ("scan", cmd_scan, "domain pipeline only (§4.1/§5.1)"),
-        ("survey", cmd_survey, "resolver survey only (§4.2/§5.2)"),
+    for name, help_text in (
+        ("study", "full study: domains + TLDs + resolvers"),
+        ("scan", "domain pipeline only (§4.1/§5.1)"),
+        ("survey", "resolver survey only (§4.2/§5.2)"),
     ):
         command = sub.add_parser(
             name, help=help_text, parents=[pipeline, fleet, telemetry]
         )
-        command.set_defaults(handler=handler)
+        command.set_defaults(handler=cmd_campaign)
 
     trace = sub.add_parser(
         "trace",

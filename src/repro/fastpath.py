@@ -8,7 +8,11 @@ path (:mod:`repro.crypto.rsa`). Every one of them is behaviourally
 transparent: a hit charges the DNSSEC cost model exactly as the real
 computation would, so reports and guard decisions are byte-identical
 with the fast paths on or off. CI asserts exactly that, which requires
-turning them off; this module is the single switchboard.
+turning them off; this module is the single switchboard. (The
+constant-memory pipeline — streamed population, lazily materialised SLD
+zones, incremental report aggregates — is not a switch: it is the only
+pipeline; ``tests/test_wire_golden.py`` holds the lazy testbed
+wire-identical to the eager library build.)
 
 Switches are named, default-on, and disabled either programmatically
 (:func:`disable` / :func:`enabled_only_during_tests` helpers) or through
@@ -25,21 +29,16 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
-#: Every switch this module knows about. ``streamed_pipeline`` selects
-#: the constant-memory study path (streamed population, lazily
-#: materialised SLD zones, incremental report aggregates); disabling it
-#: restores the materialise-everything path, whose report is
-#: byte-identical — that equivalence is what CI diffs.
-#: ``build_cache`` covers the cross-process signed-zone build cache plus
-#: the batched signing fast paths it rides with (chain-batched NSEC3
-#: hashing, hoisted per-zone RSA signing setup); disabling it forces
-#: every process to cold-rebuild and re-sign the full testbed.
+#: Every switch this module knows about. ``build_cache`` covers the
+#: cross-process signed-zone build cache plus the batched signing fast
+#: paths it rides with (chain-batched NSEC3 hashing, hoisted per-zone
+#: RSA signing setup); disabling it forces every process to
+#: cold-rebuild and re-sign the full testbed.
 KNOWN_SWITCHES = (
     "validator_memo",
     "answer_cache",
     "nsec3_memo",
     "rsa_crt",
-    "streamed_pipeline",
     "build_cache",
 )
 

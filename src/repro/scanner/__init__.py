@@ -9,7 +9,9 @@
 - :mod:`repro.scanner.resolver_scan` — the 49-probe resolver survey;
 - :mod:`repro.scanner.openresolver` — open-resolver discovery;
 - :mod:`repro.scanner.atlas` — RIPE-Atlas-style probing of closed
-  resolvers (no EDE visibility, in-network vantage).
+  resolvers (no EDE visibility, in-network vantage);
+- :mod:`repro.scanner.pipeline` — the whole method as one pipeline (the
+  world, what a unit does), run as shards by the CLI and the fleet.
 """
 
 from repro.scanner.campaign import CampaignCheckpoint, CampaignResult, job_key

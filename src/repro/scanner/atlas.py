@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.resolver_compliance import classify_resolver
-from repro.scanner.resolver_scan import (
-    SurveyEntry,
-    probe_resolver,
-    probe_with_policy,
-)
+from repro.scanner.resolver_scan import SurveyEntry, probe_with_policy
 from repro.testbed.rfc9276_wild import PROBE_ZONE_ITERATIONS
+
+#: Classification note of a closed resolver whose probes stayed unhealthy.
+ATLAS_DEGRADED_NOTE = "degraded: Atlas probes unanswered or unstable"
 
 
 @dataclass
@@ -41,45 +40,36 @@ class AtlasCampaign:
     concurrency: int = 1
     entries: list = field(default_factory=list)
 
+    def eligible(self, deployed_resolvers):
+        """``(index, resolver)`` for the closed resolvers, in deployment
+        order, that have a probe vantage and fit the probe budget."""
+        count = 0
+        for index, deployed in enumerate(deployed_resolvers):
+            if deployed.access != "closed" or not deployed.probe_source_ip:
+                continue
+            if count >= self.max_probes:
+                break
+            count += 1
+            yield index, deployed
+
     def run(self, deployed_resolvers):
         from repro.net.sim import CampaignExecutor
 
         executor = CampaignExecutor(self.network.kernel, self.concurrency)
         self.entries = []
-        count = 0
-        for index, deployed in enumerate(deployed_resolvers):
-            if deployed.access != "closed":
-                continue
-            if count >= self.max_probes:
-                break
-            if not deployed.probe_source_ip:
-                continue
+        for index, deployed in self.eligible(deployed_resolvers):
             matrix, healthy = executor.submit(
-                lambda d=deployed, i=index: self._probe(d, i)
+                lambda d=deployed, i=index: self.probe(d, i)
             )
             classification = classify_resolver(matrix, resolver=deployed.ip)
-            if self.retry_policy is not None and not healthy:
-                classification.notes.append(
-                    "degraded: Atlas probes unanswered or unstable"
-                )
+            if not healthy:
+                classification.notes.append(ATLAS_DEGRADED_NOTE)
             self.entries.append(SurveyEntry(deployed, matrix, classification))
-            count += 1
         executor.drain()
         return self.entries
 
-    def _probe(self, deployed, index):
+    def probe(self, deployed, index):
         """One closed resolver's probe session; returns (matrix, healthy)."""
-        if self.retry_policy is None:
-            matrix = probe_resolver(
-                self.network,
-                deployed.ip,
-                self.probe_set,
-                deployed.probe_source_ip,
-                unique=f"atlas{index}",
-                iterations=self.iterations,
-                keep_ede=False,  # Atlas does not expose EDE
-            )
-            return matrix, True
         return probe_with_policy(
             self.network,
             deployed.ip,
@@ -88,7 +78,7 @@ class AtlasCampaign:
             f"atlas{index}",
             self.iterations,
             self.retry_policy,
-            keep_ede=False,
+            keep_ede=False,  # Atlas does not expose EDE
         )
 
     def classifications(self):

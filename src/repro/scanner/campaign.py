@@ -111,6 +111,45 @@ def answer_from_record(record):
         ) from None
 
 
+#: Help texts of the ``repro_campaign_<event>_total{campaign=...}`` counters.
+_CAMPAIGN_EVENTS = {
+    "completed": "Campaign jobs settled (scan targets / surveyed resolvers).",
+    "quarantined": "Targets set aside as unhealthy during the main pass.",
+    "requeued": "Targets quarantined for an end-of-campaign requeue pass "
+    "(counted once per job key across resumes).",
+}
+
+
+def count_campaign(event, campaign, n=1):
+    """Bump ``repro_campaign_<event>_total`` for *campaign* by *n*."""
+    if obs.enabled and n:
+        obs.registry.counter(
+            f"repro_campaign_{event}_total",
+            _CAMPAIGN_EVENTS[event],
+            labelnames=("campaign",),
+        ).labels(campaign=campaign).inc(n)
+
+
+def requeue_passes(deferred, retry, attempts, delay_ms, drain, network):
+    """The end-of-campaign second chance for the *deferred* jobs.
+
+    Up to *attempts* more passes, each after every earlier session has
+    completed on the kernel clock (*drain*) and *delay_ms* of simulated
+    time has passed, so transient outages can clear. ``retry(job,
+    attempt)`` returns None once the job settled, else the job to carry
+    into the next pass. Returns the jobs still failing.
+    """
+    for attempt in range(attempts):
+        if not deferred:
+            break
+        drain()
+        if delay_ms:
+            network.clock_ms += delay_ms
+        carried = [retry(job, attempt) for job in deferred]
+        deferred = [job for job in carried if job is not None]
+    return deferred
+
+
 def _fsync_directory(path):
     """fsync the directory containing *path* (durable rename ordering)."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -451,3 +490,86 @@ class CampaignResult:
     recovered: int = 0
     #: Job keys still unanswered after every requeue pass.
     failed: list = field(default_factory=list)
+
+
+def run_units(campaign, units, sink, progress=lambda phase, done, executed: None):
+    """Drive *units* of *campaign* into *sink*: the one skip-done →
+    measure → quarantine → requeue → settle loop.
+
+    *campaign* says what a unit is — ``key(unit)``, ``phase_of(unit)``,
+    ``measure(unit, requeue_round=None)`` returning ``(record, settled)``
+    with a dict record, ``drain()``, ``network`` and (consulted only
+    once a unit comes back unsettled) ``retry_policy``. *sink* keeps the
+    results — ``done(key)``, ``note(key, tag)`` (True the first time)
+    and ``record(key, record)``; a :class:`CampaignCheckpoint` is one.
+
+    Units the sink already holds are skipped; unsettled ones are set
+    aside and get ``requeue_attempts`` more passes once the stream
+    leaves their phase, and what still fails settles marked
+    ``degraded``. Every phase boundary drains the in-flight window.
+    ``progress(phase, units_done, executed)`` is called on entering a
+    phase (*executed* None) and after each unit (True when a measurement
+    settled it, False when the sink already held it). Returns
+    ``(resumed, executed)`` unit counts.
+    """
+    resumed = executed = 0
+    phase = None
+    deferred = []
+
+    def settle(unit, record):
+        nonlocal executed
+        sink.record(campaign.key(unit), record)
+        if phase == "survey":
+            count_campaign("completed", "survey")
+        executed += 1
+        progress(phase, resumed + executed, True)
+
+    def retry(job, attempt):
+        record, settled = campaign.measure(job[0], requeue_round=attempt)
+        record["requeued"] = True
+        if not settled:
+            return job[0], record
+        settle(job[0], record)
+
+    def close_phase():
+        if deferred:
+            policy = campaign.retry_policy
+            fresh = [sink.note(campaign.key(unit), "requeued") for unit, __ in deferred]
+            count_campaign("requeued", "survey", sum(fresh))
+            for unit, record in requeue_passes(
+                deferred, retry, policy.requeue_attempts,
+                policy.requeue_delay_ms, campaign.drain, campaign.network,
+            ):
+                # Out of attempts: keep the evidence, but say it is
+                # damaged rather than let a dead resolver masquerade as
+                # non-validating.
+                record["requeued"] = record["degraded"] = True
+                settle(unit, record)
+            deferred.clear()
+        campaign.drain()
+
+    for unit in units:
+        unit_phase = campaign.phase_of(unit)
+        if unit_phase != phase:
+            close_phase()
+            phase = unit_phase
+            progress(phase, resumed + executed, None)
+        key = campaign.key(unit)
+        if sink.done(key):
+            resumed += 1
+            progress(phase, resumed + executed, False)
+            continue
+        record, settled = campaign.measure(unit)
+        if settled:
+            settle(unit, record)
+            continue
+        # Counted once per unit key: the journaled note survives a
+        # resume, so a resolver quarantined again after a crash does
+        # not inflate the stats.
+        if sink.note(key, "quarantined"):
+            count_campaign("quarantined", "survey")
+        if obs.events:
+            obs.emit("campaign.quarantine", resolver=record["ip"])
+        deferred.append((unit, record))
+    close_phase()
+    return resumed, executed

@@ -13,17 +13,19 @@ from repro.dns.rcode import Rcode
 from repro.dns.types import RdataType
 
 
+def dnssec_enabled(engine, name):
+    """True when *name* answers a DNSKEY query with DNSKEY records."""
+    answer = engine.query(
+        name, RdataType.DNSKEY, want_dnssec=True, checking_disabled=True
+    )
+    return answer.rcode == Rcode.NOERROR and any(
+        int(rrset.rrtype) == int(RdataType.DNSKEY) for rrset in answer.answer
+    )
+
+
 def dnskey_scan(engine, domain_names):
     """Return the subset of *domain_names* that present DNSKEY records."""
-    enabled = []
-    for name in domain_names:
-        answer = engine.query(
-            name, RdataType.DNSKEY, want_dnssec=True, checking_disabled=True
-        )
-        if answer.rcode != Rcode.NOERROR:
-            continue
-        if any(int(rrset.rrtype) == int(RdataType.DNSKEY) for rrset in answer.answer):
-            enabled.append(name)
+    enabled = [name for name in domain_names if dnssec_enabled(engine, name)]
     # Settle the engine's in-flight window so stage 2 starts after every
     # stage-1 session has completed on the simulated clock.
     engine.drain()

@@ -22,7 +22,9 @@ from repro.scanner.campaign import (
     CampaignResult,
     answer_from_record,
     answer_to_record,
+    count_campaign,
     job_key,
+    requeue_passes,
 )
 
 
@@ -244,12 +246,7 @@ class ScanEngine:
                 qname=str(qname),
                 rcode=obs.rcode_label(answer.rcode, answer.answered),
             )
-        if obs.enabled:
-            obs.registry.counter(
-                "repro_campaign_completed_total",
-                "Campaign jobs settled (scan targets / surveyed resolvers).",
-                labelnames=("campaign",),
-            ).labels(campaign="scan").inc()
+        count_campaign("completed", "scan")
         return answer
 
     def run(self, jobs, want_dnssec=True, checking_disabled=False):
@@ -334,34 +331,23 @@ class ScanEngine:
             )
         else:
             result.requeued = len(deferred)
-        if obs.enabled and result.requeued:
-            obs.registry.counter(
-                "repro_campaign_requeued_total",
-                "Targets quarantined for an end-of-campaign requeue pass "
-                "(counted once per job key across resumes).",
-                labelnames=("campaign",),
-            ).labels(campaign="scan").inc(result.requeued)
-        for __ in range(requeue_attempts):
-            if not deferred:
-                break
-            # The requeue pass waits out the delay *after* every main-pass
-            # session has completed on the kernel clock.
-            self.drain()
-            if requeue_delay_ms:
-                self.network.clock_ms += requeue_delay_ms
-            still_failing = []
-            for key, qname, qtype in deferred:
-                answer = self.query(
-                    qname, qtype, want_dnssec=want_dnssec,
-                    checking_disabled=checking_disabled,
-                )
-                if answer.answered:
-                    result.recovered += 1
-                    settle(key, answer)
-                else:
-                    still_failing.append((key, qname, qtype))
-            deferred = still_failing
+        count_campaign("requeued", "scan", result.requeued)
 
+        def retry(job, attempt):
+            key, qname, qtype = job
+            answer = self.query(
+                qname, qtype, want_dnssec=want_dnssec,
+                checking_disabled=checking_disabled,
+            )
+            if not answer.answered:
+                return job
+            result.recovered += 1
+            settle(key, answer)
+
+        deferred = requeue_passes(
+            deferred, retry, requeue_attempts, requeue_delay_ms,
+            self.drain, self.network,
+        )
         for key, __qname, __qtype in deferred:
             # Exhausted: record the timeout so a resume does not re-burn
             # budget on it (re-scan without the checkpoint to insist).

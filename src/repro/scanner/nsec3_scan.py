@@ -126,27 +126,25 @@ def nsec3_scan(engine, domains, seed=1355):
     return results
 
 
-def scan_tlds(engine, tld_specs, seed=31):
-    """The TLD variant of the pipeline (§5.1's 1,449-TLD analysis).
+def scan_tld(engine, spec, seed=31):
+    """The TLD variant of :func:`scan_domain` (§5.1's 1,449-TLD analysis).
 
-    *tld_specs* may be labels or :class:`~repro.testbed.population.TldSpec`
-    objects; specs contribute delegation counts and open-zone-data flags to
-    the Item 4/5 and Item 1 heuristics.
+    *spec* may be a label or a :class:`~repro.testbed.population.TldSpec`;
+    a spec contributes its open-zone-data flag to the Item 1 heuristic,
+    and every TLD counts as delegation-heavy for Items 4/5.
     """
-    results = []
-    for spec in tld_specs:
-        if isinstance(spec, str):
-            label, delegations, open_zone = spec, 10_000, False
-        else:
-            label, delegations, open_zone = spec.label, 10_000, spec.open_zone_data
-        results.append(
-            scan_domain(
-                engine,
-                label,
-                domain_rng(seed, label),
-                delegation_count=delegations,
-                open_zone=open_zone,
-            )
-        )
+    label = spec if isinstance(spec, str) else spec.label
+    return scan_domain(
+        engine,
+        label,
+        domain_rng(seed, label),
+        delegation_count=10_000,
+        open_zone=not isinstance(spec, str) and spec.open_zone_data,
+    )
+
+
+def scan_tlds(engine, tld_specs, seed=31):
+    """:func:`scan_tld` over many TLDs, then settle the in-flight window."""
+    results = [scan_tld(engine, spec, seed) for spec in tld_specs]
     engine.drain()
     return results

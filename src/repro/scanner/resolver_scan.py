@@ -14,7 +14,11 @@ from repro.core.resolver_compliance import ProbeResult, classify_resolver
 from repro.dns.types import RdataType
 from repro.dnssec.costmodel import meter
 from repro.resolver.stub import StubClient
+from repro.scanner.campaign import run_units
 from repro.testbed.rfc9276_wild import PROBE_ZONE_ITERATIONS
+
+#: Classification note of a resolver still unhealthy after every requeue.
+SURVEY_DEGRADED_NOTE = "degraded: probes unanswered after end-of-campaign requeue"
 
 
 def _to_probe_result(answer, keep_ede=True):
@@ -191,6 +195,12 @@ class SurveyRetryPolicy:
     confirm: int = 2
 
 
+def requeue_label(index, requeue_round=None):
+    """The cache-busting probe label of open resolver *index*: a fresh
+    one per requeue pass, so no cache can echo earlier damage."""
+    return f"r{index}" if requeue_round is None else f"r{index}-rq{requeue_round}"
+
+
 def _matrix_healthy(matrix):
     return all(result.answered for result in matrix.values())
 
@@ -222,7 +232,14 @@ def probe_with_policy(
     Returns ``(matrix, healthy)``: *healthy* means every probe answered
     and, with ``require_stable``, two consecutive attempts agreed. The
     last matrix is returned either way so callers can keep the evidence.
+    Without a *policy* it is the legacy single pass, healthy by decree.
     """
+    if policy is None:
+        matrix = probe_resolver(
+            network, resolver_ip, probe_set, source_ip, unique,
+            iterations=iterations, keep_ede=keep_ede,
+        )
+        return matrix, True
     previous = None
     matrix = None
     for attempt in range(policy.max_attempts):
@@ -322,20 +339,25 @@ class ResolverSurvey:
     concurrency: int = 1
     entries: list = field(default_factory=list)
 
-    def run(self, deployed_resolvers):
-        """Probe every resolver (open from outside, closed from inside)."""
+    def __post_init__(self):
         from repro.net.resilience import CircuitBreaker
-        from repro.net.sim import CampaignExecutor
-        from repro.scanner.campaign import CampaignCheckpoint
 
-        self._executor = CampaignExecutor(self.network.kernel, self.concurrency)
         policy = self.retry_policy
         if policy is not None and self.breaker is None:
             recovery = min(1500.0, policy.requeue_delay_ms or 1500.0)
             self.breaker = CircuitBreaker(
                 clock=lambda: self.network.clock_ms, recovery_ms=recovery
             )
-        checkpoint = (
+
+    def run(self, deployed_resolvers):
+        """Probe every open resolver (closed ones are unreachable from
+        the scanner; the Atlas campaign covers them)."""
+        from repro.net.sim import CampaignExecutor
+        from repro.scanner.campaign import CampaignCheckpoint
+
+        self._executor = CampaignExecutor(self.network.kernel, self.concurrency)
+        self._deployment = list(deployed_resolvers)
+        self._checkpoint = (
             CampaignCheckpoint(
                 self.checkpoint_path,
                 schema="survey-matrix/1",
@@ -345,144 +367,77 @@ class ResolverSurvey:
             else None
         )
         self.entries = []
-        deferred = []
-        deployed_resolvers = list(deployed_resolvers)
         if obs.console is not None:
-            obs.console.expect(len(deployed_resolvers))
-        for index, deployed in enumerate(deployed_resolvers):
-            if deployed.access == "closed":
-                # Unreachable from the scanner; the Atlas campaign covers it.
-                continue
-            unique = f"r{index}"
-            key = f"{deployed.ip}#{index}"
-            if checkpoint is not None and checkpoint.done(key):
-                matrix = matrix_from_record(checkpoint.get(key))
-                # Classification is a pure function of the matrix, so a
-                # resume recomputes it without touching the network (the
-                # item-12 stability verdict is baked into the stored
-                # matrix's provenance — no re-probing).
-                classification = classify_resolver(matrix, resolver=deployed.ip)
-                self.entries.append(
-                    SurveyEntry(deployed, matrix, classification, resumed=True)
-                )
-                continue
-            matrix, healthy = self._executor.submit(
-                lambda d=deployed, u=unique: self._probe_with_policy(d, u)
-            )
-            if not healthy and policy is not None:
-                deferred.append((index, deployed, matrix))
-                # Like the requeue counter below, quarantines are counted
-                # once per job key: the checkpointed note survives a
-                # resume, so a resolver quarantined again after a crash
-                # does not inflate the stats.
-                fresh = checkpoint is None or checkpoint.note(key, "quarantined")
-                if obs.enabled and fresh:
-                    obs.registry.counter(
-                        "repro_campaign_quarantined_total",
-                        "Targets set aside as unhealthy during the main pass.",
-                        labelnames=("campaign",),
-                    ).labels(campaign="survey").inc()
-                if obs.events:
-                    obs.emit("campaign.quarantine", resolver=deployed.ip)
-                continue
-            self._admit(deployed, unique, matrix, checkpoint, key)
-
-        self._executor.drain()
-        self._requeue(deferred, checkpoint)
-        self._executor.drain()
-        if checkpoint is not None:
-            checkpoint.flush()
+            obs.console.expect(len(self._deployment))
+        run_units(
+            self,
+            [i for i, d in enumerate(self._deployment) if d.access != "closed"],
+            self,
+        )
+        if self._checkpoint is not None:
+            self._checkpoint.flush()
         return self.entries
 
-    def _requeue(self, deferred, checkpoint):
-        """End-of-campaign second chance for quarantined resolvers."""
-        policy = self.retry_policy
-        if policy is None:
-            return
-        # Idempotent by job key: a resolver whose requeue straddles a
-        # crash/resume boundary must not be double-counted in the stats
-        # (the note is journaled with the checkpoint).
-        if checkpoint is not None:
-            fresh = sum(
-                1
-                for index, deployed, __ in deferred
-                if checkpoint.note(f"{deployed.ip}#{index}", "requeued")
-            )
-        else:
-            fresh = len(deferred)
-        if obs.enabled and fresh:
-            obs.registry.counter(
-                "repro_campaign_requeued_total",
-                "Targets quarantined for an end-of-campaign requeue pass "
-                "(counted once per job key across resumes).",
-                labelnames=("campaign",),
-            ).labels(campaign="survey").inc(fresh)
-        for attempt in range(policy.requeue_attempts):
-            if not deferred:
-                return
-            self._executor.drain()
-            if policy.requeue_delay_ms:
-                self.network.clock_ms += policy.requeue_delay_ms
-            still_failing = []
-            for index, deployed, last_matrix in deferred:
-                unique = f"r{index}-rq{attempt}"
-                matrix, healthy = self._executor.submit(
-                    lambda d=deployed, u=unique: self._probe_with_policy(d, u)
-                )
-                if healthy:
-                    self._admit(
-                        deployed, unique, matrix, checkpoint,
-                        f"{deployed.ip}#{index}", requeued=True,
-                    )
-                else:
-                    still_failing.append((index, deployed, matrix))
-            deferred = still_failing
-        for index, deployed, matrix in deferred:
-            # Out of attempts: keep the evidence, but say it is damaged
-            # rather than let a dead resolver masquerade as non-validating.
-            classification = classify_resolver(matrix, resolver=deployed.ip)
-            classification.notes.append(
-                "degraded: probes unanswered after end-of-campaign requeue"
-            )
-            self.entries.append(
-                SurveyEntry(deployed, matrix, classification, requeued=True)
-            )
-            if obs.enabled:
-                obs.registry.counter(
-                    "repro_campaign_completed_total",
-                    "Campaign jobs settled (scan targets / surveyed resolvers).",
-                    labelnames=("campaign",),
-                ).labels(campaign="survey").inc()
+    # -- the survey as run_units' campaign: a unit is a deployment index --------
 
-    def _admit(self, deployed, unique, matrix, checkpoint, key, requeued=False):
-        classification = classify_resolver(matrix, resolver=deployed.ip)
-        if self.verify_item12_stability and classification.item12_gap:
-            self._verify_gap(deployed, unique, classification)
-        self.entries.append(
-            SurveyEntry(deployed, matrix, classification, requeued=requeued)
+    def key(self, index):
+        return f"{self._deployment[index].ip}#{index}"
+
+    def phase_of(self, index):
+        return "survey"
+
+    def measure(self, index, requeue_round=None):
+        deployed = self._deployment[index]
+        unique = requeue_label(index, requeue_round)
+        matrix, healthy = self._executor.submit(
+            lambda: self.probe(deployed, unique)
         )
-        if obs.enabled:
-            obs.registry.counter(
-                "repro_campaign_completed_total",
-                "Campaign jobs settled (scan targets / surveyed resolvers).",
-                labelnames=("campaign",),
-            ).labels(campaign="survey").inc()
-        if checkpoint is not None:
-            checkpoint.record(key, matrix_to_record(matrix))
+        return {"ip": deployed.ip, "unique": unique, "matrix": matrix}, healthy
 
-    def _probe_with_policy(self, deployed, unique):
-        """Probe once (legacy) or until healthy/stable (with a policy)."""
-        policy = self.retry_policy
-        if policy is None:
-            matrix = probe_resolver(
-                self.network,
-                deployed.ip,
-                self.probe_set,
-                self.scanner_source_ip,
-                unique,
-                iterations=self.iterations,
+    def drain(self):
+        self._executor.drain()
+
+    # -- ... and as its sink: entries, persisted when checkpointed --------------
+
+    def done(self, key):
+        if self._checkpoint is None or not self._checkpoint.done(key):
+            return False
+        deployed = self._deployment[int(key.rpartition("#")[2])]
+        matrix = matrix_from_record(self._checkpoint.get(key))
+        # Classification is a pure function of the matrix, so a resume
+        # recomputes it without touching the network (the item-12
+        # stability verdict is baked into the stored matrix's
+        # provenance — no re-probing).
+        classification = classify_resolver(matrix, resolver=deployed.ip)
+        self.entries.append(
+            SurveyEntry(deployed, matrix, classification, resumed=True)
+        )
+        return True
+
+    def note(self, key, tag="requeued"):
+        return self._checkpoint is None or self._checkpoint.note(key, tag)
+
+    def record(self, key, record):
+        deployed = self._deployment[int(key.rpartition("#")[2])]
+        matrix = record["matrix"]
+        classification = classify_resolver(matrix, resolver=deployed.ip)
+        if record.get("degraded"):
+            classification.notes.append(SURVEY_DEGRADED_NOTE)
+        elif self.verify_item12_stability and classification.item12_gap:
+            self._verify_gap(deployed, record["unique"], classification)
+        self.entries.append(
+            SurveyEntry(
+                deployed, matrix, classification,
+                requeued=bool(record.get("requeued")),
             )
-            return matrix, True
+        )
+        # A degraded matrix is not persisted: a resumed survey gives the
+        # resolver a fresh chance instead of replaying the damage.
+        if self._checkpoint is not None and not record.get("degraded"):
+            self._checkpoint.record(key, matrix_to_record(matrix))
+
+    def probe(self, deployed, unique):
+        """Probe once (legacy) or until healthy/stable (with a policy)."""
         return probe_with_policy(
             self.network,
             deployed.ip,
@@ -490,7 +445,7 @@ class ResolverSurvey:
             self.scanner_source_ip,
             unique,
             self.iterations,
-            policy,
+            self.retry_policy,
             breaker=self.breaker,
         )
 

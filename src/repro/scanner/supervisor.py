@@ -1,30 +1,27 @@
 """Crash-safe multi-process campaign supervision.
 
-The kernel-equivalence guarantee (PR 3: reports are byte-identical at
-any concurrency) is exactly the property that lets a campaign shard
-across OS processes: each worker rebuilds the full deterministic
-testbed from ``(domains, tlds, seed)`` and measures only its shard of
-the global unit list, so the union of shard outputs — merged in global
-unit order through the existing order-independent report builders — is
-byte-identical to the single-process run. What this module adds is
-surviving the part where workers die.
+The kernel-equivalence guarantee (reports are byte-identical at any
+concurrency) is exactly the property that lets a campaign shard across
+OS processes: each worker builds the full deterministic world from the
+plan and runs :func:`repro.scanner.campaign.run_units` — the same loop,
+over the same :meth:`~repro.scanner.pipeline.World.measure`, that a
+single-process run makes as shard 0 of 1 — on its own sub-stream of the
+global unit list. The union of shard outputs, merged in global unit
+order, is therefore byte-identical to the single-process report. What
+this module adds is the processes, and surviving the part where they
+die.
 
 Pieces:
 
-- :func:`plan_units` — the global, ordered unit list (domains, TLD
-  audits, resolver probes) derived purely from the plan, identically in
-  the supervisor and in every worker. Units are dealt round-robin to
-  shards, preserving **global indices** so cache-busting probe labels
-  (``r{index}``, ``atlas{index}``) match the single-process run.
-  Workers never build that list: :class:`UnitUniverse` resolves their
-  (start=shard, stride=workers) sub-stream on demand, so worker memory
-  is bounded by the shard's checkpoint while only the supervisor —
-  whose merge reads every record anyway — pays O(N).
-- :func:`worker_main` — the spawn entry point: builds its world, runs
-  its shard's units against a per-shard
+- :func:`plan_units` — the materialised global unit list. Only the
+  supervisor, whose merge reads every record anyway, pays that O(N);
+  workers walk their (start=shard, stride=workers) sub-stream of the
+  :class:`~repro.scanner.pipeline.UnitUniverse` lazily.
+- :func:`worker_main` — the spawn entry point, a shell around the
+  pipeline: heartbeat, the per-shard
   :class:`~repro.scanner.campaign.CampaignCheckpoint` (the durable
-  CRC32-framed journal), heartbeats progress, and writes a done-file
-  (stats + metrics snapshot) on completion. A seeded
+  CRC32-framed journal) as the sink, operator-signal handling, and a
+  done-file (stats + metrics snapshot) on completion. A seeded
   :class:`~repro.net.faults.ProcessKill` directive makes it SIGKILL or
   hang itself mid-campaign — tearing its own journal tail on the way
   out, so restarts exercise the real recovery path.
@@ -55,186 +52,36 @@ import traceback
 from dataclasses import dataclass, field
 
 from repro import fastpath, obs
-from repro.net.faults import parse_fault_spec
-from repro.net.procpool import Watchdog, WorkerHandle, backoff_delay
-from repro.scanner.campaign import CampaignCheckpoint, CampaignError
-from repro.scanner.nsec3_scan import DomainScanResult, domain_rng, scan_domain
-from repro.core.zone_compliance import Nsec3Observation, check_zone_compliance
+from repro.net.procpool import (
+    HeartbeatWriter,
+    Watchdog,
+    WorkerHandle,
+    backoff_delay,
+)
+from repro.scanner.campaign import (
+    CampaignCheckpoint,
+    CampaignError,
+    _atomic_write,
+    run_units,
+)
+# deployment_counts is not used here: the benchmark ledger imports it
+# from this module.
+from repro.scanner.pipeline import (
+    CampaignPlan,
+    UnitUniverse,
+    World,
+    deployment_counts,
+    fold_record,
+    unit_key,
+)
+from repro.testbed.internet import BuildScope
+from repro.zone import build_cache, signing
 
 #: Record-schema tag of the per-shard unit checkpoints.
 WORKER_SCHEMA = "study-units/1"
 
-#: The Atlas campaign's probe budget (mirrors AtlasCampaign.max_probes).
-ATLAS_MAX_PROBES = 1000
 
-#: Degradation notes must match the inline pipelines byte-for-byte.
-SURVEY_DEGRADED_NOTE = (
-    "degraded: probes unanswered after end-of-campaign requeue"
-)
-ATLAS_DEGRADED_NOTE = "degraded: Atlas probes unanswered or unstable"
-
-
-# -- the campaign plan -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CampaignPlan:
-    """Everything a worker needs to rebuild its world and find its shard.
-
-    Plain values only: the plan crosses the spawn boundary as a dict.
-    ``faults`` is the *network-weather* spec (kill tokens stripped);
-    ``kill`` carries the extracted ProcessKill parameters.
-    """
-
-    role: str                 # "study" | "scan" | "survey"
-    domains: int
-    tlds: int
-    resolvers: int
-    seed: int
-    workers: int
-    state_dir: str
-    concurrency: int = 1
-    faults: str = None
-    kill: tuple = None        # (rate, max_kills, hang_rate, seed)
-    collect_metrics: bool = False
-    discard_checkpoint: bool = False
-    stall_timeout_s: float = 60.0
-    max_restarts: int = 3
-    restart_backoff_s: float = 0.25
-    flush_every: int = 20
-    poll_interval_s: float = 0.05
-
-    @classmethod
-    def from_args(cls, args, role):
-        """Build a plan from the CLI namespace (clamping as the inline
-        commands do — ``survey`` caps the domain build at 20)."""
-        domains = args.domains
-        if role == "survey":
-            domains = min(domains, 20)
-        network_spec, kills = split_fault_spec(
-            getattr(args, "faults", None), seed=args.seed
-        )
-        kill = None
-        if kills:
-            model = kills[0]
-            kill = (model.rate, model.max_kills, model.hang_rate, model.seed)
-        return cls(
-            role=role,
-            domains=domains,
-            tlds=args.tlds,
-            resolvers=getattr(args, "resolvers", 0) or 0,
-            seed=args.seed,
-            workers=args.workers,
-            state_dir=args.state_dir,
-            concurrency=getattr(args, "concurrency", 1),
-            faults=network_spec,
-            kill=kill,
-            collect_metrics=getattr(args, "metrics_out", None) is not None,
-            discard_checkpoint=getattr(args, "discard_checkpoint", False),
-            stall_timeout_s=getattr(args, "stall_timeout", 60.0),
-            max_restarts=getattr(args, "max_restarts", 3),
-        )
-
-    def to_dict(self):
-        return {
-            name: getattr(self, name) for name in self.__dataclass_fields__
-        }
-
-
-def split_fault_spec(spec, seed=0):
-    """Split ``--faults`` into (network spec or None, [ProcessKill...]).
-
-    Workers receive only the network-weather tokens: a ``kill``-only
-    spec must leave the simulated network bit-for-bit untouched, so the
-    supervised run stays byte-identical to the clean single-process one.
-    """
-    if not spec:
-        return None, []
-    plan = parse_fault_spec(spec, seed=seed)
-    kills = plan.process_faults()
-    if not kills:
-        return spec, []
-    tokens = [
-        token.strip()
-        for token in spec.split(",")
-        if token.strip() and token.strip().split(":")[0] != "kill"
-    ]
-    return (",".join(tokens) or None), kills
-
-
-def deployment_counts(resolvers):
-    """The resolver-survey deployment mix for ``--resolvers N``.
-
-    Shared by the inline CLI path and every worker: both must deploy
-    the identical population or global resolver indices drift.
-    """
-    return {
-        "open_v4": resolvers,
-        "open_v6": max(2, resolvers // 4),
-        "closed_v4": max(2, resolvers // 5),
-        "closed_v6": max(1, resolvers // 8),
-    }
-
-
-class UnitUniverse:
-    """Index-addressed view of the campaign's global unit list.
-
-    The canonical order is unchanged — domains, then TLD audits, then
-    resolver probes — but unit *i* resolves on demand from the
-    deterministic population stream instead of a materialised list.
-    A worker walks its round-robin shard as the (start=shard,
-    stride=workers) sub-stream, so its resident footprint is its own
-    checkpoint, not the campaign: the supervisor process still holds
-    the O(N) merge state, but workers stay flat however large the
-    population gets.
-    """
-
-    def __init__(self, plan):
-        from repro.testbed.population import (
-            Population,
-            generate_tlds,
-            scaled_config,
-        )
-
-        config = scaled_config(plan.domains, plan.tlds)
-        self.tld_specs = generate_tlds(config)
-        self.population = Population(config, tlds=self.tld_specs)
-        self.n_domain_units = (
-            len(self.population) if plan.role in ("study", "scan") else 0
-        )
-        self.n_tld_units = len(self.tld_specs) if plan.role == "study" else 0
-        if plan.role in ("study", "survey"):
-            self.n_resolver_units = sum(
-                deployment_counts(plan.resolvers).values()
-            )
-        else:
-            self.n_resolver_units = 0
-
-    def __len__(self):
-        return self.n_domain_units + self.n_tld_units + self.n_resolver_units
-
-    def unit_at(self, index):
-        """The ``(kind, name)`` unit at global *index*."""
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        if index < self.n_domain_units:
-            return ("d", self.population.spec_at(index).name)
-        index -= self.n_domain_units
-        if index < self.n_tld_units:
-            return ("t", self.tld_specs[index].label)
-        return ("r", str(index - self.n_tld_units))
-
-    def iter_shard(self, start, stride=1):
-        """Lazily yield the units at ``start, start+stride, ...``."""
-        for index in range(start, len(self), stride):
-            yield self.unit_at(index)
-
-    def shard_size(self, shard, workers):
-        """How many units the (shard, workers) sub-stream yields."""
-        return max(0, (len(self) - shard + workers - 1) // workers)
-
-    def __iter__(self):
-        return self.iter_shard(0, 1)
+# -- the unit partition -------------------------------------------------------
 
 
 def plan_units(plan):
@@ -242,11 +89,8 @@ def plan_units(plan):
 
     Returns ``(units, domain_specs, tld_specs)`` where each unit is a
     ``(kind, name)`` pair — ``("d", domain)``, ``("t", tld label)``,
-    ``("r", global resolver index)``. Derived purely from the plan, so
-    the supervisor and every worker agree without building a testbed.
-    This is the materialising front-end of :class:`UnitUniverse`, used
-    by the supervisor (whose merge is O(N) anyway); workers walk the
-    universe lazily instead.
+    ``("r", global resolver index)``: the materialising front-end of
+    :class:`UnitUniverse`.
     """
     universe = UnitUniverse(plan)
     return list(universe), list(universe.population), universe.tld_specs
@@ -255,11 +99,6 @@ def plan_units(plan):
 def shard_units(units, shard, workers):
     """Round-robin deal: the units owned by *shard* of *workers*."""
     return [unit for index, unit in enumerate(units) if index % workers == shard]
-
-
-def unit_key(unit):
-    kind, name = unit
-    return f"{kind}/{name}"
 
 
 # -- shard-local file layout -------------------------------------------------
@@ -279,66 +118,6 @@ def _done_path(state_dir, shard):
 
 def _error_path(state_dir, shard):
     return os.path.join(state_dir, f"shard-{shard}.err")
-
-
-# -- unit record codecs ------------------------------------------------------
-
-
-def observation_to_record(observation):
-    """A :class:`Nsec3Observation` as a JSON-able checkpoint record."""
-    return {
-        "domain": observation.domain,
-        "params": [
-            [a, i, s.hex()] for a, i, s in observation.nsec3param_records
-        ],
-        "nsec3": [[a, i, s.hex()] for a, i, s in observation.nsec3_records],
-        "optout": observation.opt_out_seen,
-        "delegations": observation.delegation_count,
-        "open": observation.zone_published_openly,
-    }
-
-
-def observation_from_record(record):
-    try:
-        return Nsec3Observation(
-            domain=record["domain"],
-            dnssec_enabled=True,
-            nsec3param_records=tuple(
-                (a, i, bytes.fromhex(s)) for a, i, s in record["params"]
-            ),
-            nsec3_records=tuple(
-                (a, i, bytes.fromhex(s)) for a, i, s in record["nsec3"]
-            ),
-            opt_out_seen=record["optout"],
-            delegation_count=record["delegations"],
-            zone_published_openly=record["open"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CampaignError(
-            f"shard checkpoint record is not an NSEC3 observation "
-            f"({exc!r}); the state directory is stale or foreign — "
-            "re-run with --discard-checkpoint (or a fresh --state-dir)"
-        ) from None
-
-
-def _scan_result_to_record(result, enabled=True):
-    record = {"enabled": bool(enabled)}
-    if enabled:
-        record["obs"] = observation_to_record(result.observation)
-        record["ns"] = list(result.ns_targets)
-        record["denial"] = result.denial
-    return record
-
-
-def _scan_result_from_record(domain, record):
-    observation = observation_from_record(record["obs"])
-    return DomainScanResult(
-        domain=domain,
-        observation=observation,
-        report=check_zone_compliance(observation),
-        ns_targets=tuple(record["ns"]),
-        denial=record["denial"],
-    )
 
 
 # -- the worker --------------------------------------------------------------
@@ -421,13 +200,6 @@ class _KillSwitch:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _atomic_json(path, payload):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-    os.replace(tmp, path)
-
-
 def worker_main(spec):
     """Spawn entry point for one shard attempt. Never raises: campaign
     errors land in the shard's ``.err`` file and a nonzero exit."""
@@ -448,38 +220,12 @@ def worker_main(spec):
 
 
 def _worker_run(spec):
-    from repro.net.procpool import HeartbeatWriter
-    from repro.net.resilience import CircuitBreaker
-    from repro.net.sim import CampaignExecutor
-    from repro.resolver.policy import VENDOR_POLICIES
-    from repro.scanner.engine import ScanEngine
-    from repro.scanner.resolver_scan import (
-        SurveyRetryPolicy,
-        matrix_to_record,
-        probe_resolver,
-        probe_with_policy,
-    )
-    from repro.dns.rcode import Rcode
-    from repro.dns.types import RdataType
-    from repro.testbed.internet import BuildScope, build_internet
-    from repro.testbed.resolvers import deploy_resolvers
-    from repro.testbed.rfc9276_wild import (
-        PROBE_ZONE_ITERATIONS,
-        build_probe_zones,
-    )
-
+    """One shard attempt: the shell around ``World.build`` + ``run_units``."""
     plan = CampaignPlan(**spec["plan"])
     shard = spec["shard"]
     attempt = spec["attempt"]
     if spec.get("fastpath_disable"):
         fastpath.disable(spec["fastpath_disable"])
-    # Every worker (and restart) shares one signed-zone build cache
-    # under the campaign's state dir: the first process to need a zone
-    # signs it, the rest load the artifacts. --disable-fastpath
-    # build_cache makes active() return None, forcing cold rebuilds.
-    from repro.zone import build_cache, signing
-
-    build_cache.activate(os.path.join(plan.state_dir, "build-cache"))
     build_start = time.perf_counter()
     build_start_cpu = time.process_time()
     if plan.collect_metrics:
@@ -501,302 +247,43 @@ def _worker_run(spec):
     shutdown = _ShutdownFlag(checkpoint, heartbeat)
     shutdown.install()
 
-    universe = UnitUniverse(plan)
-    tld_specs = universe.tld_specs
-    my_total = universe.shard_size(shard, plan.workers)
-
-    # Build the identical world every other worker (and the inline
-    # single-process path) builds; allocation order mirrors cmd_study:
-    # upstream resolver, engine source IP, resolver deployment, survey
-    # source IP — in that order, regardless of which units this shard
-    # happens to own. With the streamed pipeline enabled, SLD zones
-    # materialise lazily on first query, so the worker never holds the
-    # whole population's zones — only the bounded working set its
-    # shard sub-stream touches.
-    streamed = fastpath.enabled("streamed_pipeline")
-    inet = build_internet(
-        universe.population,
-        tld_specs,
-        seed=plan.seed,
-        lazy_domains=streamed,
-        # Scoped construction only makes sense with lazy SLD hosting:
-        # TLD signing is deferred to first use (split across the fleet
-        # via the cache) and this shard's own SLD artifacts are
-        # pre-warmed into the cache during the build phase.
-        build_scope=BuildScope(shard, plan.workers) if streamed else None,
-        progress=heartbeat.tick_built,
-    )
-    inet.network.kernel.bind_obs()
-    probes = (
-        build_probe_zones(inet) if plan.role in ("study", "survey") else None
-    )
-    if plan.faults:
-        inet.network.set_faults(parse_fault_spec(plan.faults, seed=plan.seed))
-    chaos = bool(plan.faults)
-
-    engine = None
-    if plan.role in ("study", "scan"):
-        upstream = inet.make_resolver(
-            VENDOR_POLICIES["cloudflare"], name="cli-upstream"
-        )
-        engine = ScanEngine(
-            inet.network,
-            inet.allocator.next_v4(),
-            upstream.ip,
-            max_qps=14_700,
-            retries=2 if chaos else 1,
-            target_retries=3 if chaos else 0,
-            concurrency=plan.concurrency,
-            shards=min(max(1, plan.concurrency), 8),
-        )
-
-    deployment = survey_source = policy = breaker = executor = None
-    atlas_allowed = frozenset()
-    if plan.role in ("study", "survey"):
-        deployment = deploy_resolvers(
-            inet, seed=plan.seed, **deployment_counts(plan.resolvers)
-        )
-        survey_source = inet.allocator.next_v4()
-        policy = SurveyRetryPolicy(require_stable=True) if chaos else None
-        if policy is not None:
-            recovery = min(1500.0, policy.requeue_delay_ms or 1500.0)
-            breaker = CircuitBreaker(
-                clock=lambda: inet.network.clock_ms, recovery_ms=recovery
-            )
-        executor = CampaignExecutor(inet.network.kernel, plan.concurrency)
-        # The Atlas probe budget is global: closed resolvers (with a
-        # probe vantage) are eligible until the budget fills, in
-        # deployment order — computed from the full deployment so every
-        # shard agrees with AtlasCampaign's own iteration.
-        allowed, count = [], 0
-        for index, deployed in enumerate(deployment):
-            if deployed.access != "closed":
-                continue
-            if count >= ATLAS_MAX_PROBES:
-                break
-            if not deployed.probe_source_ip:
-                continue
-            allowed.append(index)
-            count += 1
-        atlas_allowed = frozenset(allowed)
-
-    tld_by_label = {tld_spec.label: tld_spec for tld_spec in tld_specs}
-    measure_start = time.perf_counter()
-    measure_start_cpu = time.process_time()
-
-    def run_domain_unit(name):
-        # Stage 1 (dnskey_scan) + stage 2 (nsec3_scan) for one domain:
-        # interleaving the stages per domain issues the same queries the
-        # staged single-process pipeline does, and answers are
-        # cache/clock/order-independent, so records are identical.
-        answer = engine.query(
-            name, RdataType.DNSKEY, want_dnssec=True, checking_disabled=True
-        )
-        enabled = answer.rcode == Rcode.NOERROR and any(
-            int(rrset.rrtype) == int(RdataType.DNSKEY)
-            for rrset in answer.answer
-        )
-        if not enabled:
-            return {"enabled": False}
-        return _scan_result_to_record(
-            scan_domain(engine, name, domain_rng(1355, name))
-        )
-
-    def run_tld_unit(label):
-        tld_spec = tld_by_label[label]
-        return _scan_result_to_record(
-            scan_domain(
-                engine,
-                label,
-                domain_rng(31, label),
-                delegation_count=10_000,
-                open_zone=tld_spec.open_zone_data,
-            )
-        )
-
-    def probe_open(index, unique):
-        # Mirrors ResolverSurvey._probe_with_policy for one open resolver.
-        if policy is None:
-            matrix = probe_resolver(
-                inet.network,
-                deployment[index].ip,
-                probes,
-                survey_source,
-                unique,
-                iterations=PROBE_ZONE_ITERATIONS,
-            )
-            return matrix, True
-        return probe_with_policy(
-            inet.network,
-            deployment[index].ip,
-            probes,
-            survey_source,
-            unique,
-            PROBE_ZONE_ITERATIONS,
-            policy,
-            breaker=breaker,
-        )
-
-    def probe_closed(index):
-        # Mirrors AtlasCampaign._probe: probe-vantage source, no EDE, no
-        # breaker, and no quarantine/requeue — unhealthy matrices are
-        # admitted immediately with the Atlas degradation note.
-        deployed = deployment[index]
-        if policy is None:
-            matrix = probe_resolver(
-                inet.network,
-                deployed.ip,
-                probes,
-                deployed.probe_source_ip,
-                unique=f"atlas{index}",
-                iterations=PROBE_ZONE_ITERATIONS,
-                keep_ede=False,
-            )
-            return matrix, True
-        return probe_with_policy(
-            inet.network,
-            deployed.ip,
-            probes,
-            deployed.probe_source_ip,
-            f"atlas{index}",
-            PROBE_ZONE_ITERATIONS,
-            policy,
-            keep_ede=False,
-        )
-
-    def survey_record(index, matrix, healthy, requeued=False, degraded=False):
-        record = {
-            "access": deployment[index].access,
-            "ip": deployment[index].ip,
-            "matrix": matrix_to_record(matrix),
-            "healthy": bool(healthy),
-        }
-        if requeued:
-            record["requeued"] = True
-        if degraded:
-            record["degraded"] = True
-        return record
-
-    phase_of = {"d": "scan", "t": "tlds", "r": "survey"}
-    done = resumed = executed = 0
-    deferred = []  # unhealthy *open* survey units awaiting the requeue pass
-    for unit in universe.iter_shard(shard, plan.workers):
-        key = unit_key(unit)
-        if checkpoint.done(key):
-            done += 1
-            resumed += 1
-            heartbeat.advance(units_done=done)
-            shutdown.check()
-            continue
-        kind, name = unit
-        heartbeat.advance(phase=phase_of[kind])
-        if kind == "d":
-            record = run_domain_unit(name)
-        elif kind == "t":
-            record = run_tld_unit(name)
-        else:
-            index = int(name)
-            if deployment[index].access == "closed":
-                if index not in atlas_allowed:
-                    record = {"skip": True}
-                else:
-                    matrix, healthy = executor.submit(
-                        lambda i=index: probe_closed(i)
-                    )
-                    record = survey_record(
-                        index, matrix, healthy, degraded=not healthy
-                    )
-            else:
-                matrix, healthy = executor.submit(
-                    lambda i=index: probe_open(i, f"r{i}")
-                )
-                if not healthy and policy is not None:
-                    if checkpoint.note(key, "quarantined") and obs.enabled:
-                        obs.registry.counter(
-                            "repro_campaign_quarantined_total",
-                            "Targets set aside as unhealthy during the "
-                            "main pass.",
-                            labelnames=("campaign",),
-                        ).labels(campaign="survey").inc()
-                    deferred.append((index, key))
-                    continue
-                record = survey_record(index, matrix, healthy)
-        checkpoint.record(key, record)
-        done += 1
-        executed += 1
-        heartbeat.advance(units_done=done)
-        killer.after_unit(done)
+    def progress(phase, units_done, executed):
+        # The seeded kill fires after executed units only; the operator
+        # signal is checked last, so a stop lands on a journaled unit.
+        heartbeat.advance(units_done=units_done, phase=phase)
+        if executed:
+            killer.after_unit(units_done)
         shutdown.check()
 
-    if engine is not None:
-        engine.drain()
-    if executor is not None:
-        executor.drain()
-
-    # End-of-shard requeue for quarantined open resolvers — the
-    # worker-local analogue of ResolverSurvey._requeue, with requeue
-    # entry counted idempotently by unit key across resume boundaries.
-    if deferred and policy is not None:
-        fresh = sum(1 for __, key in deferred if checkpoint.note(key))
-        if obs.enabled and fresh:
-            obs.registry.counter(
-                "repro_campaign_requeued_total",
-                "Targets quarantined for an end-of-campaign requeue pass "
-                "(counted once per job key across resumes).",
-                labelnames=("campaign",),
-            ).labels(campaign="survey").inc(fresh)
-        last = {}
-        for requeue_round in range(policy.requeue_attempts):
-            if not deferred:
-                break
-            executor.drain()
-            if policy.requeue_delay_ms:
-                inet.network.clock_ms += policy.requeue_delay_ms
-            still_failing = []
-            for index, key in deferred:
-                matrix, healthy = executor.submit(
-                    lambda i=index, r=requeue_round: probe_open(
-                        i, f"r{i}-rq{r}"
-                    )
-                )
-                if healthy:
-                    checkpoint.record(
-                        key, survey_record(index, matrix, True, requeued=True)
-                    )
-                    done += 1
-                    executed += 1
-                    heartbeat.advance(units_done=done)
-                    killer.after_unit(done)
-                    shutdown.check()
-                else:
-                    last[key] = matrix
-                    still_failing.append((index, key))
-            deferred = still_failing
-        for index, key in deferred:
-            checkpoint.record(
-                key,
-                survey_record(
-                    index, last[key], False, requeued=True, degraded=True
-                ),
-            )
-            done += 1
-            executed += 1
-            heartbeat.advance(units_done=done)
-        executor.drain()
-
+    # Scoped construction: TLD signing is deferred to first use (split
+    # across the fleet via the build cache under the state dir, which
+    # every worker and restart shares) and this shard's own SLD
+    # artifacts are pre-warmed into the cache during the build phase.
+    world = World.build(
+        plan,
+        scope=BuildScope(shard, plan.workers),
+        progress=heartbeat.tick_built,
+    )
+    measure_start = time.perf_counter()
+    measure_start_cpu = time.process_time()
+    resumed, executed = run_units(
+        world, world.universe.iter_shard(shard, plan.workers), checkpoint, progress
+    )
     checkpoint.flush()
     checkpoint.compact()
     heartbeat.advance(phase="finalize")
 
+    kernel = world.inet.network.kernel
+    cache = build_cache.handle()
     report = {
         "shard": shard,
         "attempt": attempt,
-        "units": my_total,
+        "units": world.universe.shard_size(shard, plan.workers),
         "resumed": resumed,
         "executed": executed,
-        "clock_ms": inet.network.kernel.now,
-        "events": inet.network.kernel.events_run,
-        "queries": engine.stats.queries if engine is not None else 0,
+        "clock_ms": kernel.now,
+        "events": kernel.events_run,
+        "queries": world.engine.stats.queries if world.engine is not None else 0,
         "build_seconds": round(measure_start - build_start, 3),
         "measure_seconds": round(time.perf_counter() - measure_start, 3),
         # CPU time is immune to sibling-worker contention: the fleet's
@@ -804,14 +291,12 @@ def _worker_run(spec):
         "build_cpu_seconds": round(measure_start_cpu - build_start_cpu, 3),
         "measure_cpu_seconds": round(time.process_time() - measure_start_cpu, 3),
         "built": heartbeat.built,
-        "build_cache": (
-            dict(build_cache.handle().events)
-            if build_cache.handle() is not None
-            else None
-        ),
+        "build_cache": dict(cache.events) if cache is not None else None,
         "metrics": obs.registry.to_json() if obs.enabled else None,
     }
-    _atomic_json(spec["done_path"], report)
+    # The done-file's existence is what marks the shard done: it must
+    # never be seen half-written, nor vanish after a power cut.
+    _atomic_write(spec["done_path"], json.dumps(report))
     heartbeat.advance(phase="done")
     heartbeat.stop()
     signing.zone_signed_listener = None
@@ -839,14 +324,6 @@ class Coverage:
 
 
 @dataclass
-class _MergedResolver:
-    """Stand-in for DeployedResolver in merged survey entries."""
-
-    ip: str
-    access: str
-
-
-@dataclass
 class SupervisedOutcome:
     """Deterministically merged shard outputs plus fleet accounting."""
 
@@ -858,6 +335,17 @@ class SupervisedOutcome:
     restarts: int = 0
     heartbeat_timeouts: int = 0
     shard_reports: list = field(default_factory=list)
+
+    # The fold target of the merge: results are kept, in unit order
+    # (which lists open resolvers before closed ones).
+    def update_domain(self, result):
+        self.domain_results.append(result)
+
+    def update_tld(self, result):
+        self.tld_results.append(result)
+
+    def update_survey(self, entry):
+        self.entries.append(entry)
 
 
 class _ShardState:
@@ -908,10 +396,13 @@ def run_supervised(plan):
     ]
     for state in shards:
         # Stale done/error files from an earlier run must not mask a
-        # shard that still has work (its checkpoint holds the progress).
+        # shard that still has work (its checkpoint holds the progress),
+        # and a stale "terminated" heartbeat must not make a worker that
+        # dies before its first beat look stopped by an operator.
         for path in (
             _done_path(plan.state_dir, state.shard),
             _error_path(plan.state_dir, state.shard),
+            _heartbeat_path(plan.state_dir, state.shard),
         ):
             try:
                 os.unlink(path)
@@ -1117,10 +608,13 @@ def merge_shards(plan, units, domain_specs, shards):
         lame_shards=[s.shard for s in shards if s.status == "lame"],
         stopped_shards=[s.shard for s in shards if s.status == "stopped"],
     )
-    domain_results = []
-    tld_results = []
-    open_entries = []
-    closed_entries = []
+    outcome = SupervisedOutcome(
+        domain_results=[],
+        total_domains=len(domain_specs),
+        tld_results=[],
+        entries=[],
+        coverage=coverage,
+    )
     for unit in units:
         key = unit_key(unit)
         record = records.get(key)
@@ -1128,57 +622,19 @@ def merge_shards(plan, units, domain_specs, shards):
             coverage.missing.append(key)
             continue
         coverage.units_merged += 1
-        kind, name = unit
-        if kind == "d":
-            if record.get("enabled"):
-                domain_results.append(_scan_result_from_record(name, record))
-        elif kind == "t":
-            tld_results.append(_scan_result_from_record(name, record))
-        elif not record.get("skip"):
-            entry = _merged_entry(record)
-            (open_entries if record["access"] == "open" else closed_entries
-             ).append(entry)
+        fold_record(outcome, unit, record)
 
-    shard_reports = []
     for state in shards:
         try:
             with open(
                 _done_path(plan.state_dir, state.shard), encoding="utf-8"
             ) as handle:
-                shard_reports.append(json.load(handle))
+                outcome.shard_reports.append(json.load(handle))
         except (OSError, ValueError):
             continue
     if plan.collect_metrics:
-        _merge_metrics(shard_reports)
-
-    return SupervisedOutcome(
-        domain_results=domain_results,
-        total_domains=len(domain_specs),
-        tld_results=tld_results,
-        entries=open_entries + closed_entries,
-        coverage=coverage,
-        shard_reports=shard_reports,
-    )
-
-
-def _merged_entry(record):
-    from repro.core.resolver_compliance import classify_resolver
-    from repro.scanner.resolver_scan import SurveyEntry, matrix_from_record
-
-    matrix = matrix_from_record(record["matrix"])
-    classification = classify_resolver(matrix, resolver=record["ip"])
-    if record.get("degraded"):
-        classification.notes.append(
-            ATLAS_DEGRADED_NOTE
-            if record["access"] == "closed"
-            else SURVEY_DEGRADED_NOTE
-        )
-    return SurveyEntry(
-        _MergedResolver(ip=record["ip"], access=record["access"]),
-        matrix,
-        classification,
-        requeued=bool(record.get("requeued")),
-    )
+        _merge_metrics(outcome.shard_reports)
+    return outcome
 
 
 def _merge_metrics(shard_reports):

@@ -1,9 +1,10 @@
 """Build the simulated world a service instance puts on real sockets.
 
 One construction path shared by ``repro serve``, the soak harness, and
-the service tests, mirroring the CLI's ``_build``: the scaled
-population internet (lazy zones, bounded memory), the RFC 9276 probe
-zones, the adversarial NSEC3/KeyTrap lab, and a guarded validating
+the service tests: the measurement pipeline's own
+:meth:`~repro.scanner.pipeline.World.build` (the scaled population
+internet with lazy zones and bounded memory, the RFC 9276 probe zones)
+plus the adversarial NSEC3/KeyTrap lab and a guarded validating
 resolver in front of it all. Loadgen processes derive the same benign
 names from the same ``(domains, tlds)`` pair without ever seeing these
 objects — the scaling rule is the contract.
@@ -15,10 +16,8 @@ from dataclasses import dataclass
 
 from repro.resolver.guard import GUARD_PROFILES
 from repro.resolver.policy import VENDOR_POLICIES
+from repro.scanner.pipeline import CampaignPlan, World
 from repro.testbed.adversary import build_attack_zones
-from repro.testbed.internet import build_internet
-from repro.testbed.population import Population, generate_tlds, scaled_config
-from repro.testbed.rfc9276_wild import build_probe_zones
 
 
 @dataclass
@@ -51,16 +50,16 @@ def build_service_world(
     frontend without per-query budgets is exactly the pre-2024 posture
     the paper warns about).
     """
-    config = scaled_config(domains, tlds)
-    tld_specs = generate_tlds(config)
-    population = Population(config, tlds=tld_specs)
-    inet = build_internet(population, tld_specs, seed=seed, lazy_domains=True)
-    inet.network.kernel.bind_obs()
-    probes = build_probe_zones(inet)
+    world = World.build(
+        CampaignPlan(role="serve", domains=domains, tlds=tlds, resolvers=0, seed=seed)
+    )
+    inet = world.inet
     attack = build_attack_zones(inet, seed=seed + 50_861) if with_attack else None
     resolver = inet.make_resolver(
         VENDOR_POLICIES[policy],
         name="service-resolver",
         guard=GUARD_PROFILES[guard] if guard else None,
     )
-    return ServiceWorld(inet=inet, probes=probes, attack=attack, resolver=resolver)
+    return ServiceWorld(
+        inet=inet, probes=world.probes, attack=attack, resolver=resolver
+    )

@@ -29,21 +29,24 @@ from repro.net.procpool import (
     write_heartbeat,
 )
 from repro.scanner.campaign import CampaignCheckpoint, CampaignError
+from repro.scanner.pipeline import (
+    CampaignPlan,
+    deployment_counts,
+    observation_from_record,
+    observation_to_record,
+    split_fault_spec,
+    unit_key,
+)
 from repro.scanner.supervisor import (
     WORKER_SCHEMA,
-    CampaignPlan,
     Coverage,
     _ShardState,
     _checkpoint_path,
-    deployment_counts,
+    _heartbeat_path,
     merge_shards,
-    observation_from_record,
-    observation_to_record,
     plan_units,
     run_supervised,
     shard_units,
-    split_fault_spec,
-    unit_key,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -411,29 +414,66 @@ def _run_cli(argv, **kw):
     )
 
 
+def _dies_before_first_beat(spec):
+    """A spawn target standing in for a worker that crashes at once."""
+    os._exit(9)
+
+
 SMALL_STUDY = ["study", "--domains", "8", "--tlds", "8",
                "--resolvers", "3", "--seed", "5"]
 
 
+def _campaign_counters(metrics_path):
+    """The ``repro_campaign_*_total`` samples of a ``--metrics-out`` file."""
+    metrics = json.loads(Path(metrics_path).read_text())
+    return {
+        (family, sample["labels"]["campaign"]): sample["value"]
+        for family in (
+            "repro_campaign_completed_total",
+            "repro_campaign_quarantined_total",
+            "repro_campaign_requeued_total",
+        )
+        for sample in metrics.get(family, {}).get("samples", ())
+    }
+
+
 @pytest.fixture(scope="module")
-def single_process_study():
-    """The clean single-process baseline every supervised run must match."""
-    proc = _run_cli(SMALL_STUDY)
+def single_process_run(tmp_path_factory):
+    """The clean single-process baseline: (stdout, campaign counters)."""
+    metrics_path = tmp_path_factory.mktemp("single") / "metrics.json"
+    proc = _run_cli(SMALL_STUDY + ["--metrics-out", str(metrics_path)])
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc.stdout, _campaign_counters(metrics_path)
+
+
+@pytest.fixture(scope="module")
+def single_process_study(single_process_run):
+    """The report every supervised run must match byte for byte."""
+    return single_process_run[0]
 
 
 @pytest.mark.slow
 class TestSupervisedAcceptance:
     def test_clean_fleet_matches_single_process_bytes(
-        self, tmp_path, single_process_study
+        self, tmp_path, single_process_run
     ):
+        metrics_path = tmp_path / "metrics.json"
         proc = _run_cli(
-            SMALL_STUDY + ["--workers", "2", "--state-dir", str(tmp_path)]
+            SMALL_STUDY
+            + [
+                "--workers", "2",
+                "--state-dir", str(tmp_path / "state"),
+                "--metrics-out", str(metrics_path),
+            ]
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == single_process_study
+        stdout, counters = single_process_run
+        assert proc.stdout == stdout
         assert "coverage=30/30" in proc.stderr
+        # Same pipeline, same telemetry: the fleet's merged campaign
+        # counters are the single-process run's, survey included.
+        assert ("repro_campaign_completed_total", "survey") in counters
+        assert _campaign_counters(metrics_path) == counters
 
     def test_killed_fleet_restarts_resumes_and_matches_bytes(
         self, tmp_path, single_process_study
@@ -506,6 +546,39 @@ class TestSupervisedAcceptance:
     def test_requires_at_least_two_workers(self, tmp_path):
         with pytest.raises(ValueError):
             run_supervised(_plan(workers=1, state_dir=str(tmp_path)))
+
+    def test_stale_terminated_heartbeat_is_not_an_operator_stop(
+        self, tmp_path, monkeypatch
+    ):
+        # The state dir of a fleet that was SIGTERMed keeps its final
+        # attempt-0 "terminated" beats. A new attempt-0 worker that dies
+        # before its first beat must be restarted, not read as stopped.
+        import repro.scanner.supervisor as supervisor_module
+
+        plan = _plan(
+            "scan",
+            domains=4,
+            tlds=4,
+            resolvers=0,
+            state_dir=str(tmp_path),
+            max_restarts=1,
+            restart_backoff_s=0.0,
+        )
+        for shard in range(plan.workers):
+            write_heartbeat(
+                _heartbeat_path(str(tmp_path), shard),
+                Heartbeat(
+                    t=time.time(), pid=1, attempt=0, phase="terminated",
+                    units_done=1,
+                ),
+            )
+        monkeypatch.setattr(
+            supervisor_module, "worker_main", _dies_before_first_beat
+        )
+        outcome = run_supervised(plan)
+        assert outcome.restarts == plan.workers
+        assert outcome.coverage.stopped_shards == []
+        assert sorted(outcome.coverage.lame_shards) == [0, 1]
 
 
 class TestOperatorShutdown:
@@ -632,49 +705,28 @@ class TestCliExitCodes:
         assert "repro: state dir belongs to another campaign" in captured.err
         assert "Traceback" not in captured.err
 
-    def test_exit_code_on_partial_returns_4(self, monkeypatch, tmp_path, capsys):
+    def _fleet_scan(self, monkeypatch, tmp_path, coverage):
+        """``scan --workers 2 --exit-code-on-partial`` over a canned merge."""
         import repro.__main__ as cli
-        import repro.scanner.supervisor as supervisor_module
 
-        coverage = Coverage(units_total=4, units_merged=3, missing=["d/x"])
         outcome = SimpleNamespace(
-            domain_results=[], total_domains=2, coverage=coverage
+            domain_results=[],
+            tld_results=[],
+            entries=[],
+            total_domains=2,
+            coverage=coverage,
         )
-        monkeypatch.setattr(
-            supervisor_module, "run_supervised", lambda plan: outcome
+        monkeypatch.setattr(cli, "run_supervised", lambda plan: outcome)
+        return cli.main(
+            ["scan", "--workers", "2", "--state-dir", str(tmp_path),
+             "--exit-code-on-partial"]
         )
-        monkeypatch.setattr(
-            supervisor_module.CampaignPlan,
-            "from_args",
-            classmethod(lambda cls, args, role: None),
-        )
-        args = SimpleNamespace(
-            state_dir=str(tmp_path),
-            metrics_out=None,
-            exit_code_on_partial=True,
-        )
-        assert cli._run_supervised_command(args, "scan") == 4
+
+    def test_exit_code_on_partial_returns_4(self, monkeypatch, tmp_path, capsys):
+        coverage = Coverage(units_total=4, units_merged=3, missing=["d/x"])
+        assert self._fleet_scan(monkeypatch, tmp_path, coverage) == 4
         assert "exiting 4" in capsys.readouterr().err
 
     def test_complete_coverage_returns_none(self, monkeypatch, tmp_path):
-        import repro.__main__ as cli
-        import repro.scanner.supervisor as supervisor_module
-
         coverage = Coverage(units_total=4, units_merged=4)
-        outcome = SimpleNamespace(
-            domain_results=[], total_domains=2, coverage=coverage
-        )
-        monkeypatch.setattr(
-            supervisor_module, "run_supervised", lambda plan: outcome
-        )
-        monkeypatch.setattr(
-            supervisor_module.CampaignPlan,
-            "from_args",
-            classmethod(lambda cls, args, role: None),
-        )
-        args = SimpleNamespace(
-            state_dir=str(tmp_path),
-            metrics_out=None,
-            exit_code_on_partial=True,
-        )
-        assert cli._run_supervised_command(args, "scan") is None
+        assert self._fleet_scan(monkeypatch, tmp_path, coverage) == 0

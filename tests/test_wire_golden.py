@@ -6,16 +6,30 @@ digest covers, per datagram, the bytes as sent and the bytes a decode →
 re-encode of them produces (message ids are random, so bytes 0–1 are
 masked). It was generated on the commit *before* the codec rewrite, so
 "the encoded form of every message is unchanged" is a tier-1 assertion.
+
+The same capture proves the lazily materialised testbed (the one every
+command runs on) wire-identical to the eager build, clean and under the
+``chaos`` fault preset — whose RNG draws depend on response lengths, so
+equal digests there mean equal bytes, not merely equal records.
 """
 
 import hashlib
 
+import pytest
+
 from repro.dns.message import Message
+from repro.dns.wire import WireError
+from repro.net.faults import parse_fault_spec
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.scanner.engine import ScanEngine
+from repro.scanner.pipeline import measure_domain
 from repro.scanner.resolver_scan import ResolverSurvey
 from repro.testbed.internet import build_internet
-from repro.testbed.population import generate_population, generate_tlds
+from repro.testbed.population import (
+    Population,
+    generate_population,
+    generate_tlds,
+)
 from repro.testbed.resolvers import deploy_resolvers
 from repro.testbed.rfc9276_wild import build_probe_zones
 
@@ -34,7 +48,10 @@ def _capture(network, digest, counter):
 
     def fold(wire):
         digest.update(len(wire).to_bytes(4, "big") + b"\0\0" + wire[2:])
-        again = Message.from_wire(wire).to_wire()
+        try:
+            again = Message.from_wire(wire).to_wire()
+        except WireError:
+            again = b"\0\0(undecodable)"  # a fault-mangled response
         digest.update(len(again).to_bytes(4, "big") + b"\0\0" + again[2:])
         counter[0] += 1
 
@@ -49,8 +66,6 @@ def _capture(network, digest, counter):
 
 
 def test_campaign_wire_bytes_match_parent_commit():
-    from repro.__main__ import _iter_domain_results
-
     tlds = generate_tlds(SMALL_CONFIG)
     domains = generate_population(SMALL_CONFIG, tlds=tlds)
     inet = build_internet(domains, tlds, seed=5)
@@ -61,8 +76,9 @@ def test_campaign_wire_bytes_match_parent_commit():
 
     upstream = inet.make_resolver(VENDOR_POLICIES["cloudflare"], name="golden-upstream")
     engine = ScanEngine(inet.network, inet.allocator.next_v4(), upstream.ip)
-    results = list(_iter_domain_results(engine, domains))
-    assert results
+    results = [measure_domain(engine, spec.name) for spec in domains]
+    engine.drain()
+    assert any(results)
 
     deployment = deploy_resolvers(
         inet, open_v4=4, open_v6=0, closed_v4=0, closed_v6=0, seed=11
@@ -74,3 +90,30 @@ def test_campaign_wire_bytes_match_parent_commit():
 
     assert counter[0] == GOLDEN_DATAGRAMS
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def _scan_capture(lazy, faults):
+    """(datagrams, digest) of the domain scan over a lazy or eager build."""
+    tlds = generate_tlds(SMALL_CONFIG)
+    population = Population(SMALL_CONFIG, tlds=tlds)
+    inet = build_internet(
+        population if lazy else list(population), tlds, seed=5, lazy_domains=lazy
+    )
+    digest = hashlib.sha256()
+    counter = [0]
+    _capture(inet.network, digest, counter)
+    if faults:
+        inet.network.set_faults(parse_fault_spec(faults, seed=5))
+    upstream = inet.make_resolver(VENDOR_POLICIES["cloudflare"], name="golden-upstream")
+    engine = ScanEngine(inet.network, inet.allocator.next_v4(), upstream.ip)
+    for spec in population:
+        measure_domain(engine, spec.name)
+    engine.drain()
+    return counter[0], digest.hexdigest()
+
+
+@pytest.mark.parametrize("faults", [None, "chaos"])
+def test_lazy_and_eager_builds_are_wire_identical(faults):
+    datagrams, digest = _scan_capture(lazy=True, faults=faults)
+    assert datagrams > 500
+    assert (datagrams, digest) == _scan_capture(lazy=False, faults=faults)
