@@ -5,7 +5,9 @@ pinned as sha256 digests, recorded on the commit *before* the pipeline
 was unified — so a refactor of how the commands build their world, walk
 their units and fold their results is checked against a constant, not
 against itself. ``--concurrency`` only overlaps sessions on the simulated
-clock, so both widths share one digest per command.
+clock, so both widths share one digest per command — under the ``chaos``
+fault preset too, where retries and timeouts interleave differently at
+each width but no classification may move.
 """
 
 import hashlib
@@ -24,19 +26,21 @@ GOLDEN_SHA256 = {
     "study": "69e4e3461072cdfa6667c053a72e7bdc7ba667d97f3da23b5efedd691de17242",
     "scan": "4915e2db523d1d258fad26fdf887bd537fefdfb1cf9d42a8fe5a51a1ac5a1087",
     "survey": "50c7737a5c67d28ad18ce8eaa432af75f32ee3001a16c75e121a6bca0d69caa2",
+    "study-chaos": "e5cb1e2be2ab8c2fd282cdc76e41d383857950497572e34c2d98aa4b2cf61c7d",
 }
 
 
 @pytest.mark.parametrize("concurrency", ["1", "32"])
-@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
-def test_cli_stdout_matches_pinned_digest(command, concurrency):
+@pytest.mark.parametrize("case", sorted(GOLDEN_SHA256))
+def test_cli_stdout_matches_pinned_digest(case, concurrency):
+    command, __, faults = case.partition("-")
     proc = subprocess.run(
         [sys.executable, "-m", "repro", command, *SIZE,
-         "--concurrency", concurrency],
+         "--concurrency", concurrency, *(["--faults", faults] if faults else [])],
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
         cwd=str(REPO_ROOT),
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256[command]
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256[case]
