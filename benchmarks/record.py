@@ -1,32 +1,16 @@
-"""Record the performance artifacts (``BENCH_5.json``, ``BENCH_7.json``,
-``BENCH_8.json``).
+"""The two measurements the benchmark ledger does not make yet.
 
-Default mode runs the study's dominant workload — the §4.2 resolver
-survey at bench scale — twice in separate interpreter processes, once
-with every fast path enabled and once with
-``REPRO_FASTPATH_DISABLE=all``, and writes wall-clock numbers plus cache
-hit/miss counters to ``BENCH_5.json`` in the repository root::
-
-    PYTHONPATH=src python benchmarks/record.py
-
-The equivalence claim (identical survey results with caches on or off)
-is asserted inline: both runs must classify every resolver identically.
-
-``--workers-bench`` records ``BENCH_7.json``: the same headline study
-run single-process and under the crash-safe campaign supervisor
-(``--workers 4``), asserting the reports byte-identical and recording
-wall-clock for both, the per-shard build/measure split, and the fleet's
-critical path.  It also records ``BENCH_10.json``: the supervised fleet
-run cold (empty signed-zone build cache), warm (cache pre-populated by
-the cold run), and with ``--disable-fastpath build_cache``, under both a
-clean network and a chaos ``kill:`` fleet — asserting all reports
-byte-identical to the single-process run, that the warm fleet's
-cache-hit counter is nonzero, and recording per-shard build seconds for
-the cold/warm comparison against BENCH_7's duplicated-build baseline.
+``--perf-gate`` is CI's telemetry overhead gate: the §4.2 resolver survey
+at bench scale, run bare and with the full streaming telemetry stack
+attached in interleaved pairs of fresh interpreters, must stay within 5%.
 
 ``--scale-bench`` records ``BENCH_8.json``: wall-clock and peak RSS of
 the streamed (constant-memory) study across population scales, asserting
 the memory profile stays flat while the domain axis grows 10x.
+
+Both wait for a ``benchmark`` PR to move them onto ``benchmarks/ledger/``
+(an A/B with ``--events-out/--series-out`` attached; ``peak_rss_mb`` on a
+long ``scan-stream``), after which this file goes.
 """
 
 from __future__ import annotations
@@ -38,7 +22,6 @@ import sys
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-OUTPUT = os.path.join(REPO_ROOT, "BENCH_5.json")
 
 
 def _measure(telemetry=False):
@@ -48,13 +31,9 @@ def _measure(telemetry=False):
     time-series scraper, progress console) is attached around the survey
     — the configuration the CI perf gate compares against the bare run.
     """
-    import dataclasses
-
     from benchmarks.conftest import BENCH_CONFIG, RESOLVER_COUNTS, TRANCO_SIZE
-    from repro.dnssec.validator import verification_memo
     from repro.scanner.atlas import AtlasCampaign
     from repro.scanner.resolver_scan import ResolverSurvey
-    from repro.server.authoritative import AuthoritativeServer
     from repro.testbed.internet import build_internet
     from repro.testbed.population import (
         generate_population,
@@ -99,53 +78,19 @@ def _measure(telemetry=False):
     if live is not None:
         live.finish()
 
-    answer_cache = {"hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}
-    for host in inet.network._hosts.values():
-        if isinstance(host, AuthoritativeServer):
-            cache = host.answer_cache
-            answer_cache["hits"] += cache.hits
-            answer_cache["misses"] += cache.misses
-            answer_cache["evictions"] += cache.evictions
-            answer_cache["invalidations"] += cache.invalidations
-
-    def _rate(hits, misses):
-        total = hits + misses
-        return round(hits / total, 4) if total else None
-
-    entries = open_entries + closed_entries
     json.dump(
         {
             "build_seconds": round(build_seconds, 2),
             "survey_seconds": round(survey_seconds, 2),
-            "total_seconds": round(build_seconds + survey_seconds, 2),
-            "resolvers_classified": len(entries),
-            "classifications": sorted(
-                f"{entry.resolver.ip}:"
-                f"{json.dumps(dataclasses.asdict(entry.classification), sort_keys=True)}"
-                for entry in entries
-            ),
-            "validator_memo": {
-                "hits": verification_memo.hits,
-                "misses": verification_memo.misses,
-                "evictions": verification_memo.evictions,
-                "hit_rate": _rate(verification_memo.hits, verification_memo.misses),
-            },
-            "answer_cache": dict(
-                answer_cache,
-                hit_rate=_rate(answer_cache["hits"], answer_cache["misses"]),
-            ),
+            "resolvers_classified": len(open_entries) + len(closed_entries),
         },
         sys.stdout,
     )
 
 
-def _run_worker(disable, telemetry=False):
+def _run_worker(telemetry=False):
     pythonpath = os.pathsep.join([os.path.join(REPO_ROOT, "src"), REPO_ROOT])
     env = dict(os.environ, PYTHONPATH=pythonpath)
-    if disable:
-        env["REPRO_FASTPATH_DISABLE"] = disable
-    else:
-        env.pop("REPRO_FASTPATH_DISABLE", None)
     argv = [sys.executable, os.path.abspath(__file__), "--measure"]
     if telemetry:
         argv.append("--telemetry")
@@ -162,14 +107,14 @@ def _run_worker(disable, telemetry=False):
 
 def perf_gate(limit=1.05, runs=3):
     """CI perf smoke: the instrumented headline bench must stay within
-    *limit* of the bare BENCH_5 wall-clock, measured back-to-back on the
+    *limit* of the bare run's wall-clock, measured back-to-back on the
     same machine (interleaved best-of-*runs* pairs, survey phase only —
     the testbed build is identical and telemetry-free in both modes)."""
     bare = instrumented = float("inf")
     for index in range(runs):
-        bare = min(bare, _run_worker("")["survey_seconds"])
+        bare = min(bare, _run_worker()["survey_seconds"])
         instrumented = min(
-            instrumented, _run_worker("", telemetry=True)["survey_seconds"]
+            instrumented, _run_worker(telemetry=True)["survey_seconds"]
         )
         print(
             f"  pair {index + 1}/{runs}: best bare {bare}s, "
@@ -183,239 +128,6 @@ def perf_gate(limit=1.05, runs=3):
             f"FATAL: instrumented bench {instrumented}s vs bare {bare}s "
             f"— ratio {ratio:.3f} exceeds {limit}"
         )
-
-
-#: The supervised-fleet bench workload: survey-heavy, so measurement
-#: (which shards) dominates the testbed build (which every worker pays).
-WORKERS_BENCH_ARGS = [
-    "study", "--domains", "200", "--tlds", "30",
-    "--resolvers", "64", "--seed", "7",
-]
-
-
-#: The chaos fleet used for the BENCH_10 equivalence runs: every shard
-#: takes one seeded SIGKILL a quarter of the way through its units.
-BENCH_10_FAULTS = ["--faults", "kill:1.0:1:0.25", "--stall-timeout", "30"]
-
-
-def _cpu_counts():
-    """Both CPU figures a speedup number needs: what the host has and
-    what this process may actually use (cgroup/affinity limited)."""
-    affinity = (
-        len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else os.cpu_count()
-    )
-    return {"cpu_count": os.cpu_count(), "cpu_affinity": affinity}
-
-
-def workers_bench(workers=4):
-    """Record ``BENCH_7.json`` (single vs fleet) and ``BENCH_10.json``
-    (the signed-zone build cache cold/warm/disabled, clean and chaos)."""
-    import shutil
-    import tempfile
-
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-
-    def run(extra):
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", *WORKERS_BENCH_ARGS, *extra],
-            env=env,
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        return proc.stdout, round(time.perf_counter() - start, 2)
-
-    def read_shards(state_dir):
-        shard_reports = []
-        for shard in range(workers):
-            with open(
-                os.path.join(state_dir, f"shard-{shard}.done.json"),
-                encoding="utf-8",
-            ) as handle:
-                report = json.load(handle)
-            shard_reports.append(
-                {
-                    "shard": shard,
-                    "units": report["units"],
-                    "build_seconds": report["build_seconds"],
-                    "measure_seconds": report["measure_seconds"],
-                    "build_cpu_seconds": report["build_cpu_seconds"],
-                    "measure_cpu_seconds": report["measure_cpu_seconds"],
-                    "built": report.get("built"),
-                    "build_cache": report.get("build_cache"),
-                }
-            )
-        return shard_reports
-
-    def fleet_run(label, single_stdout, cache_from=None, extra=(), keep=False):
-        """One supervised run in a fresh state dir; returns its record.
-
-        *cache_from* seeds the new state dir's ``build-cache/`` with a
-        previous run's entries — the "warm" configuration. With *keep*
-        the state dir survives (the caller reuses its cache and removes
-        it); otherwise it is deleted here.
-        """
-        state_dir = tempfile.mkdtemp(prefix="repro-bench10-")
-        try:
-            if cache_from is not None:
-                shutil.copytree(
-                    os.path.join(cache_from, "build-cache"),
-                    os.path.join(state_dir, "build-cache"),
-                )
-            print(f"measuring fleet [{label}] ...", flush=True)
-            stdout, wall = run(
-                ["--workers", str(workers), "--state-dir", state_dir, *extra]
-            )
-            print(f"  {wall}s")
-            if stdout != single_stdout:
-                raise SystemExit(
-                    f"FATAL: supervised report [{label}] differs from "
-                    "single-process"
-                )
-            shards = read_shards(state_dir)
-            cache_events = {}
-            for shard in shards:
-                for event, count in (shard["build_cache"] or {}).items():
-                    cache_events[event] = cache_events.get(event, 0) + count
-            record = {
-                "wall_seconds": wall,
-                "shard_build_seconds": [s["build_seconds"] for s in shards],
-                "max_shard_build_seconds": max(
-                    s["build_seconds"] for s in shards
-                ),
-                "build_cache_events": cache_events,
-                "shards": shards,
-            }
-        except BaseException:
-            shutil.rmtree(state_dir, ignore_errors=True)
-            raise
-        if not keep:
-            shutil.rmtree(state_dir, ignore_errors=True)
-            return None, record
-        return state_dir, record
-
-    print("measuring single-process (--workers 1) ...", flush=True)
-    single_stdout, single_seconds = run([])
-    print(f"  {single_seconds}s")
-
-    cold_dir = None
-    try:
-        cold_dir, cold = fleet_run("clean/cold", single_stdout, keep=True)
-        __, warm = fleet_run("clean/warm", single_stdout, cache_from=cold_dir)
-        __, disabled = fleet_run(
-            "clean/disabled",
-            single_stdout,
-            extra=["--disable-fastpath", "build_cache"],
-        )
-        __, chaos_cold = fleet_run(
-            "chaos/cold", single_stdout, extra=BENCH_10_FAULTS
-        )
-        __, chaos_warm = fleet_run(
-            "chaos/warm",
-            single_stdout,
-            cache_from=cold_dir,
-            extra=BENCH_10_FAULTS,
-        )
-        __, chaos_disabled = fleet_run(
-            "chaos/disabled",
-            single_stdout,
-            extra=["--disable-fastpath", "build_cache", *BENCH_10_FAULTS],
-        )
-    finally:
-        if cold_dir is not None:
-            shutil.rmtree(cold_dir, ignore_errors=True)
-
-    warm_hits = warm["build_cache_events"].get("hit", 0)
-    if not warm_hits:
-        raise SystemExit("FATAL: warm fleet recorded zero cache hits")
-
-    # --- BENCH_7: single vs (cold) fleet, unchanged shape ------------
-    shard_reports = cold["shards"]
-    critical_path = max(
-        r["build_cpu_seconds"] + r["measure_cpu_seconds"]
-        for r in shard_reports
-    )
-    fleet_seconds = cold["wall_seconds"]
-    record = {
-        "bench": "supervised fleet vs single process "
-                 "(headline study, survey-heavy scale)",
-        "workload": " ".join(WORKERS_BENCH_ARGS),
-        **_cpu_counts(),
-        "workers_1": {"wall_seconds": single_seconds},
-        f"workers_{workers}": {
-            "wall_seconds": fleet_seconds,
-            "shards": shard_reports,
-            "critical_path_seconds": round(critical_path, 2),
-        },
-        "speedup_wall": round(single_seconds / fleet_seconds, 2),
-        "speedup_critical_path": round(single_seconds / critical_path, 2),
-        "results_identical": True,
-    }
-    output = os.path.join(REPO_ROOT, "BENCH_7.json")
-    with open(output, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(
-        f"wall speedup {record['speedup_wall']}x "
-        f"(host {record['cpu_count']} cpus, {record['cpu_affinity']} usable); "
-        f"critical-path speedup {record['speedup_critical_path']}x; "
-        f"reports identical; wrote {output}"
-    )
-
-    # --- BENCH_10: the build cache, cold/warm/disabled ----------------
-    build_speedup = (
-        cold["max_shard_build_seconds"] / warm["max_shard_build_seconds"]
-        if warm["max_shard_build_seconds"]
-        else None
-    )
-    record10 = {
-        "bench": "signed-zone build cache: supervised fleet cold vs warm "
-                 "vs --disable-fastpath build_cache, clean and chaos kill:",
-        "workload": " ".join(WORKERS_BENCH_ARGS),
-        "chaos_faults": " ".join(BENCH_10_FAULTS),
-        **_cpu_counts(),
-        "workers": workers,
-        "single": {"wall_seconds": single_seconds},
-        "clean": {"cold": cold, "warm": warm, "disabled": disabled},
-        "chaos": {
-            "cold": chaos_cold,
-            "warm": chaos_warm,
-            "disabled": chaos_disabled,
-        },
-        "warm_cache_hits": warm_hits,
-        "build_speedup_warm_vs_cold": (
-            round(build_speedup, 2) if build_speedup else None
-        ),
-        "build_speedup_warm_vs_disabled": round(
-            disabled["max_shard_build_seconds"]
-            / warm["max_shard_build_seconds"],
-            2,
-        ),
-        "fleet_beats_single": warm["wall_seconds"] < single_seconds,
-        "results_identical": True,
-        "note": "shard build seconds: disabled = every worker cold-signs"
-                " the whole testbed; cold = the fleet splits signing via"
-                " the cache (first needer signs, siblings load); warm ="
-                " pure loads. fleet_beats_single is only meaningful with"
-                " cpu_affinity >= workers — on fewer cores the fleet"
-                " serialises on one CPU and pays spawn overhead, and"
-                " BENCH_7's critical-path speedup is the multi-core"
-                " predictor.",
-    }
-    output10 = os.path.join(REPO_ROOT, "BENCH_10.json")
-    with open(output10, "w", encoding="utf-8") as handle:
-        json.dump(record10, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(
-        f"build cache: cold max shard build {cold['max_shard_build_seconds']}s"
-        f" -> warm {warm['max_shard_build_seconds']}s"
-        f" ({record10['build_speedup_warm_vs_cold']}x), {warm_hits} hits; "
-        f"all six reports identical; wrote {output10}"
-    )
 
 
 #: The memory-scaling bench workload: the headline study with the
@@ -513,39 +225,12 @@ def scale_bench(scales=None):
 def main():
     if "--measure" in sys.argv:
         _measure(telemetry="--telemetry" in sys.argv)
-        return
-    if "--perf-gate" in sys.argv:
+    elif "--perf-gate" in sys.argv:
         perf_gate()
-        return
-    if "--workers-bench" in sys.argv:
-        workers_bench()
-        return
-    if "--scale-bench" in sys.argv:
+    elif "--scale-bench" in sys.argv:
         scale_bench()
-        return
-    print("measuring with fast paths ON ...", flush=True)
-    on = _run_worker("")
-    print(f"  {on['total_seconds']}s "
-          f"(build {on['build_seconds']}s, survey {on['survey_seconds']}s)")
-    print("measuring with REPRO_FASTPATH_DISABLE=all ...", flush=True)
-    off = _run_worker("all")
-    print(f"  {off['total_seconds']}s "
-          f"(build {off['build_seconds']}s, survey {off['survey_seconds']}s)")
-
-    if on.pop("classifications") != off.pop("classifications"):
-        raise SystemExit("FATAL: survey results differ with fast paths off")
-    speedup = off["total_seconds"] / on["total_seconds"]
-    record = {
-        "bench": "resolver survey (§4.2 pipeline, bench scale)",
-        "fastpaths_on": on,
-        "fastpaths_off": off,
-        "speedup": round(speedup, 2),
-        "results_identical": True,
-    }
-    with open(OUTPUT, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"speedup {speedup:.2f}x, results identical; wrote {OUTPUT}")
+    else:
+        raise SystemExit("usage: record.py --perf-gate | --scale-bench")
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ import json
 import sys
 import time
 
-from repro import __version__, fastpath, obs
+from repro import __version__, obs
 from repro.analysis.longitudinal import compliance_timeline, paper_anchor
 from repro.core.guidance import GUIDANCE
 from repro.core.report import StudyAggregates
@@ -218,7 +218,7 @@ def _mem_summary(args):
 def _build_summary(inet):
     """Build-cache and lazy-host fragments of the [sim] line, or ''."""
     parts = ""
-    cache = build_cache.handle()
+    cache = build_cache.active()
     if cache is not None and cache.events:
         parts += f" build_cache={cache.summary()}"
     if inet.lazy_host is not None:
@@ -675,13 +675,6 @@ def _telemetry_parent():
         "'burst:0.05:0.35:0.5,jitter:20,corrupt:0.1' "
         "(see repro.net.faults.parse_fault_spec)",
     )
-    group.add_argument(
-        "--disable-fastpath",
-        metavar="LIST",
-        help="disable cost-transparent fast paths for equivalence runs: "
-        f"a comma list of {', '.join(fastpath.KNOWN_SWITCHES)}, or 'all' "
-        "(env: REPRO_FASTPATH_DISABLE)",
-    )
     return parent
 
 
@@ -998,11 +991,6 @@ def main(argv=None):
     guidance.set_defaults(handler=cmd_guidance)
 
     args = parser.parse_args(argv)
-    if getattr(args, "disable_fastpath", None):
-        try:
-            fastpath.disable(args.disable_fastpath)
-        except ValueError as exc:
-            parser.error(str(exc))
     try:
         code = args.handler(args)
     except KeyboardInterrupt:

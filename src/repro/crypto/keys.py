@@ -115,10 +115,6 @@ def verify_signature(dnskey, message, signature):
     :mod:`repro.dnssec.validator`, where RRset canonical forms make the
     memo key cheap and hit/miss counters are exported.
     """
-    return _verify_signature_uncached(dnskey, message, signature)
-
-
-def _verify_signature_uncached(dnskey, message, signature):
     algorithm = dnskey.algorithm
     if algorithm in _RSA_HASH:
         try:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import random
 
-from repro import fastpath
 from repro.crypto.primes import generate_prime
 
 # DigestInfo DER prefixes for EMSA-PKCS1-v1_5 (RFC 8017 §9.2 notes).
@@ -45,8 +44,8 @@ class RsaPrivateKey:
     ``(n, e, d)`` always; when the factors are known (freshly generated
     keys) the CRT parameters ``(p, q, dp, dq, qinv)`` are stored too and
     :meth:`sign` exponentiates modulo the half-size factors — the same
-    signature, ~3–4x faster. Keys rebuilt from ``(n, e, d)`` alone fall
-    back to the plain-``d`` path.
+    signature, ~3–4x faster. Keys rebuilt from ``(n, e, d)`` alone take
+    the plain-``d`` path, which is what the CRT path is tested against.
     """
 
     __slots__ = ("n", "e", "d", "bits", "size", "p", "q", "dp", "dq", "qinv")
@@ -71,36 +70,25 @@ class RsaPrivateKey:
 
     def sign(self, message, hash_name="sha256"):
         """EMSA-PKCS1-v1_5 signature over *message*."""
-        em = _pkcs1_encode(message, self.size, hash_name)
-        c = int.from_bytes(em, "big")
-        if self.dp is not None and fastpath.enabled("rsa_crt"):
-            # Garner's recombination (RFC 8017 §5.1.2 second form).
-            m1 = pow(c, self.dp, self.p)
-            m2 = pow(c, self.dq, self.q)
-            h = (self.qinv * (m1 - m2)) % self.p
-            signature = m2 + h * self.q
-        else:
-            signature = pow(c, self.d, self.n)
-        return signature.to_bytes(self.size, "big")
+        return self.signer(hash_name)(message)
 
     def signer(self, hash_name="sha256"):
         """A ``message -> signature`` closure with per-key setup hoisted.
 
-        Zone signing calls :meth:`sign` once per RRset with the same key
-        and hash; the closure binds the EMSA head, the output size, and
-        the CRT (or plain-``d``) parameters once instead of re-deriving
-        them per record. The ``rsa_crt`` kill switch is honoured at
-        closure-creation time, matching a signing loop that checks it
-        per call — the switch never flips mid-zone.
+        Zone signing signs once per RRset with the same key and hash;
+        the closure binds the EMSA head, the output size, and the CRT
+        (or, for a key without its factors, plain-``d``) parameters once
+        instead of re-deriving them per record.
         """
         head = _emsa_head(self.size, hash_name)
         size = self.size
         new = hashlib.new
-        if self.dp is not None and fastpath.enabled("rsa_crt"):
+        if self.dp is not None:
             p, q, dp, dq, qinv = self.p, self.q, self.dp, self.dq, self.qinv
 
             def sign(message):
                 c = int.from_bytes(head + new(hash_name, message).digest(), "big")
+                # Garner's recombination (RFC 8017 §5.1.2 second form).
                 m1 = pow(c, dp, p)
                 m2 = pow(c, dq, q)
                 return (m2 + ((qinv * (m1 - m2)) % p) * q).to_bytes(size, "big")

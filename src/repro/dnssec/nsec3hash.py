@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro import fastpath, obs
+from repro import obs
 from repro.dns.base32 import b32hex_encode
 from repro.dns.name import Name
 from repro.dns.rdata.nsec3 import NSEC3_HASH_SHA1
@@ -36,7 +36,8 @@ _digest_memo = {}
 
 
 def _compute_iterated_digest(owner_wire, salt, iterations):
-    """The raw RFC 5155 iterated hash, no caching (benchmarks use this)."""
+    """The raw RFC 5155 iterated hash, no caching: what the memo is tested
+    against and the micro-benchmarks time."""
     digest = hashlib.sha1(owner_wire + salt).digest()
     for __ in range(iterations):
         digest = hashlib.sha1(digest + salt).digest()
@@ -47,10 +48,6 @@ def _iterated_digest(owner_wire, salt, iterations):
     # The meter charges full price even on a memo hit: the cost model
     # describes a resolver that recomputes per query (the CVE-2023-50868
     # exposure), while the memo only saves *our* host CPU.
-    if not fastpath.enabled("nsec3_memo"):
-        digest = _compute_iterated_digest(owner_wire, salt, iterations)
-        meter.charge_nsec3(iterations, len(owner_wire), len(salt))
-        return digest
     table_key = (salt, iterations)
     table = _digest_memo.get(table_key)
     if table is None:

@@ -12,7 +12,7 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 
-from repro import fastpath, obs
+from repro import obs
 from repro.crypto.keys import (
     SUPPORTED_ALGORITHMS,
     ds_matches_dnskey,
@@ -124,13 +124,6 @@ def _rrsig_verifies(rrsig, rrset, dnskey):
     The caller has already charged the meter; this only decides whether
     the bignum math actually runs.
     """
-    if not fastpath.enabled("validator_memo"):
-        payload = canonical_rrset_wire(
-            rrset, rrsig.original_ttl, owner=rrsig_signed_owner(rrsig, rrset)
-        )
-        return verify_signature(
-            dnskey, rrsig.rdata_prefix() + payload, rrsig.signature
-        )
     memo = verification_memo
     payload = canonical_rrset_wire(
         rrset, rrsig.original_ttl, owner=rrsig_signed_owner(rrsig, rrset)

@@ -187,6 +187,32 @@ def frame_payload(payload):
     return _FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
+def _journal_frames(blob):
+    """Walk a journal's good-frame prefix.
+
+    Yields ``(payload, end offset)`` per frame and stops at the first
+    torn or corrupt one: no magic, short header, oversize or short
+    payload, CRC mismatch, undecodable UTF-8 or JSON.
+    """
+    if not blob.startswith(JOURNAL_MAGIC):
+        return
+    offset = len(JOURNAL_MAGIC)
+    while offset + _FRAME_HEADER.size <= len(blob):
+        length, crc = _FRAME_HEADER.unpack_from(blob, offset)
+        start = offset + _FRAME_HEADER.size
+        if length > _MAX_FRAME or start + length > len(blob):
+            return
+        body = blob[start:start + length]
+        if zlib.crc32(body) != crc:
+            return
+        try:
+            payload = json.loads(body.decode("utf-8"))
+        except ValueError:
+            return
+        offset = start + length
+        yield payload, offset
+
+
 def read_journal_payloads(path):
     """Parse a journal's good-frame prefix without touching the file.
 
@@ -200,24 +226,7 @@ def read_journal_payloads(path):
             blob = handle.read()
     except FileNotFoundError:
         return []
-    if not blob.startswith(JOURNAL_MAGIC):
-        return []
-    payloads = []
-    offset = len(JOURNAL_MAGIC)
-    while offset + _FRAME_HEADER.size <= len(blob):
-        length, crc = _FRAME_HEADER.unpack_from(blob, offset)
-        start = offset + _FRAME_HEADER.size
-        if length > _MAX_FRAME or start + length > len(blob):
-            break
-        body = blob[start:start + length]
-        if zlib.crc32(body) != crc:
-            break
-        try:
-            payloads.append(json.loads(body.decode("utf-8")))
-        except (ValueError, UnicodeDecodeError):
-            break
-        offset = start + length
-    return payloads
+    return [payload for payload, __ in _journal_frames(blob)]
 
 
 class CampaignCheckpoint:
@@ -336,28 +345,16 @@ class CampaignCheckpoint:
                 blob = handle.read()
         except FileNotFoundError:
             return 0
-        good_end = len(JOURNAL_MAGIC)
+        # A damaged header leaves no frame boundary to trust: cut to zero.
+        good_end = len(JOURNAL_MAGIC) if blob.startswith(JOURNAL_MAGIC) else 0
         frames = 0
-        if not blob.startswith(JOURNAL_MAGIC):
-            good_end = 0  # header damaged: no frame boundary is trustworthy
-        else:
-            offset = len(JOURNAL_MAGIC)
-            while offset + _FRAME_HEADER.size <= len(blob):
-                length, crc = _FRAME_HEADER.unpack_from(blob, offset)
-                start = offset + _FRAME_HEADER.size
-                if length > _MAX_FRAME or start + length > len(blob):
-                    break
-                body = blob[start:start + length]
-                if zlib.crc32(body) != crc:
-                    break
-                try:
-                    payload = json.loads(body.decode("utf-8"))
-                    self._apply_frame(payload)
-                except (ValueError, UnicodeDecodeError, TypeError, KeyError):
-                    break
-                offset = start + length
-                good_end = offset
-                frames += 1
+        for payload, end in _journal_frames(blob):
+            try:
+                self._apply_frame(payload)
+            except (TypeError, KeyError):
+                break
+            good_end = end
+            frames += 1
         if good_end < len(blob):
             dropped = len(blob) - good_end
             with open(self.journal_path, "r+b") as handle:

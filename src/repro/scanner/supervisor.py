@@ -51,7 +51,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
-from repro import fastpath, obs
+from repro import obs
 from repro.net.procpool import (
     HeartbeatWriter,
     Watchdog,
@@ -224,8 +224,6 @@ def _worker_run(spec):
     plan = CampaignPlan(**spec["plan"])
     shard = spec["shard"]
     attempt = spec["attempt"]
-    if spec.get("fastpath_disable"):
-        fastpath.disable(spec["fastpath_disable"])
     build_start = time.perf_counter()
     build_start_cpu = time.process_time()
     if plan.collect_metrics:
@@ -274,7 +272,7 @@ def _worker_run(spec):
     heartbeat.advance(phase="finalize")
 
     kernel = world.inet.network.kernel
-    cache = build_cache.handle()
+    cache = build_cache.active()
     report = {
         "shard": shard,
         "attempt": attempt,
@@ -429,11 +427,6 @@ def run_supervised(plan):
             "done_path": _done_path(plan.state_dir, state.shard),
             "error_path": _error_path(plan.state_dir, state.shard),
             "directive": directive,
-            # Spawned workers start a fresh interpreter whose fastpath
-            # state comes from the environment alone — ship the
-            # parent's programmatic disables so --disable-fastpath
-            # governs the whole fleet.
-            "fastpath_disable": ",".join(fastpath.disabled_names()),
         }
         state.handle = WorkerHandle(worker_main, spec, spec["heartbeat_path"])
         state.watchdog = Watchdog(plan.stall_timeout_s)

@@ -8,7 +8,7 @@ whose verification cost the paper's resolver experiments measure.
 
 from __future__ import annotations
 
-from repro import fastpath, obs
+from repro import obs
 from repro.dns.flags import Flag
 from repro.dns.message import Message, make_response
 from repro.dns.name import Name
@@ -24,6 +24,14 @@ from repro.zone.zone import LookupStatus
 
 #: Hard cap on CNAME chain chasing within one response.
 MAX_CNAME_CHAIN = 8
+
+#: Longest query the packed-answer cache will key on. The key is the
+#: client's own bytes, so the entry bound alone would let 8 192 queries
+#: padded to 64 KiB pin half a gigabyte per server. A header, a
+#: 255-octet name, the question tail and a bare OPT record come to 282
+#: octets; a query carrying that much again in EDNS options is answered
+#: like any other, just never looked up or stored.
+MAX_CACHEABLE_QUERY = 512
 
 
 #: Resolved metric children for the per-query serving hot paths.
@@ -82,7 +90,9 @@ class PackedAnswerCache:
     the charge sequence recorded when the response was first built, so
     the cost model and guard budgets behave exactly as if the server had
     recomputed the answer. Insertion-ordered with deterministic FIFO
-    eviction; the hosting server clears it whenever any of its zones
+    eviction, and the server never keys on a query longer than
+    :data:`MAX_CACHEABLE_QUERY`, so entries times key size is bounded;
+    the hosting server clears it whenever any of its zones
     mutates (the zone-serial component of the key is realised as
     invalidate-on-mutation — serial bumps go through
     :meth:`Zone.replace_rrset`, which fires the mutation listeners).
@@ -207,7 +217,7 @@ class AuthoritativeServer(Host):
         """Serve bytes answered before from the packed-answer cache; else
         parse, dispatch AXFR or a normal query, and encode the reply."""
         cache_key = None
-        if fastpath.enabled("answer_cache"):
+        if len(wire) <= MAX_CACHEABLE_QUERY:
             # Everything after the id, plus the transport that drives UDP
             # truncation: a strict refinement of "same question shape",
             # so a hit needs no decode. Nothing is stored without a

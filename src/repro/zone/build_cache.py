@@ -1,8 +1,8 @@
 """Cross-process signed-zone build cache.
 
 At fleet scale every spawn worker used to rebuild and re-sign the
-*identical* testbed before measuring a single unit (BENCH_7: ~4.6 s of
-duplicated RSA work per worker).  This module turns signing into a
+*identical* testbed before measuring a single unit (~4.6 s of duplicated
+RSA work per worker at bench scale).  This module turns signing into a
 fleet-wide once-per-zone cost: a content-addressed on-disk cache under
 ``<state-dir>/build-cache/`` stores the DNSSEC artifacts a
 :func:`repro.zone.signing.sign_zone` run produces (RRSIG wire forms,
@@ -25,7 +25,7 @@ The cache is *observably transparent*: loads must charge the
 :class:`~repro.dnssec.costmodel.CostMeter` exactly as the cold chain
 build would (see ``signing._install_entry``), so reports, guard trips,
 and packed-answer caches stay byte-identical whether the cache hit,
-missed, or was disabled via ``--disable-fastpath build_cache``.
+missed, or was never activated (a run without ``--state-dir``).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import struct
 import zlib
 from contextlib import contextmanager
 
-from repro import fastpath, obs
+from repro import obs
 from repro.obs.metrics import ChildCache
 
 try:  # pragma: no cover - absent on non-POSIX platforms
@@ -196,10 +196,7 @@ class ZoneBuildCache:
 # -- process-global activation ----------------------------------------
 #
 # The cache is opt-in: it activates only when a run has a --state-dir
-# (supervised fleets always do; single-process runs may pass one).  The
-# ``build_cache`` fastpath switch gates *use*, not activation, so
-# ``--disable-fastpath build_cache`` forces cold rebuilds while leaving
-# the handle (and its counters) inspectable.
+# (supervised fleets always do; single-process runs may pass one).
 
 _active = None
 
@@ -218,13 +215,5 @@ def deactivate():
 
 
 def active():
-    """The process-global cache, or ``None`` when inactive or killed via
-    the ``build_cache`` fastpath switch."""
-    if _active is not None and fastpath.enabled("build_cache"):
-        return _active
-    return None
-
-
-def handle():
-    """The activated cache regardless of the kill switch (for summaries)."""
+    """The process-global cache, or ``None`` when none was activated."""
     return _active

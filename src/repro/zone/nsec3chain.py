@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from repro import fastpath, obs
+from repro import obs
 from repro.dns.base32 import b32hex_encode
 from repro.dns.name import Name
 from repro.dns.rdata.nsec3 import NSEC3, NSEC3PARAM, NSEC3_FLAG_OPTOUT, NSEC3_HASH_SHA1
@@ -134,7 +134,7 @@ def build_nsec3_chain(zone, params):
         names = secure
 
     ordered = list(names)
-    if fastpath.enabled("build_cache") and not obs.tracing:
+    if not obs.tracing:
         digests = nsec3_hash_batch(
             [name.canonical_wire() for name in ordered],
             params.salt,

@@ -19,7 +19,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from repro import fastpath, obs
+from repro import obs
 from repro.crypto.keys import ALG_ECDSAP256SHA256, generate_keypair
 from repro.dns.base32 import b32hex_encode
 from repro.dns.rdata import parse_rdata
@@ -312,12 +312,9 @@ def _should_sign(zone, rrset):
 
 
 def _sign_all(zone, policy, ksk, zsk):
-    if fastpath.enabled("build_cache"):
-        # Hoist the per-key signing setup (EMSA prefix, CRT context for
-        # RSA) out of the per-RRset loop; same signature bytes.
-        sign_with = {id(ksk): ksk.bulk_signer(), id(zsk): zsk.bulk_signer()}
-    else:
-        sign_with = {}
+    # Hoist the per-key signing setup (EMSA prefix, CRT context for
+    # RSA) out of the per-RRset loop; same signature bytes.
+    sign_with = {id(ksk): ksk.bulk_signer(), id(zsk): zsk.bulk_signer()}
     for rrset in list(zone.all_rrsets()):
         if int(rrset.rrtype) == int(RdataType.RRSIG):
             continue
@@ -335,7 +332,7 @@ def _sign_all(zone, policy, ksk, zsk):
                 inception=inception,
                 expiration=expiration,
                 now=policy.now,
-                sign=sign_with.get(id(key)),
+                sign=sign_with[id(key)],
             )
             for key in signers
         ]

@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from repro import fastpath
 from repro.crypto.keys import ALG_ECDSAP256SHA256, generate_keypair
 from repro.dnssec.costmodel import meter
 from repro.dnssec.signer import canonical_rrset_wire
@@ -67,11 +66,20 @@ def cache(tmp_path):
 
 
 class TestRoundTrip:
-    def test_load_is_byte_and_cost_identical_to_cold_sign(self, cache):
+    def test_load_is_byte_and_cost_identical_to_cold_sign(self, cache, monkeypatch):
         ksk, zsk = _keys()
         fired = []
         signing.zone_signed_listener = fired.append
         try:
+            # The reference: no cache at all, a run without --state-dir.
+            with monkeypatch.context() as patch:
+                patch.setattr(build_cache, "_active", None)
+                plain = _build_zone()
+                before = meter.snapshot()
+                sign_zone(plain, _policy(), ksk=ksk, zsk=zsk)
+                plain_delta = meter.snapshot() - before
+            assert cache.events == {}  # never consulted
+
             cold = _build_zone()
             before = meter.snapshot()
             sign_zone(cold, _policy(), ksk=ksk, zsk=zsk)
@@ -85,13 +93,13 @@ class TestRoundTrip:
             signing.zone_signed_listener = None
 
         assert cache.events == {"miss": 1, "store": 1, "hit": 1, "load": 1}
-        assert _dnssec_dump(warm) == _dnssec_dump(cold)
+        assert _dnssec_dump(warm) == _dnssec_dump(cold) == _dnssec_dump(plain)
         # Generation-keyed caches (packed answers) must see the same
         # mutation count either way.
-        assert warm.generation == cold.generation
+        assert warm.generation == cold.generation == plain.generation
         # A load charges the meter like the rebuild it replaces.
-        assert warm_delta == cold_delta
-        assert len(fired) == 2  # listener fires on cold sign and on load
+        assert warm_delta == cold_delta == plain_delta
+        assert len(fired) == 3  # listener fires on every sign and on load
 
     def test_nsec_zone_round_trips(self, cache):
         ksk, zsk = _keys()
@@ -102,18 +110,6 @@ class TestRoundTrip:
         assert cache.events["hit"] == 1
         assert _dnssec_dump(warm) == _dnssec_dump(cold)
         assert warm.nsec_chain is not None and warm.nsec3_chain is None
-
-    def test_disabled_switch_forces_cold_rebuilds(self, cache):
-        ksk, zsk = _keys()
-        with fastpath.disabled("build_cache"):
-            assert build_cache.active() is None
-            assert build_cache.handle() is cache
-            first = _build_zone()
-            sign_zone(first, _policy(), ksk=ksk, zsk=zsk)
-            second = _build_zone()
-            sign_zone(second, _policy(), ksk=ksk, zsk=zsk)
-        assert cache.events == {}  # never consulted
-        assert _dnssec_dump(first) == _dnssec_dump(second)
 
 
 class TestInvalidation:

@@ -1,95 +1,88 @@
-"""Tests for the cost-model-preserving fast paths (PR 5).
+"""Tests for the cost-model-preserving fast paths.
 
-Three claims are load-bearing and each gets direct coverage here:
+The memos, the packed-answer cache, CRT signing and the batched zone
+signing are the only paths — nothing turns them off — so each is held
+against the plain computation it stands in for, which stays in the tree
+and is reachable without them. Three claims are load-bearing:
 
 1. the fast paths change *nothing observable* — signatures, response
-   bytes, and cost-meter charges are identical with every switch on or
-   off;
+   bytes, and cost-meter charges equal the reference's: a factor-less
+   RSA key (and ``cryptography``), ``verify_signature`` called directly,
+   ``_compute_iterated_digest``, a server that has not seen the query,
+   ``nsec3_hash`` per name, ``sign_rrset`` without a pre-bound signer;
 2. the memo keys are sound — key rollovers, RRset edits, and zone
    mutations force real recomputation, and temporal RRSIG validity is
    re-checked on every validation (a memo hit must never resurrect an
    expired signature);
-3. the caches are bounded with deterministic eviction and kill switches.
+3. the caches are bounded, in entries and in bytes, with deterministic
+   eviction.
 """
 
 import random
 
 import pytest
 
-from repro import fastpath
+from repro import obs
 from repro.crypto import rsa
 from repro.crypto.keys import (
     ALG_ECDSAP256SHA256,
     ALG_RSASHA256,
+    KeyPair,
     generate_keypair,
+    verify_signature,
 )
 from repro.dns.edns import EdnsOption
 from repro.dns.flags import Flag
 from repro.dns.message import Message, Question, make_query
 from repro.dns.name import Name
 from repro.dns.rdata import A
+from repro.dns.rdata.dnssec import RRSIG
 from repro.dns.rdata.soa import SOA
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
+from repro.dnssec import nsec3hash
 from repro.dnssec.costmodel import meter
-from repro.dnssec.signer import make_rrsig_rrset, sign_rrset
+from repro.dnssec.signer import (
+    canonical_rrset_wire,
+    make_rrsig_rrset,
+    rrsig_signed_data,
+    rrsig_signed_owner,
+    sign_rrset,
+)
 from repro.dnssec.validator import (
     SecurityStatus,
     validate_rrset,
     verification_memo,
 )
-from repro.server.authoritative import AuthoritativeServer, PackedAnswerCache
+from repro.server.authoritative import (
+    MAX_CACHEABLE_QUERY,
+    AuthoritativeServer,
+    PackedAnswerCache,
+)
 from repro.zone.builder import ZoneBuilder
-from repro.zone.nsec3chain import Nsec3Params
+from repro.zone.nsec3chain import Nsec3Params, build_nsec3_chain
 from repro.zone.signing import SigningPolicy, sign_zone
 from repro.zone.zone import Zone
 
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    """Each test starts with empty memos and the default switch state."""
-    fastpath.reset()
+    """Each test starts with an empty verification memo."""
     verification_memo.clear()
     verification_memo.hits = 0
     verification_memo.misses = 0
     yield
-    fastpath.reset()
     verification_memo.clear()
 
 
-# -- the switchboard ---------------------------------------------------------
-
-
-class TestSwitchboard:
-    def test_all_known_switches_default_on(self):
-        for name in fastpath.KNOWN_SWITCHES:
-            assert fastpath.enabled(name)
-
-    def test_disable_all(self):
-        fastpath.disable("all")
-        for name in fastpath.KNOWN_SWITCHES:
-            assert not fastpath.enabled(name)
-
-    def test_unknown_switch_rejected(self):
-        with pytest.raises(ValueError, match="unknown fast-path switch"):
-            fastpath.disable("warp_drive")
-
-    def test_disabled_context_restores(self):
-        with fastpath.disabled("rsa_crt,answer_cache"):
-            assert not fastpath.enabled("rsa_crt")
-            assert not fastpath.enabled("answer_cache")
-            assert fastpath.enabled("validator_memo")
-        assert fastpath.enabled("rsa_crt")
-        assert fastpath.enabled("answer_cache")
-
-    def test_env_var_parsed_on_reset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH_DISABLE", "nsec3_memo")
-        fastpath.reset()
-        assert not fastpath.enabled("nsec3_memo")
-        assert fastpath.enabled("validator_memo")
-
-
 # -- RSA CRT signing ---------------------------------------------------------
+
+
+def _without_factors(key):
+    """The same private key as ``(n, e, d)`` alone: the plain-``d`` path."""
+    plain = rsa.RsaPrivateKey(key.n, key.e, key.d)
+    assert plain.dp is None
+    return plain
 
 
 class TestRsaCrt:
@@ -98,35 +91,86 @@ class TestRsaCrt:
         assert key.dp is not None  # generated keys carry the factors
         message = b"the quick brown fox"
         via_crt = key.sign(message)
-        with fastpath.disabled("rsa_crt"):
-            via_d = key.sign(message)
-        assert via_crt == via_d
+        assert via_crt == _without_factors(key).sign(message)
+        assert via_crt == key.signer()(message)
         assert key.public().verify(message, via_crt)
 
     def test_crt_identical_across_hashes_and_keys(self):
         rng = random.Random(13)
         for bits in (512, 768):
             key = rsa.generate_rsa_key(bits, rng=rng)
+            plain = _without_factors(key)
             for hash_name in ("sha1", "sha256"):
                 message = f"msg-{bits}-{hash_name}".encode()
-                with fastpath.disabled("rsa_crt"):
-                    expected = key.sign(message, hash_name)
+                expected = plain.sign(message, hash_name)
                 assert key.sign(message, hash_name) == expected
+                assert plain.signer(hash_name)(message) == expected
+
+    def test_crt_signature_equals_cryptography_pkcs1v15(self):
+        """The outside oracle: PKCS#1 v1.5 is deterministic, so OpenSSL
+        must produce the very same bytes from the same private numbers."""
+        pytest.importorskip("cryptography")
+        from cryptography.hazmat.primitives import hashes
+        from cryptography.hazmat.primitives.asymmetric import padding
+        from cryptography.hazmat.primitives.asymmetric import rsa as oracle_rsa
+
+        rng = random.Random(13)
+        for bits in (512, 768):
+            key = rsa.generate_rsa_key(bits, rng=rng)
+            oracle = oracle_rsa.RSAPrivateNumbers(
+                p=key.p, q=key.q, d=key.d, dmp1=key.dp, dmq1=key.dq, iqmp=key.qinv,
+                public_numbers=oracle_rsa.RSAPublicNumbers(key.e, key.n),
+            ).private_key()
+            for hash_name, algorithm in (
+                ("sha1", hashes.SHA1()), ("sha256", hashes.SHA256())
+            ):
+                message = f"msg-{bits}-{hash_name}".encode()
+                assert key.sign(message, hash_name) == oracle.sign(
+                    message, padding.PKCS1v15(), algorithm
+                )
 
     def test_key_without_factors_falls_back(self):
         key = rsa.generate_rsa_key(512, rng=random.Random(21))
-        rebuilt = rsa.RsaPrivateKey(key.n, key.e, key.d)
-        assert rebuilt.dp is None
-        assert rebuilt.sign(b"hello") == key.sign(b"hello")
+        assert _without_factors(key).sign(b"hello") == key.sign(b"hello")
 
     def test_dnssec_rsa_signatures_unchanged(self):
         """sign_rrset through a KeyPair produces identical RRSIGs."""
         pair = generate_keypair(ALG_RSASHA256, rsa_bits=512, rng=random.Random(3))
+        plain = KeyPair(pair.algorithm, pair.flags, _without_factors(pair.private))
         rrset = RRset("www.example.com", RdataType.A, 300, [A("192.0.2.1")])
         fast = sign_rrset(rrset, pair, "example.com").signature
-        with fastpath.disabled("rsa_crt"):
-            slow = sign_rrset(rrset, pair, "example.com").signature
-        assert fast == slow
+        assert fast == sign_rrset(rrset, plain, "example.com").signature
+
+
+# -- the NSEC3 digest memo ---------------------------------------------------
+
+
+class TestNsec3Memo:
+    def test_memo_equals_the_plain_iteration_across_table_rolls(self):
+        rng = random.Random(31)
+        cases = [
+            (
+                rng.randbytes(rng.randrange(1, 64)),
+                rng.randbytes(rng.randrange(0, 9)),
+                rng.randrange(0, 40),
+            )
+            for __ in range(nsec3hash._MEMO_PARAMS_LIMIT + 8)
+        ]
+        cases += [
+            (b"\x04" + index.to_bytes(4, "big") + b"\x00", b"\x5a", 0)
+            for index in range(nsec3hash._MEMO_OWNERS_LIMIT + 8)
+        ]
+        # Each first call misses, and now and then rolls a full table;
+        # each second call hits. Both limits are crossed on the way.
+        for owner, salt, iterations in cases:
+            expected = nsec3hash._compute_iterated_digest(owner, salt, iterations)
+            assert nsec3hash.nsec3_hash(owner, salt, iterations) == expected
+            assert nsec3hash.nsec3_hash(owner, salt, iterations) == expected
+        assert len(nsec3hash._digest_memo) <= nsec3hash._MEMO_PARAMS_LIMIT
+        assert all(
+            len(table) <= nsec3hash._MEMO_OWNERS_LIMIT
+            for table in nsec3hash._digest_memo.values()
+        )
 
 
 # -- the RRSIG verification memo ---------------------------------------------
@@ -136,6 +180,14 @@ def _signed_rrset(pair, owner="www.example.com"):
     rrset = RRset(owner, RdataType.A, 300, [A("192.0.2.1")])
     rrsig = sign_rrset(rrset, pair, "example.com")
     return rrset, make_rrsig_rrset(rrset, [rrsig])
+
+
+def _with_signature(rrsig, signature):
+    return RRSIG(
+        rrsig.type_covered, rrsig.algorithm, rrsig.labels, rrsig.original_ttl,
+        rrsig.expiration, rrsig.inception, rrsig.key_tag, rrsig.signer,
+        signature,
+    )
 
 
 class TestVerificationMemo:
@@ -176,15 +228,9 @@ class TestVerificationMemo:
         assert "validity window" in result.reason
 
     def test_negative_outcomes_are_cached_too(self, pair):
-        from repro.dns.rdata.dnssec import RRSIG
-
         rrset, rrsigs = _signed_rrset(pair)
         good = rrsigs[0]
-        corrupt = RRSIG(
-            good.type_covered, good.algorithm, good.labels, good.original_ttl,
-            good.expiration, good.inception, good.key_tag, good.signer,
-            bytes(len(good.signature)),
-        )
+        corrupt = _with_signature(good, bytes(len(good.signature)))
         rrsigs = make_rrsig_rrset(rrset, [corrupt])
         dnskeys = RRset("example.com", RdataType.DNSKEY, 3600, [pair.dnskey])
         assert validate_rrset(rrset, rrsigs, dnskeys).status is SecurityStatus.BOGUS
@@ -229,14 +275,37 @@ class TestVerificationMemo:
         finally:
             verification_memo.limit = old_limit
 
-    def test_kill_switch_skips_memo(self, pair):
+    def test_memo_outcomes_equal_direct_verification(self, pair):
+        """Miss and hit alike report what ``verify_signature`` says."""
         rrset, rrsigs = _signed_rrset(pair)
+        good = rrsigs[0]
+        flipped = bytearray(good.signature)
+        flipped[-1] ^= 0x01
+        stranger = generate_keypair(ALG_ECDSAP256SHA256, rng=random.Random(6))
+        cases = {
+            "good": good,
+            "tampered": _with_signature(good, bytes(flipped)),
+            # Signed by another key under this key's tag.
+            "wrong-key": _with_signature(
+                good, stranger.sign(rrsig_signed_data(good, rrset))
+            ),
+        }
         dnskeys = RRset("example.com", RdataType.DNSKEY, 3600, [pair.dnskey])
-        with fastpath.disabled("validator_memo"):
-            assert validate_rrset(rrset, rrsigs, dnskeys).secure
-            assert validate_rrset(rrset, rrsigs, dnskeys).secure
-        assert verification_memo.hits == 0
-        assert not verification_memo.entries
+        direct = {}
+        for label, rrsig in cases.items():
+            payload = canonical_rrset_wire(
+                rrset, rrsig.original_ttl, owner=rrsig_signed_owner(rrsig, rrset)
+            )
+            direct[label] = verify_signature(
+                pair.dnskey, rrsig.rdata_prefix() + payload, rrsig.signature
+            )
+            for __ in ("miss", "hit"):
+                result = validate_rrset(
+                    rrset, make_rrsig_rrset(rrset, [rrsig]), dnskeys
+                )
+                assert result.secure == direct[label], label
+        assert direct == {"good": True, "tampered": False, "wrong-key": False}
+        assert (verification_memo.misses, verification_memo.hits) == (3, 3)
 
 
 # -- the packed answer cache -------------------------------------------------
@@ -327,19 +396,11 @@ class TestAnswerCache:
         zone.add("new.example.com", RdataType.A, 60, A("192.0.2.77"))
         assert not server.answer_cache.entries
 
-    def test_kill_switch_disables_caching(self):
-        server, _ = _build_server()
-        with fastpath.disabled("answer_cache"):
-            first = _ask_wire(server, "www.example.com", RdataType.A, msg_id=1)
-            second = _ask_wire(server, "www.example.com", RdataType.A, msg_id=1)
-        assert not server.answer_cache.entries
-        assert server.answer_cache.hits == 0
-        assert first == second  # still deterministic, just recomputed
-
     def test_cached_and_uncached_bytes_identical(self):
-        """The core equivalence claim, at the datagram level."""
+        """The core equivalence claim, at the datagram level: a server
+        that has never seen the query takes the miss path, which is the
+        server without a cache."""
         cached_server, _ = _build_server()
-        plain_server, _ = _build_server()
         qnames = [
             ("www.example.com", RdataType.A),
             ("www.example.com", RdataType.A),
@@ -350,8 +411,9 @@ class TestAnswerCache:
         ]
         for index, (qname, qtype) in enumerate(qnames):
             fast = _ask_wire(cached_server, qname, qtype, msg_id=index)
-            with fastpath.disabled("answer_cache"):
-                slow = _ask_wire(plain_server, qname, qtype, msg_id=index)
+            fresh_server, _ = _build_server()
+            slow = _ask_wire(fresh_server, qname, qtype, msg_id=index)
+            assert fresh_server.answer_cache.hits == 0
             assert fast == slow, (qname, qtype)
         assert cached_server.answer_cache.hits == 2
 
@@ -362,8 +424,8 @@ class TestAnswerCache:
         again = make_query(
             "www.example.com", RdataType.A, want_dnssec=True, msg_id=0x2222
         ).to_wire()
-        with fastpath.disabled("answer_cache"):
-            expected = plain_server.handle_datagram(again, "198.51.100.9")
+        expected = plain_server.handle_datagram(again, "198.51.100.9")
+        assert plain_server.answer_cache.hits == 0
         decodes = []
         real = Message.from_wire.__func__
 
@@ -383,7 +445,6 @@ class TestAnswerCache:
     @pytest.mark.parametrize("variant", ["cd-bit", "edns-option"])
     def test_bytes_the_old_key_ignored_get_their_own_entry(self, variant):
         server, _ = _build_server()
-        plain_server, _ = _build_server()
         base = make_query("www.example.com", RdataType.A, want_dnssec=True, msg_id=7)
         other = make_query("www.example.com", RdataType.A, want_dnssec=True, msg_id=7)
         if variant == "cd-bit":
@@ -392,8 +453,8 @@ class TestAnswerCache:
             other.edns.options.append(EdnsOption(10, b"\x01" * 8))
         for query in (base, other, base, other):
             wire = query.to_wire()
-            with fastpath.disabled("answer_cache"):
-                expected = plain_server.handle_datagram(wire, "198.51.100.9")
+            fresh_server, _ = _build_server()
+            expected = fresh_server.handle_datagram(wire, "198.51.100.9")
             assert server.handle_datagram(wire, "198.51.100.9") == expected
         assert len(server.answer_cache.entries) == 2
         assert (server.answer_cache.misses, server.answer_cache.hits) == (2, 2)
@@ -449,6 +510,122 @@ class TestAnswerCache:
         assert server.answer_cache.hits == 0
         assert len(server.answer_cache.entries) == 2
         assert udp is not None and tcp is not None
+
+    def test_padded_queries_cannot_grow_the_cache_past_its_bytes(self):
+        """The key is the client's own bytes: one query with a 60 000-octet
+        EDNS option would be stored under a 60 046-byte key, and 8 192 of
+        them would hold half a gigabyte. Queries over the constant are
+        answered, never keyed."""
+        server, _ = _build_server()
+        # Sees every (distinct) query once, so it always answers from the
+        # miss path: for each query it is a server that never cached it.
+        reference, _ = _build_server()
+        reference.answer_cache.limit = 1
+        cache = server.answer_cache
+
+        def padded(index, size):
+            query = make_query(
+                "www.example.com", RdataType.A, want_dnssec=True, msg_id=index & 0xFFFF
+            )
+            query.edns.options.append(
+                EdnsOption(12, index.to_bytes(4, "big") + bytes(size - 4))
+            )
+            return query.to_wire()
+
+        bare = len(padded(0, 4)) - 4
+        small = MAX_CACHEABLE_QUERY - bare  # the longest padding still keyed
+        cacheable = oversize = 0
+        for index in range(10_000):
+            if index % 10:
+                size = small - index % 7
+            else:
+                size = (small + 1, small + 200, 60_000)[index // 10 % 3]
+            wire = padded(index, size)
+            via_tcp = bool(index & 1)
+            if len(wire) <= MAX_CACHEABLE_QUERY:
+                cacheable += 1
+            else:
+                oversize += 1
+            served = server.handle_datagram(wire, "198.51.100.9", via_tcp=via_tcp)
+            assert served == reference.handle_datagram(
+                wire, "198.51.100.9", via_tcp=via_tcp
+            )
+            if not index % 10:
+                # Asked again, an oversize query is recomputed, not served.
+                assert served == server.handle_datagram(
+                    wire, "198.51.100.9", via_tcp=via_tcp
+                )
+        assert (cacheable, oversize) == (9_000, 1_000)
+        assert len(cache.entries) == cache.limit == 8192
+        assert cache.evictions == cacheable - cache.limit
+        assert (cache.misses, cache.hits) == (cacheable, 0)
+        assert max(len(key) + 2 for key, __ in cache.entries) == MAX_CACHEABLE_QUERY
+
+
+# -- batched zone signing ----------------------------------------------------
+
+
+class TestZoneSigningBatches:
+    def _unsigned_zone(self):
+        builder = (
+            ZoneBuilder("example.com")
+            .soa("ns1.example.com", "h.example.com")
+            .ns("ns1.example.com.")
+            .a("ns1", "192.0.2.1")
+        )
+        for index in range(6):
+            builder.a(f"host-{index}.deep", f"192.0.2.{10 + index}")
+        return builder.build()
+
+    def test_traced_chain_build_hashes_per_name_to_the_same_chain(self):
+        """``build_nsec3_chain`` hashes a zone in one batch, or name by
+        name (a span each) while a tracer records: same chain, same bill."""
+        zone = self._unsigned_zone()
+        params = Nsec3Params(iterations=7, salt=b"\xab\xcd")
+
+        def build():
+            before = meter.snapshot()
+            chain = build_nsec3_chain(zone, params)
+            links = [
+                (e.owner_hash, e.owner_name, e.source_name, e.rdata.to_wire())
+                for e in chain.entries
+            ]
+            return links, meter.snapshot() - before
+
+        batched, batched_cost = build()
+        obs.enable(tracing_spans=True)
+        try:
+            with obs.span("build") as root:
+                traced, traced_cost = build()
+        finally:
+            obs.disable()
+            obs.reset()
+        hash_spans = [span for span in root.walk() if span.name == "nsec3.hash"]
+        assert len(hash_spans) == len(traced) > 6
+        assert traced == batched
+        assert traced_cost == batched_cost
+        assert batched_cost.nsec3_hashes == len(batched)
+
+    def test_zone_signatures_equal_sign_rrset_without_a_bound_signer(self):
+        """``sign_zone`` signs through ``KeyPair.bulk_signer`` closures;
+        ``sign_rrset`` on its own dispatches through ``KeyPair.sign``."""
+        zone = self._unsigned_zone()
+        policy = SigningPolicy(
+            nsec3=Nsec3Params(iterations=2, salt=b"\x01"),
+            algorithm=ALG_RSASHA256,
+            rsa_bits=512,
+        )
+        sign_zone(zone, policy, rng=random.Random(23))
+        ksk, zsk = zone.keys
+        assert len(zone.rrsigs) > 10
+        for (name, covered), rrsigs in zone.rrsigs.items():
+            key = ksk if covered == int(RdataType.DNSKEY) else zsk
+            inception, expiration = policy.signature_window(covered)
+            (rrsig,) = rrsigs
+            assert rrsig == sign_rrset(
+                zone.get_rrset(name, covered), key, zone.origin,
+                inception=inception, expiration=expiration, now=policy.now,
+            ), (name, covered)
 
 
 # -- zone-side index structures ----------------------------------------------

@@ -11,6 +11,7 @@ each width but no classification may move.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -32,11 +33,19 @@ GOLDEN_SHA256 = {
 
 @pytest.mark.parametrize("concurrency", ["1", "32"])
 @pytest.mark.parametrize("case", sorted(GOLDEN_SHA256))
-def test_cli_stdout_matches_pinned_digest(case, concurrency):
+def test_cli_stdout_matches_pinned_digest(case, concurrency, tmp_path):
     command, __, faults = case.partition("-")
+    argv = [sys.executable, "-m", "repro", command, *SIZE, "--concurrency", concurrency]
+    if faults:
+        argv += ["--faults", faults]
+    # One run also counts what its memos and caches did (which must not
+    # move its report); the other seven stay bare.
+    metrics_path = tmp_path / "metrics.json"
+    counted = (case, concurrency) == ("study", "1")
+    if counted:
+        argv += ["--metrics-out", str(metrics_path)]
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", command, *SIZE,
-         "--concurrency", concurrency, *(["--faults", faults] if faults else [])],
+        argv,
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
         cwd=str(REPO_ROOT),
@@ -44,3 +53,16 @@ def test_cli_stdout_matches_pinned_digest(case, concurrency):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256[case]
+    if counted:
+        # A memo or cache that silently never fires prints the same report,
+        # only slower: hold the hit ratios this command has had since the
+        # answer-cache key became the raw query bytes (2332 hits of 4825
+        # lookups; the RRSIG memo hits 3823 of 4109).
+        metrics = json.loads(metrics_path.read_text())
+        assert _hit_ratio(metrics["repro_validator_memo_events_total"]) >= 0.5
+        assert _hit_ratio(metrics["repro_answer_cache_events_total"]) >= 0.483
+
+
+def _hit_ratio(family):
+    outcomes = {s["labels"]["outcome"]: s["value"] for s in family["samples"]}
+    return outcomes["hit"] / (outcomes["hit"] + outcomes["miss"])
