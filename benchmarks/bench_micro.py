@@ -22,7 +22,7 @@ from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.net.network import Host, Network
 from repro.server.authoritative import AuthoritativeServer
-from repro.testbed.internet import build_domain_zone
+from repro.testbed.internet import KeyPool, build_domain_zone
 from repro.testbed.population import DomainSpec
 from repro.zone.builder import ZoneBuilder
 from repro.zone.nsec3chain import Nsec3Params
@@ -133,6 +133,14 @@ def rsa_pair():
 @pytest.fixture(scope="module")
 def ecdsa_pair():
     return generate_keypair(ALG_ECDSAP256SHA256, rng=random.Random(2))
+
+
+def test_key_pool_16_plus_16(benchmark):
+    """What every ``build_internet`` pays before it signs anything: 32
+    RSA-512 keys, 64 primes. Seed 8 is the pool ``build_internet(seed=7)``
+    draws (the ledger times ``setup_s``, not this kernel)."""
+    pool = benchmark.pedantic(KeyPool, kwargs={"seed": 8}, rounds=5, iterations=1)
+    assert len(pool.material()["ksks"]) == 16
 
 
 def test_rsa512_sign(benchmark, rsa_pair):

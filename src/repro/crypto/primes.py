@@ -42,12 +42,17 @@ def is_probable_prime(candidate, rounds=24, rng=None):
 
 
 def generate_prime(bits, rng=None):
-    """Generate a probable prime of exactly *bits* bits."""
+    """Generate a probable prime of exactly *bits* bits.
+
+    The two top bits are forced, so the prime lies in [1.5·2^(bits−1),
+    2^bits) — inside FIPS 186-4 §B.3.3's [√2·2^(bits−1), 2^bits) — and the
+    product of an *a*-bit and a *b*-bit prime has exactly *a + b* bits.
+    """
     if bits < 8:
         raise ValueError("prime size too small to be useful")
     rng = rng or random
     while True:
         candidate = rng.getrandbits(bits)
-        candidate |= (1 << (bits - 1)) | 1  # force top bit and oddness
+        candidate |= (3 << (bits - 2)) | 1  # force two top bits and oddness
         if is_probable_prime(candidate, rng=rng):
             return candidate

@@ -119,7 +119,10 @@ class RsaPublicKey:
         k = self.size
         if len(signature) != k:
             return False
-        decrypted = pow(int.from_bytes(signature, "big"), self.e, self.n)
+        representative = int.from_bytes(signature, "big")
+        if representative >= self.n:  # RFC 8017 §5.2.2 step 1
+            return False
+        decrypted = pow(representative, self.e, self.n)
         expected = _pkcs1_encode(message, k, hash_name)
         return decrypted.to_bytes(k, "big") == expected
 
@@ -132,26 +135,30 @@ def _pkcs1_encode(message, em_len, hash_name):
 def generate_rsa_key(bits=1024, rng=None):
     """Generate an RSA key. 1024-bit keys keep the simulation fast.
 
-    e is fixed to 65537; p and q are regenerated until the modulus has
-    exactly *bits* bits and e is invertible mod λ(n). The factors are
-    kept on the key so signing can use the CRT.
+    e is fixed to 65537 and the primes are drawn in FIPS 186-4 §B.3.3's
+    order: a prime with e | p − 1, or a q within 2^(bits/2 − 100) of p,
+    re-draws that one prime, never the pair. :func:`generate_prime`
+    forces the two top bits, so the modulus has exactly *bits* bits by
+    construction. The factors are kept on the key so signing can use
+    the CRT.
     """
     rng = rng or random
     e = 65537
+    p = _draw_prime(bits // 2, e, rng)
+    q = _draw_prime(bits - bits // 2, e, rng, near=p, gap=1 << max(bits // 2 - 100, 0))
+    n = p * q
+    assert n.bit_length() == bits
+    # e is prime and divides neither p − 1 nor q − 1, so it is invertible.
+    d = pow(e, -1, (p - 1) * (q - 1))
+    return RsaPrivateKey(n, e, d, p=p, q=q)
+
+
+def _draw_prime(bits, e, rng, near=0, gap=0):
+    """A *bits*-bit prime with e ∤ prime − 1, more than *gap* from *near*."""
     while True:
-        p = generate_prime(bits // 2, rng=rng)
-        q = generate_prime(bits - bits // 2, rng=rng)
-        if p == q:
-            continue
-        n = p * q
-        if n.bit_length() != bits:
-            continue
-        phi = (p - 1) * (q - 1)
-        try:
-            d = pow(e, -1, phi)
-        except ValueError:
-            continue
-        return RsaPrivateKey(n, e, d, p=p, q=q)
+        prime = generate_prime(bits, rng=rng)
+        if (prime - 1) % e and abs(prime - near) > gap:
+            return prime
 
 
 def encode_public_key(key):

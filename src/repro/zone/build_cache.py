@@ -47,8 +47,9 @@ except ImportError:  # pragma: no cover
 
 #: Bump whenever the entry payload layout or the fingerprint recipe
 #: changes; old entries become unreachable (different fingerprints) and
-#: are simply never loaded again.
-SCHEMA_VERSION = 1
+#: are simply never loaded again. 2: the RSA prime search changed, so a
+#: key pool's ``size|algorithm|rsa_bits|seed`` names different keys.
+SCHEMA_VERSION = 2
 
 #: Frame header: magic, payload length, CRC32 of the payload.
 ENTRY_MAGIC = b"RPROBC1\n"

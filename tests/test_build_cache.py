@@ -15,7 +15,7 @@ import pytest
 from repro.crypto.keys import ALG_ECDSAP256SHA256, generate_keypair
 from repro.dnssec.costmodel import meter
 from repro.dnssec.signer import canonical_rrset_wire
-from repro.testbed.internet import _pooled_keys
+from repro.testbed.internet import KeyPool, _pooled_keys
 from repro.zone import build_cache, signing
 from repro.zone.builder import ZoneBuilder
 from repro.zone.nsec3chain import Nsec3Params
@@ -221,6 +221,22 @@ class TestKeyPool:
                 # CRT factors survive, so the rebuilt pool signs fast
                 # *and* identically.
                 assert a.sign(b"probe") == b.sign(b"probe")
+        # Same seed ⇒ same keys, with or without a state directory.
+        cache_free = KeyPool(size=2, seed=5).material()
+        assert first.material() == second.material() == cache_free
+
+    def test_schema_1_entry_is_never_loaded(self, cache, monkeypatch):
+        """A state directory written before the prime search changed holds
+        old-recipe keys under the same ``size|algorithm|rsa_bits|seed``."""
+        assert build_cache.SCHEMA_VERSION >= 2
+        with monkeypatch.context() as patch:
+            patch.setattr(build_cache, "SCHEMA_VERSION", 1)
+            _pooled_keys(seed=5, size=2)
+            _pooled_keys(seed=5, size=2)
+        assert cache.events == {"miss": 1, "store": 1, "hit": 1, "load": 1}  # reachable under 1
+        pool = _pooled_keys(seed=5, size=2)
+        assert cache.events["miss"] == 2 and cache.events["hit"] == 1
+        assert pool.material() == KeyPool(size=2, seed=5).material()
 
     def test_seed_change_misses(self, cache):
         _pooled_keys(seed=5, size=2)
