@@ -17,12 +17,6 @@ from repro.analysis.figures import (
     figure3_series,
 )
 from repro.analysis.longitudinal import compliance_timeline
-from repro.analysis.export import (
-    classifications_from_jsonl,
-    classifications_to_jsonl,
-    domain_results_from_jsonl,
-    domain_results_to_jsonl,
-)
 
 __all__ = [
     "Cdf",
@@ -42,8 +36,4 @@ __all__ = [
     "figure2_series",
     "figure3_series",
     "compliance_timeline",
-    "classifications_from_jsonl",
-    "classifications_to_jsonl",
-    "domain_results_from_jsonl",
-    "domain_results_to_jsonl",
 ]

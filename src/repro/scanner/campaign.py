@@ -28,13 +28,10 @@ so an unparseable, foreign, or future-versioned snapshot raises
 and start fresh). Once the journal grows past ``compact_every`` frames
 it is folded back into the snapshot and truncated.
 
-Checkpoint records are plain JSON dicts; the scan engine and the
-resolver survey each define their own record codecs
-(:func:`answer_to_record` here; the probe-matrix codec lives in
-:mod:`repro.scanner.resolver_scan`). Resumed answers carry RCODE/flags
-but not the response rrsets — enough to finish counting a campaign, not
-to re-derive zone parameters. Re-scan without the checkpoint if the full
-sections matter.
+Checkpoint records are plain JSON dicts; whoever measures a unit defines
+its record codec (the ``study-units/1`` codecs live in
+:mod:`repro.scanner.pipeline`, the probe-matrix codec in
+:mod:`repro.scanner.resolver_scan`).
 
 Besides records, the checkpoint stores idempotent **notes**: flags keyed
 by (tag, job key) used to count per-job events like requeues exactly
@@ -47,10 +44,8 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
 
 from repro import obs
-from repro.resolver.stub import StubAnswer
 
 CHECKPOINT_VERSION = 2
 
@@ -71,46 +66,6 @@ class CampaignError(Exception):
     in a way the journal recovery is not allowed to paper over)."""
 
 
-def job_key(qname, qtype):
-    """Stable identity of one scan job: normalised qname + numeric type."""
-    return f"{str(qname).rstrip('.').lower()}/{int(qtype)}"
-
-
-def answer_to_record(answer):
-    """A :class:`StubAnswer` as a JSON-able checkpoint record."""
-    return {
-        "rcode": int(answer.rcode),
-        "ad": bool(answer.ad),
-        "ra": bool(answer.ra),
-        "ede": list(answer.ede_codes),
-        "answered": bool(answer.answered),
-    }
-
-
-def answer_from_record(record):
-    """Rebuild a (section-less) :class:`StubAnswer` from a record.
-
-    A record missing fields means the checkpoint predates this schema or
-    belongs to another tool — surfaced as :class:`CampaignError` rather
-    than a bare ``KeyError`` deep inside a resumed campaign.
-    """
-    try:
-        return StubAnswer(
-            rcode=record["rcode"],
-            ad=record["ad"],
-            ra=record["ra"],
-            answer=[],
-            ede_codes=tuple(record["ede"]),
-            answered=record["answered"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise CampaignError(
-            f"checkpoint record is not a scan answer ({exc!r}); the file "
-            "is stale or from another campaign — re-run with "
-            "--discard-checkpoint (or delete it) to start fresh"
-        ) from None
-
-
 #: Help texts of the ``repro_campaign_<event>_total{campaign=...}`` counters.
 _CAMPAIGN_EVENTS = {
     "completed": "Campaign jobs settled (scan targets / surveyed resolvers).",
@@ -128,26 +83,6 @@ def count_campaign(event, campaign, n=1):
             _CAMPAIGN_EVENTS[event],
             labelnames=("campaign",),
         ).labels(campaign=campaign).inc(n)
-
-
-def requeue_passes(deferred, retry, attempts, delay_ms, drain, network):
-    """The end-of-campaign second chance for the *deferred* jobs.
-
-    Up to *attempts* more passes, each after every earlier session has
-    completed on the kernel clock (*drain*) and *delay_ms* of simulated
-    time has passed, so transient outages can clear. ``retry(job,
-    attempt)`` returns None once the job settled, else the job to carry
-    into the next pass. Returns the jobs still failing.
-    """
-    for attempt in range(attempts):
-        if not deferred:
-            break
-        drain()
-        if delay_ms:
-            network.clock_ms += delay_ms
-        carried = [retry(job, attempt) for job in deferred]
-        deferred = [job for job in carried if job is not None]
-    return deferred
 
 
 def _fsync_directory(path):
@@ -471,24 +406,6 @@ class CampaignCheckpoint:
         return len(self._records)
 
 
-@dataclass
-class CampaignResult:
-    """Outcome of one :meth:`ScanEngine.run_campaign` pass."""
-
-    #: Answers aligned with the submitted jobs (resumed ones section-less).
-    answers: list = field(default_factory=list)
-    #: Jobs satisfied from the checkpoint without touching the network.
-    resumed: int = 0
-    #: Jobs that failed the main pass and entered the requeue —
-    #: counted idempotently by job key when a checkpoint is attached
-    #: (a job whose requeue straddles a resume is counted once).
-    requeued: int = 0
-    #: Requeued jobs that eventually answered.
-    recovered: int = 0
-    #: Job keys still unanswered after every requeue pass.
-    failed: list = field(default_factory=list)
-
-
 def run_units(campaign, units, sink, progress=lambda phase, done, executed: None):
     """Drive *units* of *campaign* into *sink*: the one skip-done →
     measure → quarantine → requeue → settle loop.
@@ -521,22 +438,32 @@ def run_units(campaign, units, sink, progress=lambda phase, done, executed: None
         executed += 1
         progress(phase, resumed + executed, True)
 
-    def retry(job, attempt):
-        record, settled = campaign.measure(job[0], requeue_round=attempt)
-        record["requeued"] = True
-        if not settled:
-            return job[0], record
-        settle(job[0], record)
-
     def close_phase():
+        """The end-of-phase second chance for the deferred units: up to
+        ``requeue_attempts`` more passes, each after every earlier
+        session has completed on the kernel clock and
+        ``requeue_delay_ms`` of simulated time has passed, so transient
+        outages can clear."""
         if deferred:
             policy = campaign.retry_policy
             fresh = [sink.note(campaign.key(unit), "requeued") for unit, __ in deferred]
             count_campaign("requeued", "survey", sum(fresh))
-            for unit, record in requeue_passes(
-                deferred, retry, policy.requeue_attempts,
-                policy.requeue_delay_ms, campaign.drain, campaign.network,
-            ):
+            for attempt in range(policy.requeue_attempts):
+                if not deferred:
+                    break
+                campaign.drain()
+                if policy.requeue_delay_ms:
+                    campaign.network.clock_ms += policy.requeue_delay_ms
+                retried = deferred[:]
+                deferred.clear()
+                for unit, __ in retried:
+                    record, settled = campaign.measure(unit, requeue_round=attempt)
+                    record["requeued"] = True
+                    if settled:
+                        settle(unit, record)
+                    else:
+                        deferred.append((unit, record))
+            for unit, record in deferred:
                 # Out of attempts: keep the evidence, but say it is
                 # damaged rather than let a dead resolver masquerade as
                 # non-validating.

@@ -17,15 +17,8 @@ from repro import obs
 from repro.dns.rcode import Rcode
 from repro.dns.types import RdataType
 from repro.net.sim import CampaignExecutor
-from repro.resolver.stub import StubAnswer, StubClient
-from repro.scanner.campaign import (
-    CampaignResult,
-    answer_from_record,
-    answer_to_record,
-    count_campaign,
-    job_key,
-    requeue_passes,
-)
+from repro.resolver.stub import StubClient
+from repro.scanner.campaign import count_campaign
 
 
 #: Resolved per-rcode scan counters for the per-query hot path.
@@ -63,10 +56,6 @@ class ScanStats:
     finished_ms: float = 0.0
     #: Extra per-target attempts spent absorbing flaky answers.
     reprobes: int = 0
-    #: Campaign bookkeeping (see :meth:`ScanEngine.run_campaign`).
-    requeued: int = 0
-    recovered: int = 0
-    resumed: int = 0
 
     @property
     def answered(self):
@@ -270,95 +259,3 @@ class ScanEngine:
         ]
         self.drain()
         return answers
-
-    def run_campaign(
-        self,
-        jobs,
-        want_dnssec=True,
-        checking_disabled=False,
-        checkpoint=None,
-        requeue_attempts=1,
-        requeue_delay_ms=1000.0,
-    ):
-        """A fault-tolerant, resumable batch run.
-
-        Targets whose query stays unanswered are quarantined and requeued
-        at the end of the campaign (up to *requeue_attempts* extra
-        passes, waiting *requeue_delay_ms* of simulated time before each
-        so transient outages can clear). With a
-        :class:`~repro.scanner.campaign.CampaignCheckpoint`, every final
-        outcome is persisted and a resumed campaign issues **zero**
-        queries for already-completed targets. Returns a
-        :class:`~repro.scanner.campaign.CampaignResult` with answers
-        aligned to *jobs*.
-        """
-        jobs = list(jobs)
-        if obs.console is not None:
-            obs.console.expect(len(jobs))
-        result = CampaignResult()
-        answers = {}
-        deferred = []
-
-        def settle(key, answer):
-            answers[key] = answer
-            if checkpoint is not None:
-                checkpoint.record(key, answer_to_record(answer))
-
-        for qname, qtype in jobs:
-            key = job_key(qname, qtype)
-            if key in answers:
-                continue  # duplicate job: one query serves both
-            if checkpoint is not None and checkpoint.done(key):
-                answers[key] = answer_from_record(checkpoint.get(key))
-                result.resumed += 1
-                continue
-            answer = self.query(
-                qname, qtype, want_dnssec=want_dnssec,
-                checking_disabled=checking_disabled,
-            )
-            if not answer.answered:
-                deferred.append((key, qname, qtype))
-                continue
-            settle(key, answer)
-
-        # Count requeues idempotently by job key: with a checkpoint the
-        # "entered the requeue" flag is journaled, so a target whose
-        # requeue straddles a crash/resume boundary is counted once, not
-        # once per resumed run.
-        if checkpoint is not None:
-            result.requeued = sum(
-                1 for key, __, __ in deferred if checkpoint.note(key, "requeued")
-            )
-        else:
-            result.requeued = len(deferred)
-        count_campaign("requeued", "scan", result.requeued)
-
-        def retry(job, attempt):
-            key, qname, qtype = job
-            answer = self.query(
-                qname, qtype, want_dnssec=want_dnssec,
-                checking_disabled=checking_disabled,
-            )
-            if not answer.answered:
-                return job
-            result.recovered += 1
-            settle(key, answer)
-
-        deferred = requeue_passes(
-            deferred, retry, requeue_attempts, requeue_delay_ms,
-            self.drain, self.network,
-        )
-        for key, __qname, __qtype in deferred:
-            # Exhausted: record the timeout so a resume does not re-burn
-            # budget on it (re-scan without the checkpoint to insist).
-            result.failed.append(key)
-            settle(key, StubAnswer.timeout())
-
-        self.drain()
-        if checkpoint is not None:
-            checkpoint.flush()
-        self.stats.requeued += result.requeued
-        self.stats.recovered += result.recovered
-        self.stats.resumed += result.resumed
-        result.answers = [answers[job_key(qname, qtype)] for qname, qtype in jobs]
-        return result

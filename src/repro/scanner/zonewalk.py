@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 from repro.dns.name import Name
 from repro.dns.types import RdataType
+from repro.dnssec.costmodel import meter
+from repro.dnssec.denial import DenialError, owner_hash_of
 from repro.dnssec.nsec3hash import nsec3_hash
 
 #: Labels most zones contain — the paper's point: subdomains are guessable.
@@ -100,6 +102,8 @@ class Nsec3CrackResult:
     salt: bytes
     hashes_collected: int = 0
     recovered: dict = field(default_factory=dict)
+    #: SHA-1 compressions :data:`~repro.dnssec.costmodel.meter` charged
+    #: for the attack — the same unit a validating resolver's proofs cost.
     hash_operations: int = 0
 
     @property
@@ -119,6 +123,9 @@ class Nsec3Walker:
         self.hashes = set()
         self.params = None
         self.queries = 0
+        #: NSEC3 RRsets left unharvested: the owner was no hash of this
+        #: zone (another zone's chain, or a label that is not base32hex).
+        self.skipped = 0
 
     def collect(self, probe_labels):
         """Query random names to harvest NSEC3 records from denials."""
@@ -134,15 +141,15 @@ class Nsec3Walker:
             for rrset in answer.authority:
                 if int(rrset.rrtype) != int(RdataType.NSEC3):
                     continue
+                try:
+                    owner_hash = owner_hash_of(rrset.name, self.zone)
+                except DenialError:
+                    self.skipped += 1
+                    continue
+                self.hashes.add(owner_hash)
                 for rdata in rrset:
                     self.params = (rdata.hash_algorithm, rdata.iterations, rdata.salt)
                     self.hashes.add(rdata.next_hash)
-                try:
-                    from repro.dnssec.denial import owner_hash_of
-
-                    self.hashes.add(owner_hash_of(rrset.name, self.zone))
-                except Exception:
-                    pass
         return len(self.hashes)
 
     def crack(self, dictionary=DEFAULT_DICTIONARY):
@@ -156,19 +163,16 @@ class Nsec3Walker:
             salt=salt,
             hashes_collected=len(self.hashes),
         )
-        for word in dictionary:
-            candidate = self.zone.prepend(word.encode("ascii"))
+        candidates = [
+            (word, self.zone.prepend(word.encode("ascii"))) for word in dictionary
+        ]
+        candidates.append(("@", self.zone))  # the apex always hashes into the chain
+        before = meter.sha1_compressions
+        for label, candidate in candidates:
             digest = nsec3_hash(
                 candidate.canonical_wire(), salt, iterations, hash_algorithm
             )
-            result.hash_operations += iterations + 1
             if digest in self.hashes:
-                result.recovered[word] = candidate
-        # The apex itself always hashes into the chain.
-        apex_digest = nsec3_hash(
-            self.zone.canonical_wire(), salt, iterations, hash_algorithm
-        )
-        result.hash_operations += iterations + 1
-        if apex_digest in self.hashes:
-            result.recovered["@"] = self.zone
+                result.recovered[label] = candidate
+        result.hash_operations = meter.sha1_compressions - before
         return result

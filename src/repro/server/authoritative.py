@@ -141,10 +141,6 @@ class AuthoritativeServer(Host):
         self.network = network
         self.zones = {}
         self.log = QueryLog()
-        #: Zones (by origin Name) that may be transferred via AXFR. Real
-        #: registries rarely allow transfers; the paper could AXFR only
-        #: .ch/.nu/.se/.li.
-        self.axfr_allowed = set()
         self.answer_cache = PackedAnswerCache()
         #: Longest-prefix index over zone origins (canonical label keys).
         self._zone_index = {}
@@ -241,7 +237,7 @@ class AuthoritativeServer(Host):
             meter.recorder = recorder_charges
         try:
             if not obs.enabled:
-                response = self._dispatch(query, src_ip, via_tcp)
+                response = self._dispatch(query, src_ip)
             else:
                 if obs.tracing:
                     # qname rendering is span decoration only — skip it
@@ -254,11 +250,11 @@ class AuthoritativeServer(Host):
                     with obs.span(
                         "auth.query", server=self.name, qname=qname
                     ) as span:
-                        response = self._dispatch(query, src_ip, via_tcp)
+                        response = self._dispatch(query, src_ip)
                         if response is not None:
                             span.set(rcode=Rcode.to_text(response.rcode))
                 else:
-                    response = self._dispatch(query, src_ip, via_tcp)
+                    response = self._dispatch(query, src_ip)
                 if response is not None:
                     _count_response(self.name, Rcode.to_text(response.rcode))
             if response is None:
@@ -313,46 +309,24 @@ class AuthoritativeServer(Host):
             _count_response(self.name, entry.rcode_text)
         return id_bytes + entry.tail
 
-    def _dispatch(self, query, src_ip, via_tcp):
+    def _dispatch(self, query, src_ip):
         if (
             query.question
             and int(query.question[0].rrtype) == int(RdataType.AXFR)
         ):
-            return self.handle_axfr(query, src_ip, via_tcp)
+            return self.handle_axfr(query, src_ip)
         return self.handle_query(query, src_ip)
 
-    def handle_axfr(self, query, src_ip, via_tcp):
-        """Zone transfer (RFC 5936, single-message form).
-
-        AXFR is TCP-only; over UDP the truncation bit sends the client to
-        the TCP retry path. Zones not in :attr:`axfr_allowed` are REFUSED,
-        as almost every registry does in practice.
-        """
+    def handle_axfr(self, query, src_ip):
+        """Decline a zone transfer (RFC 5936): NOTAUTH for a zone not
+        hosted here, REFUSED for one that is — no zone is transferable,
+        as at almost every registry in practice."""
         question = query.question[0]
         clock = self._log_clock()
         self.log.record(src_ip, question.name.to_text(), question.rrtype, clock)
         response = make_response(query)
-        zone = self.zones.get(question.name)
-        if zone is None:
-            response.rcode = Rcode.NOTAUTH
-            return response
-        if zone.origin not in self.axfr_allowed:
-            response.rcode = Rcode.REFUSED
-            return response
-        if not via_tcp:
-            response.set_flag(Flag.TC)
-            return response
-        response.set_flag(Flag.AA)
-        soa = zone.soa
-        response.answer.append(soa)
-        for rrset in zone.all_rrsets():
-            if int(rrset.rrtype) == int(RdataType.SOA):
-                continue
-            response.answer.append(rrset)
-            sigs = zone.get_rrsigs(rrset.name, rrset.rrtype)
-            if sigs is not None:
-                response.answer.append(sigs)
-        response.answer.append(soa)  # AXFR ends with the SOA again
+        hosted = question.name in self.zones
+        response.rcode = Rcode.REFUSED if hosted else Rcode.NOTAUTH
         return response
 
     # -- query processing -------------------------------------------------------

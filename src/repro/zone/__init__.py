@@ -1,10 +1,9 @@
-"""Zone model: containers, parsing, NSEC/NSEC3 chains, whole-zone signing."""
+"""Zone model: containers, NSEC/NSEC3 chains, whole-zone signing."""
 
 from repro.zone.zone import Zone, LookupResult, LookupStatus
 from repro.zone.builder import ZoneBuilder
 from repro.zone.nsec3chain import Nsec3Chain, Nsec3Params
 from repro.zone.signing import SigningPolicy, sign_zone
-from repro.zone.parser import parse_zone_text
 
 __all__ = [
     "Zone",
@@ -15,5 +14,4 @@ __all__ = [
     "Nsec3Params",
     "SigningPolicy",
     "sign_zone",
-    "parse_zone_text",
 ]

@@ -150,14 +150,6 @@ class Zone:
         """Total RR count (rdatas, not RRsets)."""
         return sum(len(rrset) for rrset in self.all_rrsets())
 
-    def delegation_points(self):
-        """Names (other than the apex) owning NS RRsets."""
-        points = []
-        for name, node in self.nodes.items():
-            if name != self.origin and int(RdataType.NS) in node:
-                points.append(name)
-        return sorted(points)
-
     def is_delegation_point(self, name):
         """True when *name* owns a non-apex NS RRset (a zone cut)."""
         name = Name.from_text(name)

@@ -3,7 +3,7 @@
 Covers the durable checkpoint protocol (CRC32-framed journal with
 truncate-to-last-good-frame recovery, atomic fsynced snapshots, strict
 version/schema validation with the ``--discard-checkpoint`` escape
-hatch), journal fuzzing at every byte offset, the scan engine's
+hatch), journal fuzzing at every byte offset, ``run_units``'
 requeue/recover path, the zero-duplicate-queries resume guarantee, and
 the headline acceptance scenario: a survey run under burst loss, a
 flapping resolver, and a garbage-emitting authoritative classifies
@@ -19,15 +19,12 @@ from repro.dns.rcode import Rcode
 from repro.dns.types import RdataType
 from repro.net.faults import Blackout, Corruption, FaultPlan, Flapping, GilbertElliott
 from repro.net.network import Host, Network
-from repro.resolver.stub import StubAnswer
 from repro.scanner.campaign import (
     JOURNAL_MAGIC,
     CampaignCheckpoint,
     CampaignError,
-    answer_from_record,
-    answer_to_record,
-    job_key,
     read_journal_payloads,
+    run_units,
 )
 from repro.scanner.engine import ScanEngine
 from repro.scanner.resolver_scan import (
@@ -58,26 +55,37 @@ class Answering(Host):
         return make_response(query, recursion_available=True).to_wire()
 
 
-class TestJobKey:
-    def test_normalises_case_and_dot(self):
-        assert job_key("WWW.Example.COM.", RdataType.A) == "www.example.com/1"
-        assert job_key("www.example.com", 1) == "www.example.com/1"
+class QueryCampaign:
+    """What ``run_units`` asks of a campaign, over one scan engine: a
+    unit is a qname, measured by one A query, unsettled while unanswered."""
 
-
-class TestAnswerRecords:
-    def test_roundtrip(self):
-        answer = StubAnswer(
-            rcode=Rcode.NXDOMAIN, ad=True, ra=True, answer=[],
-            ede_codes=(27,), answered=True,
+    def __init__(self, engine, requeue_delay_ms=1000.0):
+        self.engine = engine
+        self.network = engine.network
+        self.drain = engine.drain
+        self.retry_policy = SurveyRetryPolicy(
+            requeue_attempts=1, requeue_delay_ms=requeue_delay_ms
         )
-        rebuilt = answer_from_record(answer_to_record(answer))
-        assert rebuilt.rcode == Rcode.NXDOMAIN
-        assert rebuilt.ad and rebuilt.ra and rebuilt.answered
-        assert rebuilt.ede_codes == (27,)
 
-    def test_timeout_roundtrip(self):
-        rebuilt = answer_from_record(answer_to_record(StubAnswer.timeout()))
-        assert not rebuilt.answered
+    @staticmethod
+    def key(unit):
+        return unit.rstrip(".").lower()
+
+    @staticmethod
+    def phase_of(unit):
+        return "scan"
+
+    def measure(self, unit, requeue_round=None):
+        answer = self.engine.query(unit, RdataType.A)
+        return {"ip": unit, "rcode": int(answer.rcode)}, answer.answered
+
+
+def _run(engine, units, checkpoint, **campaign_options):
+    """One process's pass over *units* — run, then flush, as a fleet
+    worker does; returns ``(resumed, executed)``."""
+    counts = run_units(QueryCampaign(engine, **campaign_options), units, checkpoint)
+    checkpoint.flush()
+    return counts
 
 
 class TestCheckpoint:
@@ -167,10 +175,6 @@ class TestCheckpoint:
         checkpoint.record("a/1", {})
         checkpoint.flush()
         assert CampaignCheckpoint(path).done("a/1")
-
-    def test_bad_record_shape_raises_campaign_error(self):
-        with pytest.raises(CampaignError, match="discard-checkpoint"):
-            answer_from_record({"wrong": "shape"})
 
     def test_atomic_replace_leaves_no_tmp(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -284,8 +288,8 @@ class TestJournalFuzz:
         net.attach("192.0.2.53", resolver)
         engine = ScanEngine(net, "198.51.100.1", "192.0.2.53")
         path = tmp_path / "scan.json"
-        jobs = [(f"d{i}.test", RdataType.A) for i in range(8)]
-        engine.run_campaign(jobs, checkpoint=CampaignCheckpoint(path, flush_every=1))
+        units = [f"d{i}.test" for i in range(8)]
+        _run(engine, units, CampaignCheckpoint(path, flush_every=1))
         assert len(resolver.seen) == 8
 
         journal_path = tmp_path / "scan.json.journal"
@@ -293,12 +297,10 @@ class TestJournalFuzz:
         # Tear mid-way through the last frame (a real SIGKILL tail).
         journal_path.write_bytes(blob[: len(blob) - 7])
         checkpoint = CampaignCheckpoint(path)
-        survivors = set(checkpoint.keys())
-        assert len(survivors) == 7
+        assert len(checkpoint) == 7
 
         engine2 = ScanEngine(net, "198.51.100.2", "192.0.2.53")
-        result = engine2.run_campaign(jobs, checkpoint=checkpoint)
-        assert result.resumed == 7
+        assert _run(engine2, units, checkpoint) == (7, 1)
         assert engine2.stats.queries == 1  # only the torn-off target
         assert sorted(resolver.seen) == sorted(
             [f"d{i}.test." for i in range(8)] + ["d7.test."]
@@ -321,53 +323,51 @@ class TestMatrixRecords:
 
 
 class TestRunCampaign:
+    """``run_units`` over a journaled checkpoint, one query per unit."""
+
     def _engine(self):
         net = Network()
         resolver = Answering()
         net.attach("192.0.2.53", resolver)
         return net, resolver, ScanEngine(net, "198.51.100.1", "192.0.2.53")
 
-    def test_plain_run_answers_all(self):
+    def test_plain_run_answers_all(self, tmp_path):
         __, __, engine = self._engine()
-        jobs = [(f"d{i}.test", RdataType.A) for i in range(5)]
-        result = engine.run_campaign(jobs)
-        assert len(result.answers) == 5
-        assert all(a.answered for a in result.answers)
-        assert result.requeued == 0 and result.failed == []
+        units = [f"d{i}.test" for i in range(5)]
+        checkpoint = CampaignCheckpoint(tmp_path / "scan.json")
+        assert _run(engine, units, checkpoint) == (0, 5)
+        assert sorted(checkpoint.keys()) == units
+        assert all(checkpoint.get(unit) == {"ip": unit, "rcode": 0} for unit in units)
+        assert not checkpoint.notes("quarantined") and not checkpoint.notes("requeued")
 
-    def test_duplicate_jobs_answered_once(self):
+    def test_duplicate_jobs_answered_once(self, tmp_path):
         __, resolver, engine = self._engine()
-        jobs = [("dup.test", RdataType.A), ("DUP.test.", RdataType.A)]
-        result = engine.run_campaign(jobs)
-        assert len(result.answers) == 2
+        checkpoint = CampaignCheckpoint(tmp_path / "scan.json")
+        assert _run(engine, ["dup.test", "DUP.test."], checkpoint) == (1, 1)
         assert len(resolver.seen) == 1
 
     def test_resume_issues_zero_duplicate_queries(self, tmp_path):
         net, resolver, engine = self._engine()
         path = tmp_path / "scan.json"
-        jobs = [(f"d{i}.test", RdataType.A) for i in range(8)]
-        engine.run_campaign(jobs, checkpoint=CampaignCheckpoint(path))
+        units = [f"d{i}.test" for i in range(8)]
+        _run(engine, units, CampaignCheckpoint(path))
         assert len(resolver.seen) == 8
 
         # A fresh engine (fresh process, conceptually) resumes the campaign.
         engine2 = ScanEngine(net, "198.51.100.2", "192.0.2.53")
         datagrams_before = net.stats.datagrams
-        result = engine2.run_campaign(jobs, checkpoint=CampaignCheckpoint(path))
-        assert result.resumed == 8
+        assert _run(engine2, units, CampaignCheckpoint(path)) == (8, 0)
         assert engine2.stats.queries == 0
         assert net.stats.datagrams == datagrams_before  # nothing hit the wire
-        assert len(result.answers) == 8
-        assert all(a.answered for a in result.answers)
 
     def test_interrupted_campaign_finishes_remainder_only(self, tmp_path):
         net, resolver, engine = self._engine()
         path = tmp_path / "scan.json"
-        jobs = [(f"d{i}.test", RdataType.A) for i in range(10)]
-        engine.run_campaign(jobs[:4], checkpoint=CampaignCheckpoint(path))
+        units = [f"d{i}.test" for i in range(10)]
+        _run(engine, units[:4], CampaignCheckpoint(path))
 
         engine2 = ScanEngine(net, "198.51.100.2", "192.0.2.53")
-        result = engine2.run_campaign(jobs, checkpoint=CampaignCheckpoint(path))
-        assert result.resumed == 4
+        assert _run(engine2, units, CampaignCheckpoint(path)) == (4, 6)
         assert engine2.stats.queries == 6
         # Every target was queried exactly once across both sessions.
         assert sorted(resolver.seen) == sorted(
@@ -379,33 +379,25 @@ class TestRunCampaign:
         # The resolver is dark for the first five simulated seconds; the
         # requeue pass waits past the window and recovers every target.
         net.set_faults(FaultPlan([Blackout("192.0.2.53", 0.0, 5000.0)]))
-        jobs = [(f"d{i}.test", RdataType.A) for i in range(3)]
-        result = engine.run_campaign(
-            jobs, requeue_attempts=1, requeue_delay_ms=10_000.0
-        )
-        assert result.requeued == 3
-        assert result.recovered == 3
-        assert result.failed == []
-        assert all(a.answered for a in result.answers)
+        units = [f"d{i}.test" for i in range(3)]
+        checkpoint = CampaignCheckpoint(tmp_path / "scan.json")
+        assert _run(engine, units, checkpoint, requeue_delay_ms=10_000.0) == (0, 3)
+        assert checkpoint.notes("quarantined") == checkpoint.notes("requeued") == set(units)
+        for unit in units:
+            assert checkpoint.get(unit) == {"ip": unit, "rcode": 0, "requeued": True}
 
     def test_exhausted_targets_recorded_as_failed(self, tmp_path):
         net, __, engine = self._engine()
         net.set_faults(FaultPlan([Blackout("192.0.2.53", 0.0, 1e12)]))
         path = tmp_path / "scan.json"
-        jobs = [("dead.test", RdataType.A)]
-        result = engine.run_campaign(
-            jobs,
-            checkpoint=CampaignCheckpoint(path),
-            requeue_attempts=1,
-            requeue_delay_ms=100.0,
-        )
-        assert result.failed == ["dead.test/1"]
-        assert not result.answers[0].answered
+        checkpoint = CampaignCheckpoint(path)
+        assert _run(engine, ["dead.test"], checkpoint, requeue_delay_ms=100.0) == (0, 1)
+        record = checkpoint.get("dead.test")
+        assert record["requeued"] and record["degraded"]
 
         # The failure is checkpointed: a resume does not re-burn budget.
         engine2 = ScanEngine(net, "198.51.100.2", "192.0.2.53")
-        resumed = engine2.run_campaign(jobs, checkpoint=CampaignCheckpoint(path))
-        assert resumed.resumed == 1
+        assert _run(engine2, ["dead.test"], CampaignCheckpoint(path)) == (1, 0)
         assert engine2.stats.queries == 0
 
 

@@ -42,7 +42,7 @@ class TestExamples:
 
     def test_scan_domains_small(self):
         out = run_example("scan_domains.py", "120")
-        assert "stage 0" in out
+        assert "stage 1" in out
         assert "Table 2" in out
 
     def test_resolver_survey_small(self):

@@ -460,9 +460,8 @@ class TestAnswerCache:
         assert (server.answer_cache.misses, server.answer_cache.hits) == (2, 2)
 
     def test_uncacheable_datagrams_store_nothing(self):
-        server, zone = _build_server()
-        server.axfr_allowed.add(zone.origin)
-        axfr = make_query("example.com", RdataType.AXFR, msg_id=1)
+        server, _ = _build_server()
+        axfr = make_query("example.com", RdataType.AXFR, msg_id=1)  # refused, not cached
         two_questions = make_query("www.example.com", RdataType.A, msg_id=2)
         two_questions.question.append(Question("example.com", RdataType.SOA))
         is_response = make_query("www.example.com", RdataType.A, msg_id=3)

@@ -84,9 +84,13 @@ def test_settled_units_are_not_measured_again():
     # A resumed run walks the whole stream: the settled prefix costs no
     # query, the rest is measured.
     assert run_units(world, units, sink) == (len(units) // 2, len(units) - len(units) // 2)
-    resumed_again = run_units(world, units, sink)
-    assert resumed_again == (len(units), 0)
     assert world.engine.stats.queries > queries
+    queries, datagrams = world.engine.stats.queries, world.inet.network.stats.datagrams
+    assert run_units(world, units, sink) == (len(units), 0)
+    # ... and a fully settled stream costs none at all.
+    assert (world.engine.stats.queries, world.inet.network.stats.datagrams) == (
+        queries, datagrams
+    )
     assert len(sink.records) == len(units)
 
 

@@ -9,7 +9,6 @@ from repro.scanner.atlas import AtlasCampaign
 from repro.scanner.dnskey_scan import dnskey_scan
 from repro.scanner.engine import ScanEngine
 from repro.scanner.nsec3_scan import nsec3_scan, scan_tlds
-from repro.scanner.openresolver import discover_open_resolvers
 from repro.scanner.resolver_scan import ResolverSurvey, probe_resolver
 from repro.core.resolver_compliance import classify_resolver
 from repro.testbed.resolvers import deploy_resolvers
@@ -174,27 +173,3 @@ class TestResolverSurvey:
         )
         entries = survey.run(deployment)
         assert all(e.resolver.access == "open" for e in entries)
-
-
-class TestOpenResolverDiscovery:
-    def test_finds_resolvers_not_auth_servers(self, testbed):
-        inet = testbed["inet"]
-        probes = testbed["probes"]
-        deployment = deploy_resolvers(
-            inet, open_v4=5, open_v6=0, closed_v4=2, closed_v6=0, seed=13
-        )
-        source = inet.allocator.next_v4()
-        found = discover_open_resolvers(
-            inet.network,
-            lambda unique: probes.probe_name("valid", unique),
-            source,
-            ipv6=False,
-            extra_unrouted=5,
-        )
-        open_ips = {d.ip for d in deployment if d.access == "open" and d.family == "v4"}
-        closed_ips = {d.ip for d in deployment if d.access == "closed"}
-        assert open_ips.issubset(set(found))
-        assert not closed_ips & set(found)
-        # Authoritative servers do not recursively resolve the scan domain.
-        auth_ips = {ip for ips in inet.operator_ips.values() for ip in ips}
-        assert not auth_ips & set(found)

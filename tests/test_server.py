@@ -6,7 +6,7 @@ import pytest
 
 from repro.crypto.keys import make_ds
 from repro.dns.flags import Flag
-from repro.dns.message import make_query
+from repro.dns.message import Message, make_query
 from repro.dns.name import Name
 from repro.dns.rcode import Rcode
 from repro.dns.rdata import A
@@ -161,6 +161,27 @@ class TestErrors:
 
     def test_garbage_datagram_ignored(self, server):
         assert server.handle_datagram(b"\x00\x01", "1.2.3.4") is None
+
+    @staticmethod
+    def _transfer_rcodes(server, zone):
+        """Rcodes of an AXFR question over UDP and TCP; never a transfer."""
+        query = make_query(zone, RdataType.AXFR, recursion_desired=False)
+        responses = [
+            Message.from_wire(
+                server.handle_datagram(query.to_wire(), "198.51.100.9", via_tcp=via_tcp)
+            )
+            for via_tcp in (False, True)
+        ]
+        assert not any(r.answer or r.has_flag(Flag.AA) for r in responses)
+        return [r.rcode for r in responses]
+
+    def test_axfr_refused_for_hosted_zone(self, server):
+        assert self._transfer_rcodes(server, ZONE) == [Rcode.REFUSED] * 2
+
+    def test_axfr_notauth_for_unknown_zone(self, server):
+        assert self._transfer_rcodes(server, "not-hosted-here") == [Rcode.NOTAUTH] * 2
+        # A name inside a hosted zone is not a zone this server can transfer.
+        assert self._transfer_rcodes(server, "www.example.com") == [Rcode.NOTAUTH] * 2
 
 
 class TestQueryLog:

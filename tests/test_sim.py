@@ -402,31 +402,28 @@ class TestMicroPerf:
 
 class TestConcurrentCampaignResume:
     def test_checkpoint_resume_issues_zero_queries(self, tmp_path):
-        from repro.scanner.campaign import CampaignCheckpoint
+        from repro.scanner.campaign import CampaignCheckpoint, run_units
+        from repro.scanner.pipeline import CampaignPlan, World
 
-        inet, domains = _small_internet()
-        upstream = inet.make_resolver(VENDOR_POLICIES["cloudflare"], name="ckpt")
-        jobs = [(d.name, 48) for d in domains[:12]]
+        world = World.build(
+            CampaignPlan(
+                role="scan", domains=12, tlds=6, resolvers=0, seed=11, concurrency=8
+            )
+        )
+        units = list(world.universe)
         path = tmp_path / "campaign.json"
+        first = CampaignCheckpoint(path)
+        assert run_units(world, units, first) == (0, len(units))
+        first.flush()
 
-        engine = ScanEngine(
-            inet.network, inet.allocator.next_v4(), upstream.ip, concurrency=8
-        )
-        first = engine.run_campaign(jobs, checkpoint=CampaignCheckpoint(str(path)))
-        assert len(first.answers) == len(jobs)
-
-        resumed_engine = ScanEngine(
-            inet.network, inet.allocator.next_v4(), upstream.ip, concurrency=8
-        )
-        datagrams_before = inet.network.stats.datagrams
-        second = resumed_engine.run_campaign(
-            jobs, checkpoint=CampaignCheckpoint(str(path))
-        )
-        assert inet.network.stats.datagrams == datagrams_before
-        assert second.resumed == len(jobs)
-        assert [a.rcode for a in second.answers] == [
-            a.rcode for a in first.answers
-        ]
+        network = world.inet.network
+        datagrams_before = network.stats.datagrams
+        resumed = CampaignCheckpoint(path)
+        assert run_units(world, units, resumed) == (len(units), 0)
+        assert network.stats.datagrams == datagrams_before
+        assert {key: resumed.get(key) for key in resumed.keys()} == {
+            key: first.get(key) for key in first.keys()
+        }
 
 
 class TestSharding:

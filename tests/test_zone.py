@@ -119,9 +119,6 @@ class TestLookup:
 
 
 class TestStructure:
-    def test_delegation_points(self, zone):
-        assert zone.delegation_points() == [Name.from_text("child.example.com")]
-
     def test_delegation_for(self, zone):
         assert zone.delegation_for("x.child.example.com") == Name.from_text(
             "child.example.com"
