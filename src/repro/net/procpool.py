@@ -11,7 +11,8 @@ machinery, which knows nothing about DNS:
 - the **heartbeat file protocol** — each worker atomically rewrites a
   small JSON file (wall-clock time, phase, units completed) from a
   daemon thread, so supervision needs no pipes that a SIGKILL could
-  leave half-read;
+  leave half-read. Heartbeats are ephemeral coordination state: a
+  :func:`repro.durable.replace` that is never fsynced;
 - :class:`Watchdog` — classifies a worker as making progress or stalled
   by watching ``(phase, units, built)`` transitions on the wall clock.
   Build phases complete no units but report a monotonically increasing
@@ -19,9 +20,6 @@ machinery, which knows nothing about DNS:
   exemption is granted only while that count advances, so a slow cold
   build survives and a build hung mid-zone is condemned;
 - :func:`backoff_delay` — bounded exponential restart backoff.
-
-Heartbeats are ephemeral coordination state, not durable records: they
-are written atomically (tmp + rename) but never fsynced.
 """
 
 from __future__ import annotations
@@ -31,7 +29,10 @@ import multiprocessing
 import os
 import threading
 import time
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import asdict, dataclass
+
+from repro import durable
 
 #: How often a worker's heartbeat thread rewrites its file.
 HEARTBEAT_INTERVAL_S = 0.2
@@ -59,20 +60,7 @@ class Heartbeat:
 def write_heartbeat(path, beat):
     """Atomically replace the heartbeat file (a reader never sees a torn
     write — it sees the previous beat)."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "t": beat.t,
-                "pid": beat.pid,
-                "attempt": beat.attempt,
-                "phase": beat.phase,
-                "units_done": beat.units_done,
-                "built": beat.built,
-            },
-            handle,
-        )
-    os.replace(tmp, path)
+    durable.replace(path, json.dumps(asdict(beat)).encode(), sync=None)
 
 
 def read_heartbeat(path):
@@ -100,7 +88,8 @@ class HeartbeatWriter:
     The thread proves liveness (the ``t`` field advances); *progress* is
     whatever the worker reports through :meth:`advance`. A SIGKILL takes
     the thread down with the process — exactly the silence the
-    supervisor's watchdog is listening for.
+    supervisor's watchdog is listening for, so a beat that fails on the
+    thread is dropped; one the worker writes itself raises.
     """
 
     def __init__(self, path, attempt, interval_s=HEARTBEAT_INTERVAL_S):
@@ -114,7 +103,7 @@ class HeartbeatWriter:
         self._thread = None
         # The beating thread and the worker's advance() calls share one
         # tmp path; without the lock two concurrent writes can race the
-        # rename (os.replace on a tmp file the other beat just renamed).
+        # rename (a tmp file the other beat just renamed).
         self._lock = threading.Lock()
 
     def _beat(self):
@@ -139,7 +128,8 @@ class HeartbeatWriter:
 
     def _run(self):
         while not self._stop.wait(self.interval_s):
-            self._beat()
+            with suppress(durable.CampaignError):
+                self._beat()
 
     def advance(self, units_done=None, phase=None):
         """Report progress; also beats immediately (phase changes and

@@ -7,26 +7,15 @@ a restarted campaign must not re-query what it already measured. A
 interrupted campaign resumes with **zero duplicate queries** — even when
 the interruption is a SIGKILL that lands mid-write.
 
-Durability model (two files):
-
-- ``path`` — the compacted JSON **snapshot**, written atomically: the
-  temp file is fsynced before ``os.replace`` and the containing
-  directory is fsynced after, so the rename is durably ordered and a
-  power cut can neither tear the snapshot nor make it vanish.
-- ``path + ".journal"`` — an append-only **CRC32-framed journal** of
-  records since the last snapshot. Each frame is
-  ``<u32 payload length><u32 crc32(payload)><payload JSON>``; appends
-  are flushed and fsynced. A torn or bit-flipped tail fails its length,
-  CRC, or JSON check and the journal is truncated back to the last good
-  frame on load — everything up to the damage is kept.
-
-The journal is *expected* to be damaged by crashes and self-heals; the
-snapshot is atomically replaced and therefore never partially written,
-so an unparseable, foreign, or future-versioned snapshot raises
-:class:`CampaignError` instead of being silently discarded (pass
+Two files, written through :mod:`repro.durable`: ``path``, the JSON
+**snapshot**, and ``path + ".journal"``, the frames appended since. The
+journal is *expected* to be damaged by crashes and self-heals (a torn
+tail is cut back to the last good frame on load); the snapshot is
+atomically replaced, so an unparseable, foreign, or future-versioned one
+raises :class:`CampaignError` instead of being silently discarded (pass
 ``discard=True`` — the CLI's ``--discard-checkpoint`` — to archive it
-and start fresh). Once the journal grows past ``compact_every`` frames
-it is folded back into the snapshot and truncated.
+and start fresh), and one that cannot be *read* is never archived. Past
+``compact_every`` frames the journal is folded into the snapshot.
 
 Checkpoint records are plain JSON dicts; whoever measures a unit defines
 its record codec (the ``study-units/1`` codecs live in
@@ -42,28 +31,15 @@ from __future__ import annotations
 
 import json
 import os
-import struct
-import zlib
 
-from repro import obs
+from repro import durable, obs
+from repro.durable import CampaignError
 
 CHECKPOINT_VERSION = 2
 
 #: First bytes of every journal file; a journal that does not start with
 #: this is treated as having no recoverable frames.
 JOURNAL_MAGIC = b"RPROJRN2"
-
-#: ``<u32 payload length><u32 crc32(payload)>`` preceding every frame.
-_FRAME_HEADER = struct.Struct("<II")
-
-#: Sanity bound on one frame; a corrupt length field almost never
-#: survives this *and* the CRC check.
-_MAX_FRAME = 1 << 24
-
-
-class CampaignError(Exception):
-    """A checkpoint that cannot be trusted (foreign, stale, or damaged
-    in a way the journal recovery is not allowed to paper over)."""
 
 
 #: Help texts of the ``repro_campaign_<event>_total{campaign=...}`` counters.
@@ -85,97 +61,14 @@ def count_campaign(event, campaign, n=1):
         ).labels(campaign=campaign).inc(n)
 
 
-def _fsync_directory(path):
-    """fsync the directory containing *path* (durable rename ordering)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return  # platforms without directory fds: nothing more we can do
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _atomic_write(path, text):
-    """Write *text* to *path* atomically and durably.
-
-    The temp file is fsynced **before** the rename (so the new content
-    is on disk when the name flips) and the directory **after** (so the
-    rename itself survives power loss) — without the second fsync the
-    checkpoint can vanish: the old name is gone but the new directory
-    entry was never persisted.
-    """
-    tmp_path = f"{path}.tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-    _fsync_directory(path)
-
-
-def frame_payload(payload):
-    """Frame one JSON-able *payload* for the journal (header + bytes)."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    return _FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
-
-
-def _journal_frames(blob):
-    """Walk a journal's good-frame prefix.
-
-    Yields ``(payload, end offset)`` per frame and stops at the first
-    torn or corrupt one: no magic, short header, oversize or short
-    payload, CRC mismatch, undecodable UTF-8 or JSON.
-    """
-    if not blob.startswith(JOURNAL_MAGIC):
-        return
-    offset = len(JOURNAL_MAGIC)
-    while offset + _FRAME_HEADER.size <= len(blob):
-        length, crc = _FRAME_HEADER.unpack_from(blob, offset)
-        start = offset + _FRAME_HEADER.size
-        if length > _MAX_FRAME or start + length > len(blob):
-            return
-        body = blob[start:start + length]
-        if zlib.crc32(body) != crc:
-            return
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except ValueError:
-            return
-        offset = start + length
-        yield payload, offset
-
-
-def read_journal_payloads(path):
-    """Parse a journal's good-frame prefix without touching the file.
-
-    Returns the decoded payload list, stopping (silently) at the first
-    torn or corrupt frame — the read-only counterpart of the recovery
-    performed on load, used by the supervisor's merge accounting and the
-    fuzz tests.
-    """
-    try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-    except FileNotFoundError:
-        return []
-    return [payload for payload, __ in _journal_frames(blob)]
-
-
 class CampaignCheckpoint:
-    """Keyed checkpoint: durable JSON snapshot + CRC32-framed journal.
+    """Keyed checkpoint: durable JSON snapshot + framed journal.
 
     ``flush_every`` bounds how much progress an interruption can lose:
     that many records are buffered before they are appended (and
     fsynced) to the journal. ``compact_every`` bounds journal growth:
     once that many frames accumulate they are folded into the snapshot.
-    A missing checkpoint starts the campaign from scratch; a *damaged
-    snapshot* or a version/schema mismatch raises :class:`CampaignError`
-    unless ``discard=True`` archives the files and starts fresh. A
-    damaged journal *tail* is expected (that is what being killed
-    mid-write produces) and is truncated back to the last good frame.
+    A missing checkpoint starts the campaign from scratch.
 
     *schema* names the record codec (e.g. ``"scan-answer/1"``); a
     snapshot recording a different schema is rejected rather than fed to
@@ -198,12 +91,15 @@ class CampaignCheckpoint:
     # -- load & recovery -----------------------------------------------------
 
     def _load(self, discard=False):
+        # Outside the discard guard: a snapshot that cannot be read now
+        # may be readable later, and archiving it would throw it away.
+        blob = durable.read(self.path)
         try:
-            self._load_snapshot()
+            self._adopt_snapshot(blob)
         except CampaignError:
             if not discard:
                 raise
-            self._archive_invalid()
+            durable.set_aside([self.path, self.journal_path], ".invalid")
             self._records = {}
             self._notes = {}
             return
@@ -211,34 +107,29 @@ class CampaignCheckpoint:
         if self._journal_frames >= self.compact_every:
             self.compact()
 
-    def _load_snapshot(self):
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
+    def _untrusted(self, why):
+        return CampaignError(
+            f"checkpoint {self.path} {why}; re-run with --discard-checkpoint "
+            "to archive it and start fresh"
+        )
+
+    def _adopt_snapshot(self, blob):
+        if blob is None:
             return
-        except (OSError, ValueError) as exc:
+        try:
+            payload = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:
             # The snapshot is written atomically, so a crash cannot tear
             # it: an unparseable file is foreign or damaged at rest.
-            raise CampaignError(
-                f"checkpoint {self.path} is not a campaign snapshot "
-                f"({exc}); re-run with --discard-checkpoint to archive it "
-                "and start fresh"
-            ) from None
+            raise self._untrusted(f"is not a campaign snapshot ({exc})") from None
         if not isinstance(payload, dict) or not isinstance(
             payload.get("records"), dict
         ):
-            raise CampaignError(
-                f"checkpoint {self.path} has no record map — not a "
-                "campaign snapshot; re-run with --discard-checkpoint to "
-                "archive it and start fresh"
-            )
+            raise self._untrusted("has no record map — not a campaign snapshot")
         version = payload.get("version")
         if version not in (1, CHECKPOINT_VERSION):
-            raise CampaignError(
-                f"checkpoint {self.path} has version {version!r} (this "
-                f"build reads {CHECKPOINT_VERSION}); re-run with "
-                "--discard-checkpoint to archive it and start fresh"
+            raise self._untrusted(
+                f"has version {version!r} (this build reads {CHECKPOINT_VERSION})"
             )
         stored_schema = payload.get("schema")
         if (
@@ -246,10 +137,9 @@ class CampaignCheckpoint:
             and stored_schema is not None
             and stored_schema != self.schema
         ):
-            raise CampaignError(
-                f"checkpoint {self.path} holds {stored_schema!r} records, "
-                f"this campaign expects {self.schema!r}; re-run with "
-                "--discard-checkpoint to archive it and start fresh"
+            raise self._untrusted(
+                f"holds {stored_schema!r} records, this campaign expects "
+                f"{self.schema!r}"
             )
         self._records = payload["records"]
         notes = payload.get("notes")
@@ -259,14 +149,6 @@ class CampaignCheckpoint:
                 if isinstance(keys, list)
             }
 
-    def _archive_invalid(self):
-        """Move a rejected snapshot (and its journal) aside, keeping the
-        evidence while freeing the path for a fresh campaign."""
-        for path in (self.path, self.journal_path):
-            if os.path.exists(path):
-                os.replace(path, f"{path}.invalid")
-        _fsync_directory(self.path)
-
     def _replay_journal(self):
         """Apply journal frames; truncate a torn/corrupt tail in place.
 
@@ -275,15 +157,13 @@ class CampaignCheckpoint:
         garbage length — lands after the last fully-fsynced frame, so
         recovery is: keep the prefix, cut the rest.
         """
-        try:
-            with open(self.journal_path, "rb") as handle:
-                blob = handle.read()
-        except FileNotFoundError:
+        blob = durable.read(self.journal_path)
+        if blob is None:
             return 0
         # A damaged header leaves no frame boundary to trust: cut to zero.
         good_end = len(JOURNAL_MAGIC) if blob.startswith(JOURNAL_MAGIC) else 0
         frames = 0
-        for payload, end in _journal_frames(blob):
+        for payload, end in durable.frames(blob, JOURNAL_MAGIC):
             try:
                 self._apply_frame(payload)
             except (TypeError, KeyError):
@@ -292,10 +172,7 @@ class CampaignCheckpoint:
             frames += 1
         if good_end < len(blob):
             dropped = len(blob) - good_end
-            with open(self.journal_path, "r+b") as handle:
-                handle.truncate(good_end)
-                handle.flush()
-                os.fsync(handle.fileno())
+            durable.truncate(self.journal_path, good_end)
             if obs.enabled:
                 obs.registry.counter(
                     "repro_checkpoint_recoveries_total",
@@ -329,7 +206,7 @@ class CampaignCheckpoint:
 
     def record(self, key, record):
         self._records[key] = record
-        self._pending.append(frame_payload({"k": key, "r": record}))
+        self._pending.append(durable.frame({"k": key, "r": record}))
         if len(self._pending) >= self.flush_every:
             self.flush()
 
@@ -344,7 +221,7 @@ class CampaignCheckpoint:
         if key in seen:
             return False
         seen.add(key)
-        self._pending.append(frame_payload({"n": tag, "k": key}))
+        self._pending.append(durable.frame({"n": tag, "k": key}))
         if len(self._pending) >= self.flush_every:
             self.flush()
         return True
@@ -363,16 +240,9 @@ class CampaignCheckpoint:
             ):
                 self.compact()  # materialise an empty-but-valid checkpoint
             return
-        fresh = not os.path.exists(self.journal_path)
-        with open(self.journal_path, "ab") as handle:
-            if fresh or os.path.getsize(self.journal_path) == 0:
-                handle.write(JOURNAL_MAGIC)
-            for frame in self._pending:
-                handle.write(frame)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if fresh:
-            _fsync_directory(self.journal_path)
+        durable.append(
+            self.journal_path, b"".join(self._pending), magic=JOURNAL_MAGIC
+        )
         self._journal_frames += len(self._pending)
         flushed = len(self._pending)
         self._pending = []
@@ -384,19 +254,15 @@ class CampaignCheckpoint:
             self.compact()
 
     def compact(self):
-        """Fold the journal into the snapshot and truncate it."""
+        """Fold the journal into the snapshot and reset it."""
         payload = {
             "version": CHECKPOINT_VERSION,
             "schema": self.schema,
             "records": self._records,
             "notes": {tag: sorted(keys) for tag, keys in self._notes.items()},
         }
-        _atomic_write(self.path, json.dumps(payload))
-        with open(self.journal_path, "wb") as handle:
-            handle.write(JOURNAL_MAGIC)
-            handle.flush()
-            os.fsync(handle.fileno())
-        _fsync_directory(self.journal_path)
+        durable.replace(self.path, json.dumps(payload).encode("utf-8"))
+        durable.replace(self.journal_path, JOURNAL_MAGIC)
         self._pending = []
         self._journal_frames = 0
         if obs.events:

@@ -19,9 +19,9 @@ Pieces:
   :class:`~repro.scanner.pipeline.UnitUniverse` lazily.
 - :func:`worker_main` — the spawn entry point, a shell around the
   pipeline: heartbeat, the per-shard
-  :class:`~repro.scanner.campaign.CampaignCheckpoint` (the durable
-  CRC32-framed journal) as the sink, operator-signal handling, and a
-  done-file (stats + metrics snapshot) on completion. A seeded
+  :class:`~repro.scanner.campaign.CampaignCheckpoint` as the sink,
+  operator-signal handling, and a done-file (stats + metrics snapshot)
+  on completion. A seeded
   :class:`~repro.net.faults.ProcessKill` directive makes it SIGKILL or
   hang itself mid-campaign — tearing its own journal tail on the way
   out, so restarts exercise the real recovery path.
@@ -32,7 +32,9 @@ Pieces:
   past the restart budget, and the deterministic merge: reports from
   shard checkpoints in global unit order, metrics via
   ``MetricsRegistry.merge``/``from_json``, plus explicit coverage
-  accounting when quarantine degraded the run.
+  accounting when quarantine degraded the run. A shard that fails with
+  a :class:`~repro.scanner.campaign.CampaignError` is not restarted;
+  the fleet raises it once the other shards are through.
 
 Byte-identity is guaranteed for clean-network runs (``kill:`` faults
 included — they never touch a datagram). Network-weather chaos is
@@ -51,19 +53,14 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
-from repro import obs
+from repro import durable, obs
 from repro.net.procpool import (
     HeartbeatWriter,
     Watchdog,
     WorkerHandle,
     backoff_delay,
 )
-from repro.scanner.campaign import (
-    CampaignCheckpoint,
-    CampaignError,
-    _atomic_write,
-    run_units,
-)
+from repro.scanner.campaign import CampaignCheckpoint, CampaignError, run_units
 # deployment_counts is not used here: the benchmark ledger imports it
 # from this module.
 from repro.scanner.pipeline import (
@@ -118,6 +115,15 @@ def _done_path(state_dir, shard):
 
 def _error_path(state_dir, shard):
     return os.path.join(state_dir, f"shard-{shard}.err")
+
+
+def _error_tail(state_dir, shard):
+    """The last line of a shard's error file, or ''."""
+    try:
+        with open(_error_path(state_dir, shard), encoding="utf-8") as handle:
+            return handle.read().strip().splitlines()[-1]
+    except (OSError, IndexError):
+        return ""
 
 
 # -- the worker --------------------------------------------------------------
@@ -193,16 +199,14 @@ class _KillSwitch:
             while True:  # heartbeats continue; progress does not
                 time.sleep(3600)
         self.checkpoint.flush()
-        with open(self.checkpoint.journal_path, "ab") as handle:
-            handle.write(b"\x2a\x00\x00")  # torn frame header
-            handle.flush()
-            os.fsync(handle.fileno())
+        durable.append(self.checkpoint.journal_path, b"\x2a\x00\x00")  # torn header
         os.kill(os.getpid(), signal.SIGKILL)
 
 
 def worker_main(spec):
-    """Spawn entry point for one shard attempt. Never raises: campaign
-    errors land in the shard's ``.err`` file and a nonzero exit."""
+    """Spawn entry point for one shard attempt. Never raises: a
+    :class:`CampaignError` leaves its one line in the shard's ``.err``
+    file and exits 2, any other failure its traceback and exits 3."""
     try:
         _worker_run(spec)
     except OperatorShutdown as stop:
@@ -210,13 +214,14 @@ def worker_main(spec):
         # heartbeat written before the raise; no .err file, and the
         # conventional 128+signum exit code.
         os._exit(128 + stop.signum)
-    except BaseException:
+    except BaseException as exc:
+        campaign = isinstance(exc, CampaignError)
         try:
             with open(spec["error_path"], "w", encoding="utf-8") as handle:
-                handle.write(traceback.format_exc())
+                handle.write(f"{exc}\n" if campaign else traceback.format_exc())
         except OSError:
             pass
-        os._exit(3)
+        os._exit(2 if campaign else 3)
 
 
 def _worker_run(spec):
@@ -294,7 +299,7 @@ def _worker_run(spec):
     }
     # The done-file's existence is what marks the shard done: it must
     # never be seen half-written, nor vanish after a power cut.
-    _atomic_write(spec["done_path"], json.dumps(report))
+    durable.replace(spec["done_path"], json.dumps(report).encode("utf-8"))
     heartbeat.advance(phase="done")
     heartbeat.stop()
     signing.zone_signed_listener = None
@@ -351,7 +356,8 @@ class _ShardState:
         self.shard = shard
         self.units_assigned = units_assigned
         self.attempt = 0
-        self.status = "pending"      # pending | running | done | lame | stopped
+        self.status = "pending"  # pending | running | done | lame | stopped | failed
+        self.error = ""
         self.handle = None
         self.next_start_t = 0.0
         self.watchdog = None
@@ -447,15 +453,7 @@ def run_supervised(plan):
                 "repro_supervisor_lame_shards_total",
                 "Shards quarantined after exhausting their restart budget.",
             )
-            error_tail = ""
-            try:
-                with open(
-                    _error_path(plan.state_dir, state.shard),
-                    encoding="utf-8",
-                ) as handle:
-                    error_tail = handle.read().strip().splitlines()[-1]
-            except (OSError, IndexError):
-                pass
+            error_tail = _error_tail(plan.state_dir, state.shard)
             _log(
                 f"shard {state.shard} quarantined after "
                 f"{state.attempt + 1} attempts ({reason})"
@@ -508,6 +506,12 @@ def run_supervised(plan):
                         f"shard {state.shard} done "
                         f"(attempt {state.attempt}, exit {exitcode})"
                     )
+                elif exitcode == 2:
+                    # A CampaignError: a restart cannot empty a disk or
+                    # make a foreign checkpoint valid.
+                    state.status = "failed"
+                    state.error = _error_tail(plan.state_dir, state.shard)
+                    _log(f"shard {state.shard} failed, not restarting: {state.error}")
                 else:
                     beat = handle.heartbeat()
                     if (
@@ -556,6 +560,11 @@ def run_supervised(plan):
             last_progress_line = (progress, now)
         time.sleep(plan.poll_interval_s)
 
+    failed = [s for s in shards if s.status == "failed"]
+    if failed:
+        shard_list = [s.shard for s in failed]
+        _log(f"fleet failed: restarts={restarts}, failed shards {shard_list}")
+        raise CampaignError(failed[0].error or f"shard {failed[0].shard} failed")
     outcome = merge_shards(plan, units, domain_specs, shards)
     outcome.restarts = restarts
     outcome.heartbeat_timeouts = heartbeat_timeouts

@@ -12,14 +12,11 @@ cache schema version.  The first process to need a zone signs it and
 stores the entry; every other process (and every post-crash restart)
 loads the bytes instead of redoing the bignum work.
 
-Integrity and concurrency reuse the PR 7 journal discipline:
-
-* entries are CRC32-framed (magic | length | crc | payload) and written
-  via a pid-suffixed temp file + ``os.replace`` so a torn write is
-  detected and rebuilt, never trusted;
-* racing processes serialise on a per-entry ``fcntl.flock`` file so the
-  loser waits for the winner's store and then loads it, instead of
-  duplicating the signing work.
+An entry is one :mod:`repro.durable` frame behind :data:`ENTRY_MAGIC`;
+a damaged one reads as ``corrupt`` and is rebuilt, never trusted, and a
+write that fails counts ``error`` and the run carries on uncached.
+Racing processes serialise on a per-entry ``fcntl.flock`` file, so the
+loser waits for the winner's store and then loads it.
 
 The cache is *observably transparent*: loads must charge the
 :class:`~repro.dnssec.costmodel.CostMeter` exactly as the cold chain
@@ -31,13 +28,10 @@ missed, or was never activated (a run without ``--state-dir``).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import struct
-import zlib
 from contextlib import contextmanager
 
-from repro import obs
+from repro import durable, obs
 from repro.obs.metrics import ChildCache
 
 try:  # pragma: no cover - absent on non-POSIX platforms
@@ -51,11 +45,10 @@ except ImportError:  # pragma: no cover
 #: key pool's ``size|algorithm|rsa_bits|seed`` names different keys.
 SCHEMA_VERSION = 2
 
-#: Frame header: magic, payload length, CRC32 of the payload.
+#: First bytes of every entry file, ahead of its one frame.
 ENTRY_MAGIC = b"RPROBC1\n"
-_FRAME_HEAD = struct.Struct("<II")
 
-_EVENTS = ("hit", "miss", "load", "store", "corrupt", "wait")
+_EVENTS = ("hit", "miss", "load", "store", "corrupt", "wait", "error")
 
 _event_counter = ChildCache()
 
@@ -87,10 +80,13 @@ class ZoneBuildCache:
 
     def __init__(self, directory):
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
         #: Per-process event counts (also exported as
         #: ``repro_build_cache_events_total`` when metrics are enabled).
         self.events = {}
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError:
+            self.count("error")  # every store will fail and count too
 
     # -- accounting ---------------------------------------------------
 
@@ -121,29 +117,22 @@ class ZoneBuildCache:
     def load(self, kind, fp):
         """The decoded payload for *fp*, or ``None`` on miss/corruption.
 
-        A torn or bit-flipped entry (bad magic, short frame, CRC
-        mismatch, undecodable JSON) counts as ``corrupt``, is unlinked
-        best-effort, and reads as a miss — the caller rebuilds and
-        rewrites it.
+        Anything but exactly one good frame under :data:`ENTRY_MAGIC`
+        counts as ``corrupt``, is unlinked best-effort, and reads as a
+        miss — the caller rebuilds and rewrites it.
         """
         path = self._path(kind, fp)
         try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
+            blob = durable.read(path)
+        except durable.CampaignError:
+            self.count("error")
             return None
-        head = len(ENTRY_MAGIC) + _FRAME_HEAD.size
-        if len(blob) >= head and blob[: len(ENTRY_MAGIC)] == ENTRY_MAGIC:
-            length, crc = _FRAME_HEAD.unpack_from(blob, len(ENTRY_MAGIC))
-            payload = blob[head : head + length]
-            if len(payload) == length and zlib.crc32(payload) == crc:
-                try:
-                    doc = json.loads(payload.decode("utf-8"))
-                except ValueError:
-                    doc = None
-                if doc is not None:
-                    self.count("load")
-                    return doc
+        if blob is None:
+            return None
+        walked = list(durable.frames(blob, ENTRY_MAGIC))
+        if len(walked) == 1 and walked[0][1] == len(blob):
+            self.count("load")
+            return walked[0][0]
         self.count("corrupt")
         try:
             os.unlink(path)
@@ -152,17 +141,14 @@ class ZoneBuildCache:
         return None
 
     def store(self, kind, fp, payload):
-        """Atomically persist *payload* (a JSON-serialisable dict)."""
-        path = self._path(kind, fp)
-        body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
-        blob = ENTRY_MAGIC + _FRAME_HEAD.pack(len(body), zlib.crc32(body)) + body
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        self.count("store")
+        """Atomically persist *payload* (a JSON-serialisable dict); a
+        failed write counts as ``error`` and leaves the entry missing."""
+        blob = ENTRY_MAGIC + durable.frame(payload, sort_keys=True)
+        try:
+            durable.replace(self._path(kind, fp), blob, sync="file")
+            self.count("store")
+        except durable.CampaignError:
+            self.count("error")
 
     # -- cross-process coordination -----------------------------------
 
@@ -178,7 +164,12 @@ class ZoneBuildCache:
             yield
             return
         path = os.path.join(self.directory, f"{kind}-{fp}.lock")
-        handle = open(path, "wb")
+        try:
+            handle = open(path, "wb")
+        except OSError:
+            self.count("error")  # unwritable cache: sign without the lock
+            yield
+            return
         try:
             try:
                 fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)

@@ -4,7 +4,9 @@ The cache must be observably transparent: a load mutates the zone and
 charges the cost model exactly like the cold sign it replaces, and any
 change to the inputs (zone content, signing policy, key material, cache
 schema) must change the fingerprint so stale artifacts are unreachable.
-Corruption is detected by the CRC frame and rebuilt, never trusted.
+A cache that cannot be written counts ``error`` and signs uncached.
+Damaged entries are fuzzed at every byte offset, beside the journal, in
+``tests/test_campaign.py::TestJournalFuzz``.
 """
 
 import multiprocessing
@@ -165,49 +167,27 @@ class TestInvalidation:
         assert "hit" not in cache.events
 
 
-class TestCorruption:
-    def _entry_paths(self, cache):
-        import os
-
-        return [
-            os.path.join(cache.directory, name)
-            for name in sorted(os.listdir(cache.directory))
-            if name.endswith(".entry")
-        ]
-
-    def test_bit_flip_is_detected_and_rebuilt(self, cache):
-        ksk, zsk = _keys()
-        cold = _build_zone()
-        sign_zone(cold, _policy(), ksk=ksk, zsk=zsk)
-        (path,) = self._entry_paths(cache)
-        blob = bytearray(open(path, "rb").read())
-        blob[-1] ^= 0x40  # flip a bit inside the JSON payload
-        with open(path, "wb") as handle:
-            handle.write(bytes(blob))
-
-        rebuilt = _build_zone()
-        sign_zone(rebuilt, _policy(), ksk=ksk, zsk=zsk)
-        assert cache.events["corrupt"] == 1
-        assert cache.events["miss"] == 2  # rebuilt, not trusted
-        assert _dnssec_dump(rebuilt) == _dnssec_dump(cold)
-        # The rewrite is valid again: a third signer hits.
-        third = _build_zone()
-        sign_zone(third, _policy(), ksk=ksk, zsk=zsk)
-        assert cache.events["hit"] == 1
-        assert _dnssec_dump(third) == _dnssec_dump(cold)
-
-    def test_truncated_and_foreign_entries_read_as_corrupt(self, cache):
-        ksk, zsk = _keys()
-        sign_zone(_build_zone(), _policy(), ksk=ksk, zsk=zsk)
-        (path,) = self._entry_paths(cache)
-        for garbage in (b"", b"not an entry", build_cache.ENTRY_MAGIC + b"\x01"):
-            with open(path, "wb") as handle:
-                handle.write(garbage)
+class TestUnwritableCache:
+    def test_failed_activation_and_stores_count_errors_and_sign_uncached(
+        self, tmp_path
+    ):
+        # The state dir is a file: no directory, no lock, no entry can be
+        # made. Every failure is counted; the signed zone is the same.
+        (tmp_path / "state").write_text("not a directory")
+        cache = build_cache.activate(str(tmp_path / "state" / "build-cache"))
+        try:
+            ksk, zsk = _keys()
             zone = _build_zone()
             sign_zone(zone, _policy(), ksk=ksk, zsk=zsk)
-            assert zone.signed
-        assert cache.events["corrupt"] == 3
-        assert "hit" not in cache.events
+        finally:
+            build_cache.deactivate()
+        plain = _build_zone()
+        sign_zone(plain, _policy(), ksk=ksk, zsk=zsk)
+        # activation, the load before and after the lock, the lock file,
+        # the store
+        assert cache.events == {"error": 5, "miss": 1}
+        assert cache.summary() == "miss:1,error:5"
+        assert _dnssec_dump(zone) == _dnssec_dump(plain)
 
 
 class TestKeyPool:

@@ -1,19 +1,23 @@
 """Tests for resumable campaigns and chaos-run convergence.
 
-Covers the durable checkpoint protocol (CRC32-framed journal with
+Covers the durable checkpoint protocol (framed journal with
 truncate-to-last-good-frame recovery, atomic fsynced snapshots, strict
 version/schema validation with the ``--discard-checkpoint`` escape
-hatch), journal fuzzing at every byte offset, ``run_units``'
-requeue/recover path, the zero-duplicate-queries resume guarantee, and
-the headline acceptance scenario: a survey run under burst loss, a
-flapping resolver, and a garbage-emitting authoritative classifies
-every resolver exactly as a clean run does.
+hatch), fuzzing of both durable framings — the journal and a build-cache
+entry — at every byte offset, ``run_units``' requeue/recover path, the
+zero-duplicate-queries resume guarantee, and the headline acceptance
+scenario: a survey run under burst loss, a flapping resolver, and a
+garbage-emitting authoritative classifies every resolver exactly as a
+clean run does.
 """
 
 import json
+import struct
+import zlib
 
 import pytest
 
+from repro import durable
 from repro.dns.message import Message, make_response
 from repro.dns.rcode import Rcode
 from repro.dns.types import RdataType
@@ -23,7 +27,6 @@ from repro.scanner.campaign import (
     JOURNAL_MAGIC,
     CampaignCheckpoint,
     CampaignError,
-    read_journal_payloads,
     run_units,
 )
 from repro.scanner.engine import ScanEngine
@@ -41,6 +44,7 @@ from repro.testbed.population import (
 )
 from repro.testbed.resolvers import deploy_resolvers
 from repro.testbed.rfc9276_wild import build_probe_zones
+from repro.zone.build_cache import ENTRY_MAGIC, ZoneBuildCache
 
 
 class Answering(Host):
@@ -80,6 +84,10 @@ class QueryCampaign:
         return {"ip": unit, "rcode": int(answer.rcode)}, answer.answered
 
 
+def _journal_payloads(path):
+    return [payload for payload, __ in durable.frames(path.read_bytes(), JOURNAL_MAGIC)]
+
+
 def _run(engine, units, checkpoint, **campaign_options):
     """One process's pass over *units* — run, then flush, as a fleet
     worker does; returns ``(resumed, executed)``."""
@@ -108,7 +116,7 @@ class TestCheckpoint:
         assert not journal.exists()  # below the flush threshold
         checkpoint.record("b/1", {})
         assert journal.exists()
-        assert len(read_journal_payloads(journal)) == 2
+        assert len(_journal_payloads(journal)) == 2
         assert len(CampaignCheckpoint(path)) == 2
 
     def test_compact_folds_journal_into_snapshot(self, tmp_path):
@@ -131,7 +139,7 @@ class TestCheckpoint:
         checkpoint = CampaignCheckpoint(path, flush_every=1, compact_every=4)
         for index in range(10):
             checkpoint.record(f"k{index}/1", {})
-        assert len(read_journal_payloads(tmp_path / "ck.json.journal")) < 4
+        assert len(_journal_payloads(tmp_path / "ck.json.journal")) < 4
         assert len(CampaignCheckpoint(path)) == 10
 
     def test_corrupt_snapshot_raises_campaign_error(self, tmp_path):
@@ -176,13 +184,26 @@ class TestCheckpoint:
         checkpoint.flush()
         assert CampaignCheckpoint(path).done("a/1")
 
+    def test_unreadable_snapshot_is_never_archived(self, tmp_path):
+        # A read error (here EISDIR; EIO and EACCES alike) says nothing
+        # about the snapshot: name the errno, keep the file, and do not
+        # advise --discard-checkpoint — not even under discard=True.
+        path = tmp_path / "ck.json"
+        path.mkdir()
+        for discard in (False, True):
+            with pytest.raises(CampaignError) as info:
+                CampaignCheckpoint(path, discard=discard)
+            assert "EISDIR" in str(info.value) and str(path) in str(info.value)
+            assert "discard-checkpoint" not in str(info.value)
+        assert path.is_dir() and not (tmp_path / "ck.json.invalid").exists()
+
     def test_atomic_replace_leaves_no_tmp(self, tmp_path):
         path = tmp_path / "ck.json"
         checkpoint = CampaignCheckpoint(path)
         checkpoint.record("a/1", {})
         checkpoint.flush()
         checkpoint.compact()
-        assert not (tmp_path / "ck.json.tmp").exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_notes_are_idempotent_across_reloads(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -205,15 +226,13 @@ def _journal_with_frames(tmp_path, n_frames, flush_every=1):
     return path, tmp_path / "ck.json.journal"
 
 
-def _good_prefix_keys(blob):
-    """The record keys recoverable from a damaged journal blob."""
-    import struct
-    import zlib
-
-    keys = []
-    if not blob.startswith(JOURNAL_MAGIC):
-        return keys
-    offset = len(JOURNAL_MAGIC)
+def _good_prefix(blob, magic):
+    """The payloads of *blob*'s good-frame prefix and where it ends: an
+    independent reference for :func:`repro.durable.frames`."""
+    payloads = []
+    if not blob.startswith(magic):
+        return payloads, 0
+    offset = len(magic)
     header = struct.Struct("<II")
     while offset + header.size <= len(blob):
         length, crc = header.unpack_from(blob, offset)
@@ -224,61 +243,114 @@ def _good_prefix_keys(blob):
         if zlib.crc32(body) != crc:
             break
         try:
-            payload = json.loads(body.decode("utf-8"))
+            payloads.append(json.loads(body.decode("utf-8")))
         except (ValueError, UnicodeDecodeError):
             break
-        keys.append(payload["k"])
         offset = start + length
-    return keys
+    return payloads, offset
+
+
+def _good_prefix_keys(blob):
+    """The record keys recoverable from a damaged journal blob."""
+    return [payload["k"] for payload in _good_prefix(blob, JOURNAL_MAGIC)[0]]
+
+
+class _Journal:
+    """The journal framing: N frames, read back through a checkpoint."""
+
+    N_FRAMES = 6
+    magic = JOURNAL_MAGIC
+
+    def __init__(self, tmp_path):
+        __, journal_path = _journal_with_frames(tmp_path, self.N_FRAMES)
+        self.blob = journal_path.read_bytes()
+
+    def check(self, damaged, sub, what):
+        (sub / "ck.json.journal").write_bytes(damaged)
+        expected = sorted(_good_prefix_keys(damaged))
+        got = sorted(CampaignCheckpoint(sub / "ck.json").keys())
+        assert got == expected, f"journal: {what}"
+        # Recovery truncated the file back to the good prefix, so a
+        # second load sees a clean journal.
+        assert sorted(CampaignCheckpoint(sub / "ck.json").keys()) == expected
+        return len(got)
+
+
+class _Entry:
+    """The build-cache framing: one frame under ENTRY_MAGIC, read back
+    through the cache. Damage anywhere reads as corrupt and is unlinked
+    (so the caller rebuilds), never as a different payload."""
+
+    magic = ENTRY_MAGIC
+    PAYLOAD = {"rrsigs": [["a.example.", 46, "0a" * 24]], "nsec3": ["b" * 32]}
+
+    def __init__(self, tmp_path):
+        cache = ZoneBuildCache(str(tmp_path / "build-cache"))
+        cache.store("zone", "f" * 64, self.PAYLOAD)
+        self.blob = (tmp_path / "build-cache" / f"zone-{'f' * 64}.entry").read_bytes()
+
+    def check(self, damaged, sub, what):
+        cache = ZoneBuildCache(str(sub))
+        entry = sub / f"zone-{'f' * 64}.entry"
+        entry.write_bytes(damaged)
+        payloads, end = _good_prefix(damaged, ENTRY_MAGIC)
+        intact = len(payloads) == 1 and end == len(damaged)
+        assert intact == (damaged == self.blob), f"entry: reference walker at {what}"
+        got = cache.load("zone", "f" * 64)
+        if intact:
+            assert got == self.PAYLOAD and cache.events == {"load": 1}, what
+        else:
+            assert got is None, f"entry: {what} read as {got!r}"
+            assert cache.events == {"corrupt": 1}, f"entry: {what}"
+            assert not entry.exists(), f"entry: {what} was not unlinked"
+        return int(intact)
 
 
 class TestJournalFuzz:
-    """Satellite: seeded fuzzing of the journal at every byte offset.
+    """Satellite: seeded fuzzing of both durable framings at every byte
+    offset — the checkpoint journal (N frames) and a build-cache entry
+    (one frame).
 
     Every truncation point and every single-bit flip must recover to
     exactly the last good frame prefix — never crash, never resurrect
     damaged data, never lose an intact earlier frame.
     """
 
-    N_FRAMES = 6
+    N_FRAMES = _Journal.N_FRAMES
+    FRAMINGS = (_Journal, _Entry)
 
     def test_truncation_at_every_byte_offset(self, tmp_path):
-        path, journal_path = _journal_with_frames(tmp_path, self.N_FRAMES)
-        blob = journal_path.read_bytes()
-        for cut in range(len(blob) + 1):
-            sub = tmp_path / f"cut{cut}"
-            sub.mkdir()
-            target = sub / "ck.json"
-            (sub / "ck.json.journal").write_bytes(blob[:cut])
-            expected = _good_prefix_keys(blob[:cut])
-            checkpoint = CampaignCheckpoint(target)
-            assert sorted(checkpoint.keys()) == sorted(expected), (
-                f"truncation at byte {cut}"
-            )
-            # Recovery truncated the file back to the good prefix, so a
-            # second load sees a clean journal.
-            assert sorted(CampaignCheckpoint(target).keys()) == sorted(expected)
+        for framing in self.FRAMINGS:
+            root = tmp_path / framing.__name__
+            root.mkdir()
+            subject = framing(root)
+            blob = subject.blob
+            for cut in range(len(blob) + 1):
+                sub = root / f"cut{cut}"
+                sub.mkdir()
+                subject.check(blob[:cut], sub, f"truncation at byte {cut}")
 
     def test_bitflip_at_every_byte_offset(self, tmp_path):
-        path, journal_path = _journal_with_frames(tmp_path, self.N_FRAMES)
-        blob = journal_path.read_bytes()
-        for offset in range(len(blob)):
-            flipped = bytearray(blob)
-            flipped[offset] ^= 0x40
-            sub = tmp_path / f"flip{offset}"
-            sub.mkdir()
-            target = sub / "ck.json"
-            (sub / "ck.json.journal").write_bytes(bytes(flipped))
-            expected = _good_prefix_keys(bytes(flipped))
-            checkpoint = CampaignCheckpoint(target)
-            got = sorted(checkpoint.keys())
-            assert got == sorted(expected), f"bit flip at byte {offset}"
-            # A flip inside the magic drops everything; a flip in frame
-            # i's bytes keeps frames < i (CRC catches the damage).
-            if offset >= len(JOURNAL_MAGIC):
-                frame_span = (len(blob) - len(JOURNAL_MAGIC)) // self.N_FRAMES
-                damaged_frame = (offset - len(JOURNAL_MAGIC)) // frame_span
-                assert len(got) >= min(damaged_frame, self.N_FRAMES)
+        for framing in self.FRAMINGS:
+            root = tmp_path / framing.__name__
+            root.mkdir()
+            subject = framing(root)
+            blob = subject.blob
+            for offset in range(len(blob)):
+                flipped = bytearray(blob)
+                flipped[offset] ^= 0x40
+                sub = root / f"flip{offset}"
+                sub.mkdir()
+                kept = subject.check(bytes(flipped), sub, f"bit flip at byte {offset}")
+                # A flip inside the magic drops everything; a flip in
+                # journal frame i's bytes keeps frames < i (CRC catches
+                # the damage); a damaged entry keeps nothing.
+                if framing is _Journal and offset >= len(JOURNAL_MAGIC):
+                    frame_span = (len(blob) - len(JOURNAL_MAGIC)) // self.N_FRAMES
+                    damaged_frame = (offset - len(JOURNAL_MAGIC)) // frame_span
+                    assert kept >= min(damaged_frame, self.N_FRAMES)
+                elif framing is _Entry:
+                    assert kept == 0
 
     def test_torn_tail_recovery_then_zero_duplicate_resume(self, tmp_path):
         """The acceptance path: damage the tail, reload, resume — the

@@ -205,7 +205,7 @@ class TestProcpool:
         )
         write_heartbeat(path, beat)
         assert read_heartbeat(path) == beat
-        assert not (tmp_path / "w.hb.tmp").exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_read_heartbeat_defaults_missing_built(self, tmp_path):
         # Beats written by an older worker carry no built counter.
@@ -400,9 +400,9 @@ class TestMergePartialCoverage:
         assert not Coverage(units_total=4, lame_shards=[1]).complete
 
 
-def _run_cli(argv, **kw):
+def _run_cli(argv, pythonpath=(), **kw):
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join([*map(str, pythonpath), str(REPO_ROOT / "src")])
     return subprocess.run(
         [sys.executable, "-m", "repro", *argv],
         capture_output=True,
@@ -452,20 +452,50 @@ def single_process_study(single_process_run):
     return single_process_run[0]
 
 
+def _forget_shards(state_dir):
+    """What a finished fleet leaves besides its build cache: remove it,
+    as the ledger's ``fleet-warm`` does between passes."""
+    for path in Path(state_dir).glob("shard-*"):
+        path.unlink()
+
+
+def _build_cache_events(state_dir, workers=2):
+    """The shards' done-file ``build_cache`` counts, summed; every shard
+    must also have ticked build progress."""
+    total = {}
+    for shard in range(workers):
+        report = json.loads(
+            (Path(state_dir) / f"shard-{shard}.done.json").read_text()
+        )
+        assert report["built"] > 0, report
+        for event, count in (report["build_cache"] or {}).items():
+            total[event] = total.get(event, 0) + count
+    return total
+
+
+def _assert_warm_rerun(argv, state_dir, single_process_study):
+    """Rerun *argv* over the finished fleet's build cache: the same
+    report, from loads alone."""
+    _forget_shards(state_dir)
+    proc = _run_cli(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == single_process_study
+    warm = _build_cache_events(state_dir)
+    assert warm.get("hit", 0) > 0 and warm.get("miss", 0) == 0, warm
+
+
 @pytest.mark.slow
 class TestSupervisedAcceptance:
     def test_clean_fleet_matches_single_process_bytes(
         self, tmp_path, single_process_run
     ):
         metrics_path = tmp_path / "metrics.json"
-        proc = _run_cli(
-            SMALL_STUDY
-            + [
-                "--workers", "2",
-                "--state-dir", str(tmp_path / "state"),
-                "--metrics-out", str(metrics_path),
-            ]
-        )
+        argv = SMALL_STUDY + [
+            "--workers", "2",
+            "--state-dir", str(tmp_path / "state"),
+            "--metrics-out", str(metrics_path),
+        ]
+        proc = _run_cli(argv)
         assert proc.returncode == 0, proc.stderr
         stdout, counters = single_process_run
         assert proc.stdout == stdout
@@ -474,20 +504,22 @@ class TestSupervisedAcceptance:
         # counters are the single-process run's, survey included.
         assert ("repro_campaign_completed_total", "survey") in counters
         assert _campaign_counters(metrics_path) == counters
+        # The cold pass filled the build cache (the single-process run
+        # had none); a warm pass prints the same bytes from it.
+        assert _build_cache_events(tmp_path / "state").get("store", 0) > 0
+        _assert_warm_rerun(argv, tmp_path / "state", stdout)
 
     def test_killed_fleet_restarts_resumes_and_matches_bytes(
         self, tmp_path, single_process_study
     ):
         metrics_path = tmp_path / "metrics.json"
-        proc = _run_cli(
-            SMALL_STUDY
-            + [
-                "--workers", "2",
-                "--state-dir", str(tmp_path / "state"),
-                "--faults", "kill:1.0:1",
-                "--metrics-out", str(metrics_path),
-            ]
-        )
+        argv = SMALL_STUDY + [
+            "--workers", "2",
+            "--state-dir", str(tmp_path / "state"),
+            "--faults", "kill:1.0:1",
+            "--metrics-out", str(metrics_path),
+        ]
+        proc = _run_cli(argv)
         assert proc.returncode == 0, proc.stderr
         # Both shards were SIGKILLed once and restarted, yet the report
         # is byte-identical to the clean single-process run.
@@ -508,6 +540,13 @@ class TestSupervisedAcceptance:
             assert report["resumed"] + report["executed"] == report["units"]
             resumed_total += report["resumed"]
         assert resumed_total > 0
+        # A done-file counts its shard's last attempt only: the restart
+        # loaded what the killed attempt had signed and stored.
+        assert list((tmp_path / "state" / "build-cache").glob("*.entry"))
+        assert _build_cache_events(tmp_path / "state").get("hit", 0) > 0
+        # Killed again at the same units, restarted, and every attempt
+        # loads what the cold fleet signed.
+        _assert_warm_rerun(argv, tmp_path / "state", single_process_study)
 
     def test_hung_worker_is_killed_by_watchdog(
         self, tmp_path, single_process_study
@@ -524,6 +563,36 @@ class TestSupervisedAcceptance:
         assert proc.returncode == 0, proc.stderr
         assert "heartbeat stalled" in proc.stderr
         assert proc.stdout == single_process_study
+
+    def test_foreign_checkpoint_fails_the_fleet_in_one_line(self, tmp_path):
+        # A restart cannot make a foreign checkpoint valid: shard 0 fails
+        # once, shard 1 finishes, and the CLI exits 2 without a report.
+        (tmp_path / "shard-0.ckpt").write_text("not json")
+        proc = _run_cli(
+            SMALL_STUDY + ["--workers", "2", "--state-dir", str(tmp_path)]
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        (line,) = [
+            line for line in proc.stderr.splitlines() if line.startswith("repro:")
+        ]
+        assert "shard-0.ckpt" in line and "--discard-checkpoint" in line
+        assert "restarts=0" in proc.stderr
+        assert (tmp_path / "shard-1.done.json").exists()  # shard 1 finished
+
+    def test_discard_checkpoint_archives_the_foreign_one(
+        self, tmp_path, single_process_study
+    ):
+        (tmp_path / "shard-0.ckpt").write_text("not json")
+        proc = _run_cli(
+            SMALL_STUDY
+            + ["--workers", "2", "--state-dir", str(tmp_path),
+               "--discard-checkpoint"]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == single_process_study
+        assert (tmp_path / "shard-0.ckpt.invalid").read_text() == "not json"
 
     def test_lame_shards_yield_partial_coverage(self, tmp_path):
         # No restart budget + guaranteed kills: both shards go lame, the
