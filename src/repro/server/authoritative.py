@@ -12,6 +12,7 @@ from repro import obs
 from repro.dns.flags import Flag
 from repro.dns.message import Message, make_response
 from repro.dns.name import Name
+from repro.dns.packed import MAX_CACHEABLE_QUERY, PackedAnswerCache
 from repro.dns.rcode import Rcode
 from repro.dns.rrset import RRset
 from repro.dns.types import Opcode, RdataType
@@ -25,32 +26,8 @@ from repro.zone.zone import LookupStatus
 #: Hard cap on CNAME chain chasing within one response.
 MAX_CNAME_CHAIN = 8
 
-#: Longest query the packed-answer cache will key on. The key is the
-#: client's own bytes, so the entry bound alone would let 8 192 queries
-#: padded to 64 KiB pin half a gigabyte per server. A header, a
-#: 255-octet name, the question tail and a bare OPT record come to 282
-#: octets; a query carrying that much again in EDNS options is answered
-#: like any other, just never looked up or stored.
-MAX_CACHEABLE_QUERY = 512
-
-
 #: Resolved metric children for the per-query serving hot paths.
 _SERVER_CHILDREN = obs.ChildCache()
-
-
-def _count_cache(outcome):
-    key = ("cache", outcome)
-    child = _SERVER_CHILDREN.get(obs.registry, key)
-    if child is None:
-        child = _SERVER_CHILDREN.put(
-            key,
-            obs.registry.counter(
-                "repro_answer_cache_events_total",
-                "Authoritative packed-answer cache events, by outcome.",
-                labelnames=("outcome",),
-            ).labels(outcome=outcome),
-        )
-    child.inc()
 
 
 def _count_response(server, rcode_text):
@@ -70,7 +47,15 @@ def _count_response(server, rcode_text):
 
 class _CachedAnswer:
     """One packed response: the encoded wire after the id, its recorded
-    cost charges, and what the query log and the span say about a hit."""
+    cost charges, and what the query log and the span say about a hit.
+
+    A hit :meth:`CostMeter.replay`\\ s the charges recorded when the
+    response was first built, so the cost model and guard budgets behave
+    exactly as if the server had recomputed it. The server invalidates
+    its cache whenever any of its zones mutates (the zone-serial part of
+    the key, realised as invalidate-on-mutation: serial bumps go through
+    :meth:`Zone.replace_rrset`, which fires the mutation listeners).
+    """
 
     __slots__ = ("tail", "rcode_text", "charges", "qname", "qtype")
 
@@ -82,57 +67,6 @@ class _CachedAnswer:
         self.qtype = qtype
 
 
-class PackedAnswerCache:
-    """Fully encoded responses keyed by the raw query bytes (id aside).
-
-    A hit splices the query id onto the cached wire (the
-    ``Message.encode()`` memo technique) and :meth:`CostMeter.replay`\\ s
-    the charge sequence recorded when the response was first built, so
-    the cost model and guard budgets behave exactly as if the server had
-    recomputed the answer. Insertion-ordered with deterministic FIFO
-    eviction, and the server never keys on a query longer than
-    :data:`MAX_CACHEABLE_QUERY`, so entries times key size is bounded;
-    the hosting server clears it whenever any of its zones
-    mutates (the zone-serial component of the key is realised as
-    invalidate-on-mutation — serial bumps go through
-    :meth:`Zone.replace_rrset`, which fires the mutation listeners).
-    """
-
-    __slots__ = ("limit", "entries", "hits", "misses", "evictions", "invalidations")
-
-    def __init__(self, limit=8192):
-        self.limit = limit
-        self.entries = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    def get(self, key):
-        return self.entries.get(key)
-
-    def put(self, key, entry):
-        entries = self.entries
-        if key not in entries and len(entries) >= self.limit:
-            entries.pop(next(iter(entries)))
-            self.evictions += 1
-            if obs.enabled:
-                _count_cache("eviction")
-            if obs.events:
-                obs.emit("cache.evict", cache="packed-answer", reason="capacity", n=1)
-        entries[key] = entry
-
-    def invalidate(self):
-        """Drop every entry (a hosted zone changed under the cache)."""
-        if self.entries:
-            self.entries.clear()
-        self.invalidations += 1
-        if obs.enabled:
-            _count_cache("invalidation")
-        if obs.events:
-            obs.emit("cache.invalidate", cache="packed-answer")
-
-
 class AuthoritativeServer(Host):
     """A name server authoritative for a set of zones."""
 
@@ -141,7 +75,7 @@ class AuthoritativeServer(Host):
         self.network = network
         self.zones = {}
         self.log = QueryLog()
-        self.answer_cache = PackedAnswerCache()
+        self.answer_cache = PackedAnswerCache("auth")
         #: Longest-prefix index over zone origins (canonical label keys).
         self._zone_index = {}
         #: Optional hook: called with a qname that matched no hosted
@@ -231,7 +165,7 @@ class AuthoritativeServer(Host):
         if cache_key is not None:
             self.answer_cache.misses += 1
             if obs.enabled:
-                _count_cache("miss")
+                self.answer_cache.count("miss")
             recorder_charges = []
             previous_recorder = meter.recorder
             meter.recorder = recorder_charges
@@ -297,7 +231,7 @@ class AuthoritativeServer(Host):
         if not obs.enabled:
             meter.replay(entry.charges)
         else:
-            _count_cache("hit")
+            self.answer_cache.count("hit")
             if obs.tracing:
                 with obs.span(
                     "auth.query", server=self.name, qname=entry.qname

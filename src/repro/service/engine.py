@@ -4,10 +4,11 @@ Everything behind a frontend — the :class:`SimKernel` clock, the guard
 budget stack in :mod:`repro.resolver.guard`, the process-global cost
 meter — is single-threaded state designed for the deterministic sim
 rail. Real sockets deliver datagrams concurrently, so the engine
-serializes: the asyncio event loop only admits, sheds, and enqueues;
-ONE worker thread drains the queue and calls ``handle_datagram``, which
-keeps every sim-rail invariant intact while the frontends stay
-responsive under flood.
+serializes: the asyncio event loop only answers repeat questions from
+the backend's packet cache, admits, sheds, and enqueues; ONE worker
+thread drains the queue and calls ``handle_datagram``, which keeps
+every sim-rail invariant intact while the frontends stay responsive
+under flood.
 
 Backpressure is explicit and real-time. The pending queue is bounded by
 a :class:`~repro.resolver.guard.ConcurrencyGate`; an arrival that finds
@@ -60,6 +61,7 @@ class ServiceStats:
 
     received: int = 0
     answered: int = 0
+    packed: int = 0  # answered on the event loop from the packet cache
     no_answer: int = 0  # backend returned None (garbage in, silence out)
     shed_refused: int = 0
     shed_stale: int = 0
@@ -74,6 +76,7 @@ class ServiceStats:
         return {
             "received": self.received,
             "answered": self.answered,
+            "packed": self.packed,
             "no_answer": self.no_answer,
             "shed_refused": self.shed_refused,
             "shed_stale": self.shed_stale,
@@ -204,6 +207,23 @@ class ServiceEngine:
         )
         return True
 
+    def packed_reply(self, backend_name, backend, wire, via_tcp):
+        """A repeat question's stored reply, or None (see
+        ``ValidatingResolver.packed_answer``); read-only, loop-safe.
+
+        A hit is counted as received and packed, never reaches a gate or
+        the worker, and stays out of the latency reservoir.
+        """
+        packed = getattr(backend, "packed_answer", None)
+        if packed is None:
+            return None
+        answer = packed(wire, via_tcp)
+        if answer is not None:
+            self.stats.received += 1
+            self.stats.packed += 1
+            self._count(backend_name, "packed")
+        return answer
+
     def shed_reply(self, backend_name, backend, wire, via_tcp):
         """The overload answer, built without touching the worker's state.
 
@@ -282,7 +302,12 @@ class ServiceEngine:
         ).labels(backend=backend_name, outcome=outcome).inc()
 
     def snapshot(self):
-        """Engine state for the final metrics snapshot and the soak report."""
+        """Engine state for the final metrics snapshot and the soak report.
+
+        ``latency_p50_ms`` / ``latency_p99_ms`` cover the queries that
+        reached the worker (admission to reply); ``packed`` answers are
+        not in them.
+        """
         out = self.stats.snapshot()
         out["inflight"] = self.gate.inflight
         out["peak_inflight"] = self.gate.peak

@@ -9,6 +9,10 @@ does that); TCP uses 2-byte length framing and serves the fallback.
 
 The hardening lives here:
 
+- **packet cache first** — a repeat question the resolver answered
+  before is answered on the event loop from its packet cache
+  (``packed_answer``, read-only like ``shed_datagram``), ahead of every
+  gate and the worker queue;
 - **per-socket backpressure** — every binding carries its own
   :class:`~repro.resolver.guard.ConcurrencyGate`; arrivals past its
   depth are shed at the socket before touching the engine's global gate;
@@ -18,6 +22,8 @@ The hardening lives here:
   closes connections making no progress (slow-loris: a client dribbling
   one byte per ``tcp_idle_timeout_s`` would otherwise hold a slot
   forever — the reaper watches *frame completion*, not socket reads);
+  every accepted connection ends with one counted close reason
+  (``tcp_closed`` in the snapshot);
 - **graceful drain** — SIGTERM/SIGINT stop the listeners, flush every
   queued query through the engine, answer late arrivals with the shed
   path, then emit a final metrics snapshot;
@@ -29,6 +35,7 @@ The hardening lives here:
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
 import signal
 import socket
@@ -38,8 +45,6 @@ from dataclasses import dataclass, field
 from repro.resolver.guard import ConcurrencyGate
 from repro.service.engine import ServiceEngine
 
-#: Largest TCP message frame we will read (RFC 1035 length field max).
-MAX_TCP_FRAME = 65535
 #: Largest UDP datagram worth handing to a backend.
 MAX_UDP_DATAGRAM = 65535
 
@@ -113,8 +118,9 @@ class DnsService:
         self.tcp_idle_timeout_s = tcp_idle_timeout_s
         self.reaper_interval_s = reaper_interval_s
         self.reuse_port = reuse_port and hasattr(socket, "SO_REUSEPORT")
-        self.tcp_rejected = 0
-        self.tcp_reaped = 0
+        #: Close reason -> connections (rejected, eof, truncated,
+        #: empty_frame, idle, reaped, reset, dropped, drain).
+        self.tcp_closed = collections.Counter()
         self._loop = None
         self._udp_transports = []
         self._tcp_servers = []
@@ -216,7 +222,7 @@ class DnsService:
         for server in self._tcp_servers:
             await server.wait_closed()
         for writer in list(self._tcp_progress):
-            writer.close()
+            self._close_tcp(writer, "drain")
         for transport in self._udp_transports:
             transport.close()
         self._udp_transports.clear()
@@ -229,8 +235,7 @@ class DnsService:
     def snapshot(self):
         """Engine counters plus the frontend's own (TCP caps, bindings)."""
         out = self.engine.snapshot()
-        out["tcp_rejected"] = self.tcp_rejected
-        out["tcp_reaped"] = self.tcp_reaped
+        out["tcp_closed"] = dict(sorted(self.tcp_closed.items()))
         out["tcp_open"] = len(self._tcp_progress)
         out["bindings"] = {
             binding.name: {
@@ -245,11 +250,16 @@ class DnsService:
     # -- dispatch ------------------------------------------------------------
 
     def _dispatch(self, binding, wire, src_ip, via_tcp, send):
-        """Admit at the socket gate, then the engine; shed where refused.
+        """Answer a repeat question from the packet cache; else admit at
+        the socket gate, then the engine; shed where refused.
 
         *send* runs on the event loop; engine replies arrive on the
         worker thread and hop back with ``call_soon_threadsafe``.
         """
+        packed = self.engine.packed_reply(binding.name, binding.backend, wire, via_tcp)
+        if packed is not None:
+            send(packed)
+            return
         if not binding.gate.admit():
             self.engine.stats.received += 1
             send(self.engine.shed_reply(binding.name, binding.backend, wire, via_tcp))
@@ -267,33 +277,45 @@ class DnsService:
 
     # -- TCP -----------------------------------------------------------------
 
+    def _close_tcp(self, writer, reason):
+        """Close *writer* once, counting why (no-op if already closed)."""
+        if self._tcp_progress.pop(writer, None) is not None:
+            self.tcp_closed[reason] += 1
+        writer.close()
+
     async def _tcp_session(self, binding, reader, writer):
         """One TCP connection: length-framed queries until EOF or timeout."""
         if len(self._tcp_progress) >= self.tcp_max_connections:
-            self.tcp_rejected += 1
+            self.tcp_closed["rejected"] += 1
             writer.close()
             return
         self._tcp_progress[writer] = time.monotonic()
         peer = writer.get_extra_info("peername") or ("?", 0)
+        reason = "eof"
         try:
             timeout = self.tcp_handshake_timeout_s
             while True:
+                length = 0
                 try:
                     header = await asyncio.wait_for(
                         reader.readexactly(2), timeout=timeout
                     )
                     length = int.from_bytes(header, "big")
                     if length == 0:
+                        reason = "empty_frame"
                         break
                     wire = await asyncio.wait_for(
                         reader.readexactly(length), timeout=self.tcp_idle_timeout_s
                     )
-                except asyncio.IncompleteReadError:
+                except asyncio.IncompleteReadError as exc:
+                    # A clean close falls between frames; anything else
+                    # was cut mid-frame.
+                    reason = "truncated" if exc.partial or length else "eof"
                     break
                 except asyncio.TimeoutError:
-                    # Idle or dribbling (slow-loris): same fate as a
-                    # reaper close, counted with it.
-                    self.tcp_reaped += 1
+                    # Idle or dribbling (slow-loris): reaped like a
+                    # connection the reaper closes.
+                    reason = "idle"
                     break
                 self._tcp_progress[writer] = time.monotonic()
                 answered = self._loop.create_future()
@@ -306,16 +328,16 @@ class DnsService:
                 )
                 out = await answered
                 if out is None:
-                    break  # backend dropped it: close, like a real server
+                    reason = "dropped"  # backend dropped it: close, like a real server
+                    break
                 writer.write(len(out).to_bytes(2, "big") + out)
                 await writer.drain()
                 self._tcp_progress[writer] = time.monotonic()
                 timeout = self.tcp_idle_timeout_s
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+        except OSError:  # reset by the peer, broken pipe
+            reason = "reset"
         finally:
-            self._tcp_progress.pop(writer, None)
-            writer.close()
+            self._close_tcp(writer, reason)
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
@@ -326,6 +348,4 @@ class DnsService:
             now = time.monotonic()
             for writer, last in list(self._tcp_progress.items()):
                 if now - last > self.tcp_idle_timeout_s:
-                    self._tcp_progress.pop(writer, None)
-                    self.tcp_reaped += 1
-                    writer.close()
+                    self._close_tcp(writer, "reaped")

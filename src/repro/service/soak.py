@@ -109,7 +109,8 @@ class SoakReport:
         lines = [f"soak: {'PASS' if self.passed else 'FAIL'} "
                  f"({self.duration_s:.1f}s, rss {self.rss_start_mb:.0f}→"
                  f"{self.rss_end_mb:.0f} MB, "
-                 f"shed {self.shed_before_attack:.0f}→{self.shed_after_attack:.0f})"]
+                 f"shed {self.shed_before_attack:.0f}→{self.shed_after_attack:.0f}, "
+                 f"packed {self.snapshot.get('packed', 0)})"]
         for name, report in self.phases.items():
             if hasattr(report, "render"):
                 lines.append(f"[{name}]")

@@ -14,6 +14,7 @@ import pytest
 
 from repro import obs
 from repro.core.report import StudyAggregates
+from repro.resolver.validating import ValidatingResolver
 from repro.scanner.campaign import run_units
 from repro.scanner.pipeline import (
     CampaignPlan,
@@ -23,6 +24,7 @@ from repro.scanner.pipeline import (
     fold_record,
     unit_key,
 )
+from repro.server.authoritative import AuthoritativeServer
 from repro.testbed.internet import BuildScope
 
 PLAN = CampaignPlan(role="study", domains=16, tlds=8, resolvers=4, seed=5)
@@ -49,12 +51,38 @@ class MemorySink:
 
 
 @pytest.fixture(scope="module")
-def single_shard_report():
+def single_shard():
     world = World.build(PLAN)
     aggregates = StudyAggregates()
     resumed, executed = run_units(world, world.universe, FoldSink(aggregates))
     assert (resumed, executed) == (0, len(world.universe))
-    return aggregates.render(len(world.universe.population))
+    return world, aggregates.render(len(world.universe.population))
+
+
+@pytest.fixture(scope="module")
+def single_shard_report(single_shard):
+    return single_shard[1]
+
+
+def test_study_stores_no_packets_and_no_answer_cache_evicts(single_shard):
+    """The resolver packet cache fills only on repeat questions, which a
+    study never asks: it stays empty off the service. And the answer
+    caches' byte bound changes nothing where the entry bound did not."""
+    world, __ = single_shard
+    network = world.inet.network
+    hosts = {id(host): host for host in map(network.host_at, network.addresses())}
+    resolvers = [h for h in hosts.values() if isinstance(h, ValidatingResolver)]
+    servers = [h for h in hosts.values() if isinstance(h, AuthoritativeServer)]
+    assert any(r.name == "cli-upstream" for r in resolvers)
+    assert sum(r.cache.hits for r in resolvers) > 0
+    assert all(not r.packets.entries for r in resolvers)
+    assert sum(s.answer_cache.hits for s in servers) > 0
+    for cache in (s.answer_cache for s in servers):
+        assert cache.evictions == 0
+        assert cache.bytes == sum(
+            len(key[0]) + len(entry.tail) for key, entry in cache.entries.items()
+        )
+        assert cache.bytes < cache.max_bytes // 8
 
 
 @pytest.mark.parametrize("shards", [1, 2, 3])
