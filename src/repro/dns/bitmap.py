@@ -34,13 +34,18 @@ def encode_bitmap(types):
     return bytes(out)
 
 
-def decode_bitmap(wire):
-    """Decode wire-format bitmap blocks into a sorted list of type codes."""
-    types = []
-    pos = 0
+def check_bitmap(wire, pos=0):
+    """Validate the bitmap blocks in ``wire[pos:]``; raise ``ValueError``
+    if they are malformed.
+
+    Returns True when they are also what :func:`encode_bitmap` would emit:
+    no block ends in a zero octet.
+    """
+    size = len(wire)
     previous_window = -1
-    while pos < len(wire):
-        if pos + 2 > len(wire):
+    canonical = True
+    while pos < size:
+        if pos + 2 > size:
             raise ValueError("truncated type bitmap block header")
         window = wire[pos]
         length = wire[pos + 1]
@@ -48,26 +53,37 @@ def decode_bitmap(wire):
             raise ValueError("type bitmap windows out of order")
         if not 1 <= length <= 32:
             raise ValueError(f"invalid bitmap block length {length}")
-        if pos + 2 + length > len(wire):
-            raise ValueError("truncated type bitmap block body")
-        for index, octet in enumerate(wire[pos + 2 : pos + 2 + length]):
-            if octet:
-                base = window * 256 + index * 8
-                types.extend([base + bit for bit in _SET_BITS[octet]])
-        previous_window = window
         pos += 2 + length
+        if pos > size:
+            raise ValueError("truncated type bitmap block body")
+        if not wire[pos - 1]:
+            canonical = False
+        previous_window = window
+    return canonical
+
+
+def bitmap_types(wire, pos=0):
+    """Sorted type codes of the blocks in ``wire[pos:]``, which
+    :func:`check_bitmap` has accepted."""
+    types = []
+    append = types.append
+    size = len(wire)
+    while pos < size:
+        base = wire[pos] * 256
+        end = pos + 2 + wire[pos + 1]
+        for octet in wire[pos + 2 : end]:
+            if octet:
+                for bit in _SET_BITS[octet]:
+                    append(base + bit)
+            base += 8
+        pos = end
     return types
 
 
-def is_canonical_bitmap(wire):
-    """True when *wire*, which :func:`decode_bitmap` accepted, is also what
-    :func:`encode_bitmap` would emit: no block ends in a zero octet."""
-    pos = 0
-    while pos < len(wire):
-        pos += 2 + wire[pos + 1]
-        if not wire[pos - 1]:
-            return False
-    return True
+def decode_bitmap(wire):
+    """Decode wire-format bitmap blocks into a sorted list of type codes."""
+    check_bitmap(wire)
+    return bitmap_types(wire)
 
 
 def bitmap_to_text(types):

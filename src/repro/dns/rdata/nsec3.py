@@ -16,14 +16,10 @@ from __future__ import annotations
 import struct
 
 from repro.dns.base32 import b32hex_decode, b32hex_encode
-from repro.dns.bitmap import (
-    bitmap_to_text,
-    decode_bitmap,
-    encode_bitmap,
-    is_canonical_bitmap,
-)
-from repro.dns.rdata import Rdata, register
+from repro.dns.bitmap import bitmap_to_text, bitmap_types, check_bitmap, encode_bitmap
+from repro.dns.rdata import Rdata, lazy, register
 from repro.dns.types import RdataType
+from repro.dns.wire import WireError
 
 #: The only hash algorithm defined for NSEC3 (SHA-1, RFC 5155 §11).
 NSEC3_HASH_SHA1 = 1
@@ -56,6 +52,7 @@ def _salt_from_text(text):
     return b"" if text == "-" else bytes.fromhex(text)
 
 
+@lazy
 @register(RdataType.NSEC3)
 class NSEC3(Rdata):
     """A hashed authenticated denial record."""
@@ -63,6 +60,7 @@ class NSEC3(Rdata):
     __slots__ = (
         "hash_algorithm", "flags", "iterations", "salt", "next_hash", "types",
     )
+    _FIELDS = __slots__
 
     def __init__(self, hash_algorithm, flags, iterations, salt, next_hash, types):
         iterations = int(iterations)
@@ -103,18 +101,34 @@ class NSEC3(Rdata):
 
     @classmethod
     def from_wire(cls, reader, rdlength):
-        start = reader.pos
-        end = start + rdlength
-        params = _read_params(reader)
-        next_hash = reader.read(reader.read_u8())
-        inside = reader.pos <= end
-        bitmap = reader.read(end - reader.pos)
-        types = tuple(decode_bitmap(bitmap))
-        # An accepted bitmap may still pad blocks with zero octets; only a
-        # canonical one makes the slice what write_wire would emit.
-        keep = inside and is_canonical_bitmap(bitmap)
-        return cls._trusted(
-            reader.data[start:end] if keep else None, *params, next_hash, types
+        packed = reader.read(rdlength)
+        if rdlength < _PARAMS_FIXED.size:
+            raise WireError("NSEC3 rdata shorter than its fixed part")
+        hash_at = _PARAMS_FIXED.size + packed[4]
+        if hash_at >= rdlength:
+            raise WireError("NSEC3 salt overruns its record")
+        bitmap_at = hash_at + 1 + packed[hash_at]
+        if bitmap_at > rdlength:
+            raise WireError("NSEC3 next hash overruns its record")
+        if check_bitmap(packed, bitmap_at):
+            return cls.Lazy._trusted(packed)
+        # An accepted bitmap may still pad blocks with zero octets; then the
+        # slice is not what write_wire would emit, so it is not kept.
+        return cls._trusted(None, *cls._fields(packed))
+
+    @staticmethod
+    def _fields(packed):
+        """The value slots of a checked rdata slice."""
+        hash_algorithm, flags, iterations, salt_length = _PARAMS_FIXED.unpack_from(packed)
+        hash_at = _PARAMS_FIXED.size + salt_length
+        bitmap_at = hash_at + 1 + packed[hash_at]
+        return (
+            hash_algorithm,
+            flags,
+            iterations,
+            packed[_PARAMS_FIXED.size : hash_at],
+            packed[hash_at + 1 : bitmap_at],
+            tuple(bitmap_types(packed, bitmap_at)),
         )
 
     def to_text(self):
