@@ -88,10 +88,11 @@ class RRset:
         memo[key] = wire
 
     def copy(self, ttl=None):
-        return RRset(
+        # This RRset's fields are coerced already; only a new TTL is not.
+        return RRset._trusted(
             self.name,
             self.rrtype,
-            self.ttl if ttl is None else ttl,
+            self.ttl if ttl is None else int(ttl),
             list(self.rdatas),
             self.rdclass,
         )
