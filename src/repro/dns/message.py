@@ -198,12 +198,20 @@ class Message:
             counts[1],
             counts[2] + (edns is not None),
         )
-        for question in self.question:
-            writer.write_name(question.name)
-            buf += QUESTION_TAIL.pack(question.rrtype, question.rdclass)
-        for section in sections:
-            for rrset in section:
-                self._write_rrset(writer, rrset)
+        # A field out of its wire range surfaces as ValueError, naming the
+        # record, rather than as a bare struct.error.
+        try:
+            for question in self.question:
+                writer.write_name(question.name)
+                buf += QUESTION_TAIL.pack(question.rrtype, question.rdclass)
+        except struct.error as exc:
+            raise ValueError(f"cannot encode {question!r}: {exc}") from exc
+        try:
+            for section in sections:
+                for rrset in section:
+                    self._write_rrset(writer, rrset)
+        except struct.error as exc:
+            raise ValueError(f"cannot encode {rrset!r}: {exc}") from exc
         if edns is not None:
             # The OPT pseudo-record is synthesised last, straight from the
             # EDNS state; only a record that carries options builds one.
