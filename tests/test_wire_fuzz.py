@@ -126,11 +126,17 @@ def test_edns_options_at_the_cap_decode():
 # and re-recorded once, when ``Reader.read`` stopped taking a negative
 # count: 40 mutants whose RRSIG/NSEC3/DNSKEY/DS fixed part or embedded
 # name overran its RDLENGTH moved from accepted to rejected, none the
-# other way, and no accepted mutant re-encodes differently. A decoder
-# that accepts, rejects or re-encodes any mutant differently fails it.
+# other way, and no accepted mutant re-encodes differently. Re-recorded
+# a second time when the decoder began to count the root's length octet
+# against the 255-octet cap, as ``Name`` does: one mutant moved, from
+# accepted to rejected — the 25th of ``_overlong_suffix_mutants``, a
+# 4-octet label before a pointer to the 250-octet question name (255
+# octets of labels, 256 with the root). No other mutant's outcome or
+# re-encoded bytes moved. A decoder that accepts, rejects or re-encodes
+# any mutant differently fails it.
 
-FUZZ_GOLDEN = "945db5ac1b8e7e2d0f5a0361a1825e685c4ad9ae7994ed0554ec6ccea5c652a8"
-FUZZ_ACCEPTED, FUZZ_REJECTED = 4574, 2571
+FUZZ_GOLDEN = "cb5b81ed453f8b7e9a42e39487806f0a89a46321f2f48a3de34db34ca74ef128"
+FUZZ_ACCEPTED, FUZZ_REJECTED = 4573, 2572
 
 _FIXED_LAYOUT_TYPES = (
     RdataType.A,
