@@ -27,6 +27,7 @@ from repro.testbed.population import DomainSpec
 from repro.zone.builder import ZoneBuilder
 from repro.zone.nsec3chain import Nsec3Params
 from repro.zone.signing import SigningPolicy, sign_zone
+from tests.test_wire_fuzz import _dnssec_response
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,26 @@ def test_message_encode_memoized(benchmark, sample_response):
 def test_message_decode(benchmark, sample_response):
     wire = sample_response.to_wire()
     benchmark(Message.from_wire, wire)
+
+
+def _read_every_field(message):
+    for rrset in message.all_rrsets():
+        for rdata in rrset:
+            for slot in getattr(rdata, "_FIELDS", ()):
+                getattr(rdata, slot)
+
+
+def test_dnssec_decode_nothing_read(benchmark):
+    """The fuzz corpus's DNSSEC response, decoded with no field read: its
+    RRSIG, NSEC3, DNSKEY and DS stay checked slices."""
+    benchmark(Message.from_wire, _dnssec_response().to_wire())
+
+
+def test_dnssec_decode_every_field_read(benchmark):
+    """The same, then every lazily built field read: what a read adds,
+    next to what an unread record saves above."""
+    wire = _dnssec_response().to_wire()
+    benchmark(lambda: _read_every_field(Message.from_wire(wire)))
 
 
 def test_name_parse(benchmark):
