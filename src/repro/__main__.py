@@ -36,13 +36,18 @@ classifications are identical to the serial run, but the simulated
 elapsed time shrinks toward ``1/N`` — the paper's concurrent-scanner
 posture. The default of 1 is bit-for-bit the legacy serial behaviour.
 
-``--workers N`` (study/scan/survey) runs the campaign across N
-supervised worker processes, each owning a shard of the global unit
-list with a crash-safe journaled checkpoint; the merged report is
-byte-identical to the single-process run. ``--state-dir DIR`` makes the
-fleet state resumable across invocations, and a ``kill:`` token in
-``--faults`` injects seeded worker SIGKILLs/hangs to exercise the
-supervisor (see :mod:`repro.scanner.supervisor`).
+``--workers N`` (study/scan/survey) splits the global unit list into N
+shards measured by the same shard shell; the report is byte-identical at
+any N. N = 1 measures shard 0 of 1 in this process, N ≥ 2 spawns a
+supervised worker per shard (see :mod:`repro.scanner.supervisor`).
+``--state-dir DIR`` gives every shard, in-process or spawned, a
+crash-safe journaled checkpoint there, merged into the report with
+coverage accounting: pass the same DIR again to resume an interrupted
+campaign without re-measuring what it journaled. Without it a single
+process folds units as they settle and writes nothing, and a fleet works
+in a temporary directory it removes when the run ends. A ``kill:`` token
+in ``--faults`` injects seeded worker SIGKILLs/hangs to exercise the
+supervisor, so it needs ``--workers`` ≥ 2.
 
 Streaming telemetry (all subcommands): ``--events-out PATH`` writes the
 structured event journal as JSONL (flight-recorder dumps included),
@@ -56,8 +61,11 @@ exports the span tree as Chrome-trace/Perfetto JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
+import tempfile
 import time
 
 from repro import __version__, obs
@@ -71,15 +79,20 @@ from repro.dnssec.costmodel import meter
 from repro.resolver.guard import GUARD_PROFILES
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.resolver.stub import StubClient
-from repro.scanner.campaign import CampaignError, run_units
+from repro.scanner.campaign import CampaignError
 from repro.scanner.pipeline import CampaignPlan, FoldSink, World
-from repro.scanner.supervisor import run_supervised
+from repro.scanner.supervisor import (
+    Coverage,
+    merge_in_process,
+    run_shard,
+    run_supervised,
+    shard_checkpoint,
+)
 from repro.zone import build_cache
 
 
-def _build_world(args, role):
-    """Build the world *role* runs in; progress lines go to stderr."""
-    plan = CampaignPlan.from_args(args, role)
+def _build_world(plan):
+    """Build the world of *plan*; progress lines go to stderr."""
     started = time.perf_counter()
     world = World.build(plan)
     print(
@@ -96,16 +109,12 @@ def _build_world(args, role):
 
 
 def _metrics_requested(args):
-    return getattr(args, "metrics_out", None) is not None
+    return args.metrics_out is not None
 
 
 def _streaming_requested(args):
     """Per-kernel streaming telemetry: event journal, series, console."""
-    return (
-        getattr(args, "events_out", None) is not None
-        or getattr(args, "series_out", None) is not None
-        or getattr(args, "progress", False)
-    )
+    return args.events_out is not None or args.series_out is not None or args.progress
 
 
 def _telemetry_requested(args):
@@ -127,11 +136,11 @@ def _start_telemetry(args, inet, label):
 
     return LiveTelemetry(
         inet.network.kernel,
-        events_out=getattr(args, "events_out", None),
-        series_out=getattr(args, "series_out", None),
-        progress=getattr(args, "progress", False),
-        scrape_interval_ms=getattr(args, "scrape_interval", 500.0),
-        seed=getattr(args, "seed", 0),
+        events_out=args.events_out,
+        series_out=args.series_out,
+        progress=args.progress,
+        scrape_interval_ms=args.scrape_interval,
+        seed=args.seed,
         label=label,
     )
 
@@ -169,7 +178,7 @@ def _start_mem_stats(args):
     Call before the testbed build so construction allocations count
     toward the reported peak.
     """
-    if not getattr(args, "mem_stats", False):
+    if not args.mem_stats:
         return
     import tracemalloc
 
@@ -194,7 +203,7 @@ def _mem_summary(args):
     Also exports ``repro_peak_rss_bytes`` through the metrics registry
     so ``--metrics-out`` snapshots carry the memory ceiling.
     """
-    if not getattr(args, "mem_stats", False):
+    if not args.mem_stats:
         return ""
     import tracemalloc
 
@@ -249,33 +258,9 @@ def _print_report(role, aggregates, total_domains):
         print(f"  {label:40s} paper={paper:>6}  measured={measured}")
 
 
-def _run_in_process(args, role):
-    """Measure in this process, as shard 0 of 1, folding as units settle."""
-    if _telemetry_requested(args):
-        obs.enable()
-    _start_mem_stats(args)
-    world = _build_world(args, role)
-    live = _start_telemetry(args, world.inet, label=role)
-
-    def progress(phase, units_done, executed):
-        if executed is None and obs.console is not None:
-            obs.console.phase(f"{role}:{phase}")
-            if phase == "survey":
-                obs.console.expect(world.universe.n_resolver_units)
-
-    aggregates = StudyAggregates()
-    run_units(world, world.universe, FoldSink(aggregates), progress)
-    _print_report(role, aggregates, len(world.universe.population))
-    _sim_summary(args, world.inet)
-    _finish_telemetry(live)
-    _dump_metrics(args, world.inet)
-
-
-def _run_supervised(args, role):
-    """Measure across the supervised worker fleet and fold its merge;
-    everything fleet-related goes to stderr."""
-    import tempfile
-
+def _spawn_fleet(args, plan, aggregates):
+    """Shards 0..N-1 in supervised processes; fleet lines go to stderr.
+    A state dir made here is removed when the run ends, however it ends."""
     if _streaming_requested(args):
         print(
             "[supervisor] streaming telemetry (--events-out/--series-out/"
@@ -283,42 +268,81 @@ def _run_supervised(args, role):
             "the supervisor prints its own progress lines",
             file=sys.stderr,
         )
-    if args.state_dir is None:
-        args.state_dir = tempfile.mkdtemp(prefix="repro-fleet-")
-        print(f"[supervisor] state dir {args.state_dir}", file=sys.stderr)
-    if _metrics_requested(args):
-        obs.enable()
-    outcome = run_supervised(CampaignPlan.from_args(args, role))
-    aggregates = StudyAggregates()
-    for result in outcome.domain_results:
-        aggregates.update_domain(result)
-    for result in outcome.tld_results:
-        aggregates.update_tld(result)
-    for entry in outcome.entries:
-        aggregates.update_survey(entry)
-    _print_report(role, aggregates, outcome.total_domains)
-    _dump_metrics(args)
-    coverage = outcome.coverage
-    if args.exit_code_on_partial and not coverage.complete:
+    with contextlib.ExitStack() as stack:
+        if plan.state_dir is None:
+            state_dir = stack.enter_context(tempfile.TemporaryDirectory(
+                prefix="repro-fleet-", ignore_cleanup_errors=True
+            ))
+            print(f"[supervisor] state dir {state_dir}", file=sys.stderr)
+            plan = dataclasses.replace(plan, state_dir=state_dir)
+        outcome = run_supervised(plan, aggregates)
+    return outcome.total_domains, outcome.coverage, None
+
+
+def _measure_here(args, plan, aggregates):
+    """Shard 0 of 1 in this process, through the fleet's shard shell;
+    returns ``(domains, coverage, inet)``. Without a state dir units fold as
+    they settle and nothing touches disk; with one they are journaled to
+    ``shard-0.ckpt``, sealed and merged like a fleet's shards."""
+    _start_mem_stats(args)
+    started = time.perf_counter(), time.process_time()
+    sink = FoldSink(aggregates) if plan.state_dir is None else shard_checkpoint(plan, 0)
+    world = _build_world(plan)
+    live = _start_telemetry(args, world.inet, label=plan.role)
+
+    def progress(phase, units_done, executed):
+        if executed is None and obs.console is not None:
+            obs.console.phase(f"{plan.role}:{phase}")
+            if phase == "survey":
+                obs.console.expect(world.universe.n_resolver_units)
+
+    try:
+        resumed, executed = run_shard(world, 0, sink, progress, started)
+    except KeyboardInterrupt:
+        if plan.state_dir is not None:
+            sink.flush()  # what was measured stays measured
+        raise
+    if plan.state_dir is None:
+        coverage = Coverage(len(world.universe), len(world.universe))
+    else:
+        coverage = merge_in_process(world, aggregates)
         print(
-            f"[supervisor] partial coverage "
-            f"{coverage.units_merged}/{coverage.units_total}; "
-            "exiting 4 (--exit-code-on-partial)",
+            f"[campaign] shard 0 of 1: resumed={resumed} executed={executed} "
+            f"coverage={coverage.units_merged}/{coverage.units_total}",
             file=sys.stderr,
         )
-        return 4
+    _sim_summary(args, world.inet)
+    _finish_telemetry(live)
+    return len(world.universe.population), coverage, world.inet
 
 
 def cmd_campaign(args):
     """Run ``study``, ``scan`` or ``survey`` and print its report.
 
-    ``--workers 1`` measures in this process; ``--workers N`` merges a
-    supervised fleet. Both run the same pipeline over the same global
-    unit list and fold into the same aggregates, so the report on stdout
-    is byte-identical (clean network or ``kill:`` faults).
+    ``--workers 1`` measures shard 0 of 1 in this process; ``--workers
+    N`` spawns a supervised fleet of N shards. Both drive the same shard
+    shell over the same global unit list and fold into the same
+    aggregates, so the report on stdout is byte-identical (clean network
+    or ``kill:`` faults). A ``--state-dir`` journals every shard and
+    merges the journals, whatever the worker count: the run resumes, and
+    a partial merge exits 4 under ``--exit-code-on-partial``.
     """
-    run = _run_supervised if args.workers > 1 else _run_in_process
-    return run(args, args.command)
+    plan = CampaignPlan.from_args(args, args.command)
+    if _telemetry_requested(args):
+        obs.enable()
+    aggregates = StudyAggregates()
+    run = _spawn_fleet if plan.workers > 1 else _measure_here
+    domains, coverage, inet = run(args, plan, aggregates)
+    _print_report(plan.role, aggregates, domains)
+    _dump_metrics(args, inet)
+    if args.exit_code_on_partial and not coverage.complete:
+        print(
+            f"[campaign] partial coverage "
+            f"{coverage.units_merged}/{coverage.units_total}; "
+            "exiting 4 (--exit-code-on-partial)",
+            file=sys.stderr,
+        )
+        return 4
 
 
 def cmd_trace(args):
@@ -330,7 +354,7 @@ def cmd_trace(args):
     NSEC3 closest-encloser hashing, and signature verification.
     """
     obs.enable(tracing_spans=True)
-    inet = _build_world(args, "trace").inet
+    inet = _build_world(CampaignPlan.from_args(args, "trace")).inet
     resolver = inet.make_resolver(
         VENDOR_POLICIES[args.policy], name="trace-resolver"
     )
@@ -349,7 +373,7 @@ def cmd_trace(args):
     )
     print()
     print(render_span_tree(obs.tracer.last_root()))
-    if getattr(args, "trace_out", None):
+    if args.trace_out:
         from repro.obs.export import write_chrome_trace
 
         events = obs.journal.tail() if obs.journal is not None else ()
@@ -377,7 +401,7 @@ def cmd_attack(args):
 
     if _telemetry_requested(args):
         obs.enable()
-    inet = _build_world(args, "attack").inet
+    inet = _build_world(CampaignPlan.from_args(args, "attack")).inet
     live = _start_telemetry(args, inet, label="attack")
     attack = build_attack_zones(inet, seed=args.seed + 50_861)
     profile = GUARD_PROFILES[args.guard]
@@ -423,12 +447,12 @@ def cmd_attack(args):
                     "zone and resolver profile.",
                     labelnames=("profile", "zone", "dimension"),
                 )
-                cost_gauge.labels(
-                    profile=label, zone=kind, dimension="sha1_compressions"
-                ).set(max_sha1)
-                cost_gauge.labels(
-                    profile=label, zone=kind, dimension="verifications"
-                ).set(max_verify)
+                for dimension, cost in (
+                    ("sha1_compressions", max_sha1), ("verifications", max_verify)
+                ):
+                    cost_gauge.labels(
+                        profile=label, zone=kind, dimension=dimension
+                    ).set(cost)
     guarded = resolvers[1][1]
     if guarded.guard_events:
         print(
@@ -488,24 +512,13 @@ def cmd_serve(args):
         file=sys.stderr,
     )
     bindings = [
-        Binding(
-            "resolver",
-            world.resolver,
-            host=args.host,
-            port=args.port,
-            max_pending=args.max_pending,
+        Binding(name, server, host=args.host, port=port, max_pending=args.max_pending)
+        for name, server, port in (
+            ("resolver", world.resolver, args.port),
+            ("auth", world.auth_server, args.auth_port),
         )
+        if port is not None
     ]
-    if args.auth_port is not None:
-        bindings.append(
-            Binding(
-                "auth",
-                world.auth_server,
-                host=args.host,
-                port=args.auth_port,
-                max_pending=args.max_pending,
-            )
-        )
     engine = ServiceEngine(
         capacity=args.capacity, pending_timeout_s=args.pending_timeout
     )
@@ -540,6 +553,16 @@ def cmd_serve(args):
     _dump_metrics(args)
 
 
+def _print_service_report(args, report, command):
+    """Print a loadgen/soak report, and write it to ``--json-out``."""
+    print(report.render())
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as handle:
+            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"[{command}] report written to {args.json_out}", file=sys.stderr)
+
+
 def cmd_loadgen(args):
     """Replay benign/attack traffic against a live service instance."""
     from repro.service.loadgen import benign_pool, run_loadgen
@@ -555,12 +578,7 @@ def cmd_loadgen(args):
         timeout_s=args.timeout,
         seed=args.seed,
     )
-    print(report.render())
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"[loadgen] report written to {args.json_out}", file=sys.stderr)
+    _print_service_report(args, report, "loadgen")
 
 
 def cmd_soak(args):
@@ -578,12 +596,7 @@ def cmd_soak(args):
         benign_p99_limit_ms=args.p99_limit_ms,
     )
     report = run_soak(config)
-    print(report.render())
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"[soak] report written to {args.json_out}", file=sys.stderr)
+    _print_service_report(args, report, "soak")
     return 0 if report.passed else 1
 
 
@@ -618,135 +631,166 @@ def cmd_guidance(args):
               f"({item.audience.value}) {item.summary}")
 
 
-def _telemetry_parent():
-    """Shared telemetry/fault flags, identical across every subcommand.
+_CAMPAIGN = ("study", "scan", "survey")
+_TELEMETRY = _CAMPAIGN + ("trace", "attack", "serve")
+_SIZED = _TELEMETRY + ("loadgen", "soak")
+_FLEET = "multi-process campaign"
 
-    One parent parser instead of the per-command copies that used to
-    drift: adding a flag here gives it to study/scan/survey/trace/attack
-    at once, with one help string.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("telemetry")
-    group.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="dump the telemetry registry here after the run ('-' = stdout)",
-    )
-    group.add_argument(
-        "--metrics-format",
-        choices=("json", "prometheus"),
-        default="json",
-        help="snapshot format for --metrics-out (default: json)",
-    )
-    group.add_argument(
-        "--events-out",
-        metavar="PATH",
-        help="stream the structured event journal here as JSONL "
-        "('-' = stderr); guard trips and stalls dump the flight recorder",
-    )
-    group.add_argument(
-        "--series-out",
-        metavar="PATH",
-        help="write scraped metric time-series here ('.csv' = CSV, else JSON)",
-    )
-    group.add_argument(
-        "--progress",
-        action="store_true",
-        help="print live heartbeat lines to stderr (sim vs wall clock, "
-        "done/in-flight/quarantined, ETA) with a stall detector",
-    )
-    group.add_argument(
-        "--scrape-interval",
-        type=float,
-        default=500.0,
-        metavar="MS",
-        help="time-series scrape interval in simulated ms (default: 500)",
-    )
-    group.add_argument(
-        "--mem-stats",
-        action="store_true",
-        help="report peak RSS and tracemalloc peak in the [sim] summary "
-        "and export repro_peak_rss_bytes via the metrics registry",
-    )
-    group.add_argument(
-        "--faults",
-        metavar="SPEC",
-        help="inject network faults: a preset ('chaos') or a spec like "
-        "'burst:0.05:0.35:0.5,jitter:20,corrupt:0.1' "
-        "(see repro.net.faults.parse_fault_spec)",
-    )
-    return parent
-
-
-def _fleet_parent():
-    """Multi-process campaign flags (study/scan/survey only)."""
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("multi-process campaign")
-    group.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
+#: Every subcommand option, written once: (flag, commands, help group,
+#: argparse keywords). Each command adds its rows in this order, which
+#: is its --help order; ``--domains``/``--tlds`` defaults are per command.
+OPTIONS = (
+    ("--domains", _SIZED, None, dict(type=int)),
+    ("--tlds", _SIZED, None, dict(type=int)),
+    ("--resolvers", _CAMPAIGN, None, dict(type=int, default=40)),
+    ("--seed", _SIZED, None, dict(type=int, default=7)),
+    ("--concurrency", _CAMPAIGN, None, dict(
+        type=int, default=1,
+        help="in-flight query sessions on the simulated clock "
+        "(1 = serial, bit-for-bit the legacy behaviour; higher values "
+        "overlap sessions like the paper's ~14.7K req/s scanner)")),
+    ("--workers", _CAMPAIGN, _FLEET, dict(
+        type=int, default=1, metavar="N",
         help="run the campaign across N supervised worker processes with "
         "crash-safe per-shard checkpoints (1 = in-process, the default); "
-        "the merged report is byte-identical to the single-process run",
-    )
-    group.add_argument(
-        "--state-dir",
+        "the merged report is byte-identical to the single-process run")),
+    ("--state-dir", _CAMPAIGN, _FLEET, dict(
         metavar="DIR",
         help="directory for shard checkpoints/heartbeats and the shared "
         "signed-zone build cache (default: a fresh temp dir; pass the "
-        "same DIR again to resume a killed campaign or reuse its cache)",
-    )
-    group.add_argument(
-        "--discard-checkpoint",
+        "same DIR again to resume a killed campaign or reuse its cache)")),
+    ("--discard-checkpoint", _CAMPAIGN, _FLEET, dict(
         action="store_true",
         help="archive unreadable/foreign checkpoint files (*.invalid) and "
-        "start fresh instead of failing with CampaignError",
-    )
-    group.add_argument(
-        "--stall-timeout",
-        type=float,
-        default=60.0,
-        metavar="S",
+        "start fresh instead of failing with CampaignError")),
+    ("--stall-timeout", _CAMPAIGN, _FLEET, dict(
+        type=float, default=60.0, metavar="S",
         help="wall-clock seconds without worker progress before the "
-        "supervisor kills and restarts it (default: 60)",
-    )
-    group.add_argument(
-        "--max-restarts",
-        type=int,
-        default=3,
-        metavar="N",
+        "supervisor kills and restarts it (default: 60)")),
+    ("--max-restarts", _CAMPAIGN, _FLEET, dict(
+        type=int, default=3, metavar="N",
         help="restart budget per shard before it is quarantined as lame "
-        "and the report degrades to partial coverage (default: 3)",
-    )
-    group.add_argument(
-        "--exit-code-on-partial",
+        "and the report degrades to partial coverage (default: 3)")),
+    ("--exit-code-on-partial", _CAMPAIGN, _FLEET, dict(
         action="store_true",
         help="exit 4 when the merged report has partial coverage (lame or "
-        "operator-stopped shards) instead of the default warn-and-exit-0",
-    )
-    return parent
-
-
-def _campaign_parent(domains, tlds, resolvers=None, concurrency=False):
-    """Shared testbed-size flags, with per-command-family defaults."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--domains", type=int, default=domains)
-    parent.add_argument("--tlds", type=int, default=tlds)
-    if resolvers is not None:
-        parent.add_argument("--resolvers", type=int, default=resolvers)
-    parent.add_argument("--seed", type=int, default=7)
-    if concurrency:
-        parent.add_argument(
-            "--concurrency",
-            type=int,
-            default=1,
-            help="in-flight query sessions on the simulated clock "
-            "(1 = serial, bit-for-bit the legacy behaviour; higher values "
-            "overlap sessions like the paper's ~14.7K req/s scanner)",
-        )
-    return parent
+        "operator-stopped shards) instead of the default warn-and-exit-0")),
+    ("--metrics-out", _TELEMETRY, "telemetry", dict(
+        metavar="PATH",
+        help="dump the telemetry registry here after the run ('-' = stdout)")),
+    ("--metrics-format", _TELEMETRY, "telemetry", dict(
+        choices=("json", "prometheus"), default="json",
+        help="snapshot format for --metrics-out (default: json)")),
+    ("--events-out", _TELEMETRY, "telemetry", dict(
+        metavar="PATH",
+        help="stream the structured event journal here as JSONL "
+        "('-' = stderr); guard trips and stalls dump the flight recorder")),
+    ("--series-out", _TELEMETRY, "telemetry", dict(
+        metavar="PATH",
+        help="write scraped metric time-series here ('.csv' = CSV, else JSON)")),
+    ("--progress", _TELEMETRY, "telemetry", dict(
+        action="store_true",
+        help="print live heartbeat lines to stderr (sim vs wall clock, "
+        "done/in-flight/quarantined, ETA) with a stall detector")),
+    ("--scrape-interval", _TELEMETRY, "telemetry", dict(
+        type=float, default=500.0, metavar="MS",
+        help="time-series scrape interval in simulated ms (default: 500)")),
+    ("--mem-stats", _TELEMETRY, "telemetry", dict(
+        action="store_true",
+        help="report peak RSS and tracemalloc peak in the [sim] summary "
+        "and export repro_peak_rss_bytes via the metrics registry")),
+    ("--faults", _TELEMETRY, "telemetry", dict(
+        metavar="SPEC",
+        help="inject network faults: a preset ('chaos') or a spec like "
+        "'burst:0.05:0.35:0.5,jitter:20,corrupt:0.1' "
+        "(see repro.net.faults.parse_fault_spec)")),
+    ("qname", ("trace",), None, dict(
+        nargs="?", default="it-150.rfc9276-in-the-wild.com",
+        help="name to query (default: the 150-iteration probe zone)")),
+    ("--policy", ("trace",), None, dict(
+        choices=sorted(VENDOR_POLICIES), default="legacy",
+        help="validating-resolver policy to trace through (default: legacy)")),
+    ("--label", ("trace",), None, dict(
+        default="trace1",
+        help="unique cache-busting label prepended to qname ('' to disable)")),
+    ("--trace-out", ("trace",), None, dict(
+        metavar="PATH",
+        help="write the span tree (plus journal events) as Chrome-trace/"
+        "Perfetto JSON, loadable in ui.perfetto.dev")),
+    ("--queries", ("attack",), None, dict(
+        type=int, default=6,
+        help="unique (cache-busting) probes per attack zone (default: 6)")),
+    ("--guard", ("attack",), None, dict(
+        choices=sorted(GUARD_PROFILES), default="guarded",
+        help="guard profile for the protected resolver (default: guarded)")),
+    ("--host", ("serve",), None, dict(default="127.0.0.1", help="bind address")),
+    ("--port", ("serve",), None, dict(
+        type=int, default=5300,
+        help="resolver UDP+TCP port (0 = ephemeral; default: 5300)")),
+    ("--auth-port", ("serve",), None, dict(
+        type=int, default=None, metavar="PORT",
+        help="also bind the probe-zone authoritative server here")),
+    ("--guard", ("serve",), None, dict(
+        choices=sorted(GUARD_PROFILES) + ["none"], default="guarded",
+        help="resolver guard profile ('none' = unguarded; default: guarded)")),
+    ("--policy", ("serve",), None, dict(
+        choices=sorted(VENDOR_POLICIES), default="legacy",
+        help="validating-resolver vendor policy (default: legacy)")),
+    ("--no-attack", ("serve",), None, dict(
+        action="store_true",
+        help="skip building the adversarial NSEC3/KeyTrap lab zones")),
+    ("--capacity", ("serve",), None, dict(
+        type=int, default=64,
+        help="global pending-query admission bound (default: 64)")),
+    ("--max-pending", ("serve",), None, dict(
+        type=int, default=128, help="per-socket pending-query bound (default: 128)")),
+    ("--pending-timeout", ("serve",), None, dict(
+        type=float, default=5.0, metavar="S",
+        help="queued queries older than this are shed (default: 5)")),
+    ("--tcp-max-connections", ("serve",), None, dict(
+        type=int, default=64, help="global open TCP connection cap (default: 64)")),
+    ("--tcp-idle-timeout", ("serve",), None, dict(
+        type=float, default=10.0, metavar="S",
+        help="idle/slow-loris TCP reap threshold (default: 10)")),
+    ("--duration", ("serve",), None, dict(
+        type=float, default=0.0, metavar="S",
+        help="drain and exit after S seconds (0 = serve until signal)")),
+    ("--host", ("loadgen",), None, dict(default="127.0.0.1", help="target address")),
+    ("--port", ("loadgen",), None, dict(
+        type=int, default=5300, help="target port (default: 5300)")),
+    ("--qps", ("loadgen",), None, dict(
+        type=float, default=200.0, help="offered load (default: 200)")),
+    ("--duration", ("loadgen",), None, dict(
+        type=float, default=5.0, metavar="S",
+        help="send window in seconds (default: 5)")),
+    ("--attack-ratio", ("loadgen",), None, dict(
+        type=float, default=0.0,
+        help="fraction of queries drawn from the CVE-2023-50868/KeyTrap "
+        "streams (default: 0 = all benign)")),
+    ("--unique-ratio", ("loadgen",), None, dict(
+        type=float, default=0.3,
+        help="fraction of benign queries with cache-busting labels "
+        "(default: 0.3)")),
+    ("--timeout", ("loadgen",), None, dict(
+        type=float, default=3.0, metavar="S",
+        help="per-query reply timeout (default: 3)")),
+    ("--phase-seconds", ("soak",), None, dict(
+        type=float, default=5.0, metavar="S",
+        help="wall seconds per soak phase (default: 5)")),
+    ("--benign-qps", ("soak",), None, dict(
+        type=float, default=120.0, help="benign load (default: 120)")),
+    ("--attack-qps", ("soak",), None, dict(
+        type=float, default=250.0,
+        help="mixed load during the attack phase (default: 250)")),
+    ("--rss-limit-mb", ("soak",), None, dict(
+        type=float, default=400.0,
+        help="RSS growth ceiling over the whole soak (default: 400)")),
+    ("--p99-limit-ms", ("soak",), None, dict(
+        type=float, default=5000.0,
+        help="benign p99 ceiling during the attack phase (default: 5000)")),
+    ("--json-out", ("loadgen", "soak"), None, dict(
+        metavar="PATH", help="also write the report as JSON")),
+)
 
 
 def main(argv=None):
@@ -758,237 +802,33 @@ def main(argv=None):
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    telemetry = _telemetry_parent()
-    fleet = _fleet_parent()
-    pipeline = _campaign_parent(400, 120, resolvers=40, concurrency=True)
-    small = _campaign_parent(60, 40)
-
-    for name, help_text in (
-        ("study", "full study: domains + TLDs + resolvers"),
-        ("scan", "domain pipeline only (§4.1/§5.1)"),
-        ("survey", "resolver survey only (§4.2/§5.2)"),
+    for name, help_text, handler, sizes in (
+        ("study", "full study: domains + TLDs + resolvers", cmd_campaign, (400, 120)),
+        ("scan", "domain pipeline only (§4.1/§5.1)", cmd_campaign, (400, 120)),
+        ("survey", "resolver survey only (§4.2/§5.2)", cmd_campaign, (400, 120)),
+        ("trace", "trace one probe query and print its span tree", cmd_trace,
+         (60, 40)),
+        ("attack", "adversarial NSEC3/DNSSEC workloads vs a resource-guarded "
+         "resolver", cmd_attack, (60, 40)),
+        ("serve", "serve the testbed on real UDP/TCP sockets (dig-compatible)",
+         cmd_serve, (40, 12)),
+        ("loadgen", "replay benign/attack traffic against a running 'repro "
+         "serve'", cmd_loadgen, (40, 12)),
+        ("soak", "chaos soak: benign → attack → fuzz → churn → recovery → "
+         "drain", cmd_soak, (40, 12)),
+        ("timeline", "modelled adoption timeline", cmd_timeline, None),
+        ("guidance", "print the twelve items", cmd_guidance, None),
     ):
-        command = sub.add_parser(
-            name, help=help_text, parents=[pipeline, fleet, telemetry]
-        )
-        command.set_defaults(handler=cmd_campaign)
-
-    trace = sub.add_parser(
-        "trace",
-        help="trace one probe query and print its span tree",
-        parents=[small, telemetry],
-    )
-    trace.add_argument(
-        "qname",
-        nargs="?",
-        default="it-150.rfc9276-in-the-wild.com",
-        help="name to query (default: the 150-iteration probe zone)",
-    )
-    trace.add_argument(
-        "--policy",
-        choices=sorted(VENDOR_POLICIES),
-        default="legacy",
-        help="validating-resolver policy to trace through (default: legacy)",
-    )
-    trace.add_argument(
-        "--label",
-        default="trace1",
-        help="unique cache-busting label prepended to qname ('' to disable)",
-    )
-    trace.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="write the span tree (plus journal events) as Chrome-trace/"
-        "Perfetto JSON, loadable in ui.perfetto.dev",
-    )
-    trace.set_defaults(handler=cmd_trace)
-
-    attack = sub.add_parser(
-        "attack",
-        help="adversarial NSEC3/DNSSEC workloads vs a resource-guarded resolver",
-        parents=[small, telemetry],
-    )
-    attack.add_argument(
-        "--queries",
-        type=int,
-        default=6,
-        help="unique (cache-busting) probes per attack zone (default: 6)",
-    )
-    attack.add_argument(
-        "--guard",
-        choices=sorted(GUARD_PROFILES),
-        default="guarded",
-        help="guard profile for the protected resolver (default: guarded)",
-    )
-    attack.set_defaults(handler=cmd_attack)
-
-    service_size = _campaign_parent(40, 12)
-
-    serve = sub.add_parser(
-        "serve",
-        help="serve the testbed on real UDP/TCP sockets (dig-compatible)",
-        parents=[service_size, telemetry],
-    )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=5300,
-        help="resolver UDP+TCP port (0 = ephemeral; default: 5300)",
-    )
-    serve.add_argument(
-        "--auth-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="also bind the probe-zone authoritative server here",
-    )
-    serve.add_argument(
-        "--guard",
-        choices=sorted(GUARD_PROFILES) + ["none"],
-        default="guarded",
-        help="resolver guard profile ('none' = unguarded; default: guarded)",
-    )
-    serve.add_argument(
-        "--policy",
-        choices=sorted(VENDOR_POLICIES),
-        default="legacy",
-        help="validating-resolver vendor policy (default: legacy)",
-    )
-    serve.add_argument(
-        "--no-attack",
-        action="store_true",
-        help="skip building the adversarial NSEC3/KeyTrap lab zones",
-    )
-    serve.add_argument(
-        "--capacity",
-        type=int,
-        default=64,
-        help="global pending-query admission bound (default: 64)",
-    )
-    serve.add_argument(
-        "--max-pending",
-        type=int,
-        default=128,
-        help="per-socket pending-query bound (default: 128)",
-    )
-    serve.add_argument(
-        "--pending-timeout",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="queued queries older than this are shed (default: 5)",
-    )
-    serve.add_argument(
-        "--tcp-max-connections",
-        type=int,
-        default=64,
-        help="global open TCP connection cap (default: 64)",
-    )
-    serve.add_argument(
-        "--tcp-idle-timeout",
-        type=float,
-        default=10.0,
-        metavar="S",
-        help="idle/slow-loris TCP reap threshold (default: 10)",
-    )
-    serve.add_argument(
-        "--duration",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="drain and exit after S seconds (0 = serve until signal)",
-    )
-    serve.set_defaults(handler=cmd_serve)
-
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="replay benign/attack traffic against a running 'repro serve'",
-        parents=[service_size],
-    )
-    loadgen.add_argument("--host", default="127.0.0.1", help="target address")
-    loadgen.add_argument(
-        "--port", type=int, default=5300, help="target port (default: 5300)"
-    )
-    loadgen.add_argument(
-        "--qps", type=float, default=200.0, help="offered load (default: 200)"
-    )
-    loadgen.add_argument(
-        "--duration",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="send window in seconds (default: 5)",
-    )
-    loadgen.add_argument(
-        "--attack-ratio",
-        type=float,
-        default=0.0,
-        help="fraction of queries drawn from the CVE-2023-50868/KeyTrap "
-        "streams (default: 0 = all benign)",
-    )
-    loadgen.add_argument(
-        "--unique-ratio",
-        type=float,
-        default=0.3,
-        help="fraction of benign queries with cache-busting labels "
-        "(default: 0.3)",
-    )
-    loadgen.add_argument(
-        "--timeout",
-        type=float,
-        default=3.0,
-        metavar="S",
-        help="per-query reply timeout (default: 3)",
-    )
-    loadgen.add_argument(
-        "--json-out", metavar="PATH", help="also write the report as JSON"
-    )
-    loadgen.set_defaults(handler=cmd_loadgen)
-
-    soak = sub.add_parser(
-        "soak",
-        help="chaos soak: benign → attack → fuzz → churn → recovery → drain",
-        parents=[service_size],
-    )
-    soak.add_argument(
-        "--phase-seconds",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="wall seconds per soak phase (default: 5)",
-    )
-    soak.add_argument(
-        "--benign-qps", type=float, default=120.0, help="benign load (default: 120)"
-    )
-    soak.add_argument(
-        "--attack-qps",
-        type=float,
-        default=250.0,
-        help="mixed load during the attack phase (default: 250)",
-    )
-    soak.add_argument(
-        "--rss-limit-mb",
-        type=float,
-        default=400.0,
-        help="RSS growth ceiling over the whole soak (default: 400)",
-    )
-    soak.add_argument(
-        "--p99-limit-ms",
-        type=float,
-        default=5000.0,
-        help="benign p99 ceiling during the attack phase (default: 5000)",
-    )
-    soak.add_argument(
-        "--json-out", metavar="PATH", help="also write the report as JSON"
-    )
-    soak.set_defaults(handler=cmd_soak)
-
-    timeline = sub.add_parser("timeline", help="modelled adoption timeline")
-    timeline.set_defaults(handler=cmd_timeline)
-    guidance = sub.add_parser("guidance", help="print the twelve items")
-    guidance.set_defaults(handler=cmd_guidance)
+        command = sub.add_parser(name, help=help_text)
+        groups = {None: command}
+        for flag, commands, group, kwargs in OPTIONS:
+            if name in commands:
+                if group not in groups:
+                    groups[group] = command.add_argument_group(group)
+                groups[group].add_argument(flag, **kwargs)
+        command.set_defaults(handler=handler)
+        if sizes:
+            command.set_defaults(domains=sizes[0], tlds=sizes[1])
 
     args = parser.parse_args(argv)
     try:

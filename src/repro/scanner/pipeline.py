@@ -108,8 +108,14 @@ class CampaignPlan:
         network_spec, kills = split_fault_spec(
             getattr(args, "faults", None), seed=args.seed
         )
+        workers = getattr(args, "workers", 1)
         kill = None
         if kills:
+            if workers < 2:
+                raise CampaignError(
+                    "--faults kill: needs --workers 2 or more: without a "
+                    "supervisor nothing restarts a killed or hung shard"
+                )
             model = kills[0]
             kill = (model.rate, model.max_kills, model.hang_rate, model.seed)
         return cls(
@@ -118,7 +124,7 @@ class CampaignPlan:
             tlds=args.tlds,
             resolvers=getattr(args, "resolvers", 0) or 0,
             seed=args.seed,
-            workers=getattr(args, "workers", 1),
+            workers=workers,
             state_dir=getattr(args, "state_dir", None),
             concurrency=getattr(args, "concurrency", 1),
             faults=network_spec,

@@ -17,11 +17,15 @@ Pieces:
   supervisor, whose merge reads every record anyway, pays that O(N);
   workers walk their (start=shard, stride=workers) sub-stream of the
   :class:`~repro.scanner.pipeline.UnitUniverse` lazily.
-- :func:`worker_main` — the spawn entry point, a shell around the
-  pipeline: heartbeat, the per-shard
-  :class:`~repro.scanner.campaign.CampaignCheckpoint` as the sink,
-  operator-signal handling, and a done-file (stats + metrics snapshot)
-  on completion. A seeded
+- :func:`run_shard` — the shard shell every runner measures through,
+  spawned or not: ``run_units`` over the shard's sub-stream into its
+  sink and, with a state dir, the per-shard
+  :class:`~repro.scanner.campaign.CampaignCheckpoint` sealed by a
+  done-file (stats + metrics snapshot). The CLI's ``--workers 1`` is
+  shard 0 of 1 through it in its own process, merged by
+  :func:`merge_in_process` like a fleet's shards.
+- :func:`worker_main` — the spawn entry point around :func:`run_shard`:
+  heartbeat, a scoped build, operator-signal handling. A seeded
   :class:`~repro.net.faults.ProcessKill` directive makes it SIGKILL or
   hang itself mid-campaign — tearing its own journal tail on the way
   out, so restarts exercise the real recovery path.
@@ -203,6 +207,72 @@ class _KillSwitch:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
+def shard_checkpoint(plan, shard):
+    """Shard *shard*'s crash-safe sink: its journaled checkpoint under
+    ``plan.state_dir`` (created if missing)."""
+    os.makedirs(plan.state_dir, exist_ok=True)
+    return CampaignCheckpoint(
+        _checkpoint_path(plan.state_dir, shard),
+        flush_every=plan.flush_every,
+        schema=WORKER_SCHEMA,
+        discard=plan.discard_checkpoint,
+    )
+
+
+def run_shard(world, shard, sink, progress, started, heartbeat=None, attempt=0):
+    """The shard shell every runner measures through: drive shard
+    *shard* of the built *world* into *sink* with ``run_units``; returns
+    ``(resumed, executed)``.
+
+    With a state dir the sink is the shard's checkpoint, and the shell
+    seals it: flush, compact, then the done-file — stats and metrics
+    snapshot — whose existence marks the shard done. *started* is
+    ``(perf_counter, process_time)`` from before the build. A spawned
+    worker passes its *heartbeat*; a shard measured in the CLI's own
+    process has none.
+    """
+    plan = world.plan
+    measure_start = time.perf_counter()
+    measure_start_cpu = time.process_time()
+    resumed, executed = run_units(
+        world, world.universe.iter_shard(shard, plan.workers), sink, progress
+    )
+    if plan.state_dir is None:
+        return resumed, executed
+    sink.flush()
+    sink.compact()
+    if heartbeat is not None:
+        heartbeat.advance(phase="finalize")
+
+    kernel = world.inet.network.kernel
+    cache = build_cache.active()
+    report = {
+        "shard": shard,
+        "attempt": attempt,
+        "units": world.universe.shard_size(shard, plan.workers),
+        "resumed": resumed,
+        "executed": executed,
+        "clock_ms": kernel.now,
+        "events": kernel.events_run,
+        "queries": world.engine.stats.queries if world.engine is not None else 0,
+        "build_seconds": round(measure_start - started[0], 3),
+        "measure_seconds": round(time.perf_counter() - measure_start, 3),
+        # CPU time is immune to sibling-worker contention: the fleet's
+        # wall-clock floor with one core per worker.
+        "build_cpu_seconds": round(measure_start_cpu - started[1], 3),
+        "measure_cpu_seconds": round(time.process_time() - measure_start_cpu, 3),
+        "built": heartbeat.built if heartbeat is not None else None,
+        "build_cache": dict(cache.events) if cache is not None else None,
+        "metrics": obs.registry.to_json() if obs.enabled else None,
+    }
+    # The done-file's existence is what marks the shard done: it must
+    # never be seen half-written, nor vanish after a power cut.
+    durable.replace(
+        _done_path(plan.state_dir, shard), json.dumps(report).encode("utf-8")
+    )
+    return resumed, executed
+
+
 def worker_main(spec):
     """Spawn entry point for one shard attempt. Never raises: a
     :class:`CampaignError` leaves its one line in the shard's ``.err``
@@ -216,8 +286,9 @@ def worker_main(spec):
         os._exit(128 + stop.signum)
     except BaseException as exc:
         campaign = isinstance(exc, CampaignError)
+        error_path = _error_path(spec["plan"]["state_dir"], spec["shard"])
         try:
-            with open(spec["error_path"], "w", encoding="utf-8") as handle:
+            with open(error_path, "w", encoding="utf-8") as handle:
                 handle.write(f"{exc}\n" if campaign else traceback.format_exc())
         except OSError:
             pass
@@ -225,28 +296,22 @@ def worker_main(spec):
 
 
 def _worker_run(spec):
-    """One shard attempt: the shell around ``World.build`` + ``run_units``."""
+    """One spawned shard attempt: heartbeat, kill switch and operator
+    signals around a scoped build and :func:`run_shard`."""
+    started = time.perf_counter(), time.process_time()
     plan = CampaignPlan(**spec["plan"])
     shard = spec["shard"]
-    attempt = spec["attempt"]
-    build_start = time.perf_counter()
-    build_start_cpu = time.process_time()
     if plan.collect_metrics:
         obs.enable()
 
-    heartbeat = HeartbeatWriter(spec["heartbeat_path"], attempt)
+    heartbeat = HeartbeatWriter(_heartbeat_path(plan.state_dir, shard), spec["attempt"])
     heartbeat.start(phase="build")
     # Every completed sign_zone — eager infra, probe zones, lazy SLD
     # materialisations, warm-pass entries — ticks build progress so the
     # watchdog can tell a slow cold build from a hung one.
     signing.zone_signed_listener = lambda zone: heartbeat.tick_built()
-    checkpoint = CampaignCheckpoint(
-        spec["checkpoint_path"],
-        flush_every=plan.flush_every,
-        schema=WORKER_SCHEMA,
-        discard=plan.discard_checkpoint,
-    )
-    killer = _KillSwitch(spec.get("directive"), checkpoint)
+    checkpoint = shard_checkpoint(plan, shard)
+    killer = _KillSwitch(spec["directive"], checkpoint)
     shutdown = _ShutdownFlag(checkpoint, heartbeat)
     shutdown.install()
 
@@ -267,39 +332,7 @@ def _worker_run(spec):
         scope=BuildScope(shard, plan.workers),
         progress=heartbeat.tick_built,
     )
-    measure_start = time.perf_counter()
-    measure_start_cpu = time.process_time()
-    resumed, executed = run_units(
-        world, world.universe.iter_shard(shard, plan.workers), checkpoint, progress
-    )
-    checkpoint.flush()
-    checkpoint.compact()
-    heartbeat.advance(phase="finalize")
-
-    kernel = world.inet.network.kernel
-    cache = build_cache.active()
-    report = {
-        "shard": shard,
-        "attempt": attempt,
-        "units": world.universe.shard_size(shard, plan.workers),
-        "resumed": resumed,
-        "executed": executed,
-        "clock_ms": kernel.now,
-        "events": kernel.events_run,
-        "queries": world.engine.stats.queries if world.engine is not None else 0,
-        "build_seconds": round(measure_start - build_start, 3),
-        "measure_seconds": round(time.perf_counter() - measure_start, 3),
-        # CPU time is immune to sibling-worker contention: the fleet's
-        # wall-clock floor with one core per worker.
-        "build_cpu_seconds": round(measure_start_cpu - build_start_cpu, 3),
-        "measure_cpu_seconds": round(time.process_time() - measure_start_cpu, 3),
-        "built": heartbeat.built,
-        "build_cache": dict(cache.events) if cache is not None else None,
-        "metrics": obs.registry.to_json() if obs.enabled else None,
-    }
-    # The done-file's existence is what marks the shard done: it must
-    # never be seen half-written, nor vanish after a power cut.
-    durable.replace(spec["done_path"], json.dumps(report).encode("utf-8"))
+    run_shard(world, shard, checkpoint, progress, started, heartbeat, spec["attempt"])
     heartbeat.advance(phase="done")
     heartbeat.stop()
     signing.zone_signed_listener = None
@@ -375,9 +408,10 @@ def _supervisor_counter(name, help_text, **labels):
     (family.labels(**labels) if labelnames else family).inc()
 
 
-def run_supervised(plan):
+def run_supervised(plan, target=None):
     """Run the campaign across a supervised worker fleet; returns a
-    :class:`SupervisedOutcome` with deterministically merged results."""
+    :class:`SupervisedOutcome` with deterministically merged results
+    (folded into *target* instead of its lists when one is given)."""
     if plan.workers < 2:
         raise ValueError("run_supervised needs workers >= 2")
     os.makedirs(plan.state_dir, exist_ok=True)
@@ -428,13 +462,11 @@ def run_supervised(plan):
             "plan": plan_dict,
             "shard": state.shard,
             "attempt": state.attempt,
-            "checkpoint_path": _checkpoint_path(plan.state_dir, state.shard),
-            "heartbeat_path": _heartbeat_path(plan.state_dir, state.shard),
-            "done_path": _done_path(plan.state_dir, state.shard),
-            "error_path": _error_path(plan.state_dir, state.shard),
             "directive": directive,
         }
-        state.handle = WorkerHandle(worker_main, spec, spec["heartbeat_path"])
+        state.handle = WorkerHandle(
+            worker_main, spec, _heartbeat_path(plan.state_dir, state.shard)
+        )
         state.watchdog = Watchdog(plan.stall_timeout_s)
         state.status = "running"
         state.handle.start()
@@ -565,7 +597,7 @@ def run_supervised(plan):
         shard_list = [s.shard for s in failed]
         _log(f"fleet failed: restarts={restarts}, failed shards {shard_list}")
         raise CampaignError(failed[0].error or f"shard {failed[0].shard} failed")
-    outcome = merge_shards(plan, units, domain_specs, shards)
+    outcome = merge_shards(plan, units, domain_specs, shards, target)
     outcome.restarts = restarts
     outcome.heartbeat_timeouts = heartbeat_timeouts
     if not outcome.coverage.complete:
@@ -585,8 +617,9 @@ def run_supervised(plan):
     return outcome
 
 
-def merge_shards(plan, units, domain_specs, shards):
-    """Deterministic merge of shard checkpoints, in global unit order.
+def merge_shards(plan, units, domain_specs, shards, target=None):
+    """Deterministic merge of shard checkpoints, in global unit order,
+    into *target* (by default the outcome's result lists).
 
     Reports only need the per-unit records; shards that died keep
     whatever their journal salvaged, so quarantined shards degrade the
@@ -624,7 +657,7 @@ def merge_shards(plan, units, domain_specs, shards):
             coverage.missing.append(key)
             continue
         coverage.units_merged += 1
-        fold_record(outcome, unit, record)
+        fold_record(outcome if target is None else target, unit, record)
 
     for state in shards:
         try:
@@ -634,9 +667,22 @@ def merge_shards(plan, units, domain_specs, shards):
                 outcome.shard_reports.append(json.load(handle))
         except (OSError, ValueError):
             continue
-    if plan.collect_metrics:
+    # Shard 0 of 1 ran in this process: its registry is the live one.
+    if plan.collect_metrics and plan.workers > 1:
         _merge_metrics(outcome.shard_reports)
     return outcome
+
+
+def merge_in_process(world, target):
+    """Merge shard 0 of 1, measured and sealed in this process, the way
+    a fleet's shards are merged; returns its :class:`Coverage`."""
+    universe = world.universe
+    state = _ShardState(0, len(universe))
+    state.status = "done"
+    outcome = merge_shards(
+        world.plan, list(universe), universe.population, [state], target
+    )
+    return outcome.coverage
 
 
 def _merge_metrics(shard_reports):

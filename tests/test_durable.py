@@ -1,15 +1,16 @@
-"""Campaign state on disk: how often it is fsynced, and what happens when
-writing it fails.
+"""Campaign state on disk: how often it is fsynced, what happens when
+writing it fails, and how a killed single process resumes from it.
 
 The fsync census pins the durability level of every operation through
 its public entry point: a change there moves the ledger's ``fleet-warm``
 (journal fsyncs and done-files in its window, build-cache stores in its
 cold set-up). The failure matrix breaks the state directory on purpose —
 a ``sitecustomize`` on ``PYTHONPATH`` (which spawned fleet workers
-inherit) patches ``repro.durable`` alone — and holds every run to the
-one failure rule: a campaign write that fails ends in one ``repro:``
-line and exit 2, a build-cache write that fails is counted and the
-report does not change; never a traceback, a hang or a stray tmp file.
+inherit) patches ``repro.durable`` alone — and holds every run, one
+process or a fleet, to the one failure rule: a campaign write that fails
+ends in one ``repro:`` line and exit 2, a build-cache write that fails is
+counted and the report does not change; never a traceback, a hang or a
+stray tmp file.
 """
 
 import errno
@@ -65,16 +66,7 @@ def _done_file_fsyncs(state_dir, fsyncs, monkeypatch):
         role="scan", domains=4, tlds=4, resolvers=0, seed=5,
         state_dir=str(state_dir),
     )
-    spec = {
-        "plan": plan.to_dict(),
-        "shard": 0,
-        "attempt": 0,
-        "checkpoint_path": str(state_dir / "shard-0.ckpt"),
-        "heartbeat_path": str(state_dir / "shard-0.hb"),
-        "done_path": str(state_dir / "shard-0.done.json"),
-        "error_path": str(state_dir / "shard-0.err"),
-        "directive": None,
-    }
+    spec = {"plan": plan.to_dict(), "shard": 0, "attempt": 0, "directive": None}
     before = len(fsyncs)
     try:
         supervisor._worker_run(spec)
@@ -171,44 +163,57 @@ shim.replace = replace
 durable.os = shim
 '''
 
-#: case: (failing syscalls and path patterns, errno, what a fleet's one
-#: ``repro:`` line names — None when the fleet finishes —, whether
-#: build-cache stores fail)
+#: case: (failing syscalls and path patterns, errno, what the run's one
+#: ``repro:`` line names — None when the run finishes — with one process
+#: and with a fleet). Only a fleet writes heartbeats, so when every write
+#: fails a single process first fails on its journal.
 CASES = {
     "journal-append-ENOSPC": (
-        {"fsync": r"\.journal$"}, "ENOSPC", r"shard-\d\.ckpt\.journal", False,
+        {"fsync": r"\.journal$"}, "ENOSPC", (r"shard-\d\.ckpt\.journal",) * 2,
     ),
     "compaction-EIO": (
-        {"fsync": r"\.ckpt\.\d+\.tmp$"}, "EIO", r"shard-\d\.ckpt:", False,
+        {"fsync": r"\.ckpt\.\d+\.tmp$"}, "EIO", (r"shard-\d\.ckpt:",) * 2,
     ),
     "done-file-EROFS": (
-        {"replace": r"\.done\.json$"}, "EROFS", r"shard-\d\.done\.json", False,
+        {"replace": r"\.done\.json$"}, "EROFS", (r"shard-\d\.done\.json",) * 2,
     ),
     "build-cache-store-ENOSPC": (
-        {"fsync": r"\.entry\.\d+\.tmp$"}, "ENOSPC", None, True,
+        {"fsync": r"\.entry\.\d+\.tmp$"}, "ENOSPC", (None, None),
     ),
     "every-write-ENOSPC": (
-        {"fsync": "", "replace": ""}, "ENOSPC", r"shard-\d\.hb", True,
+        {"fsync": "", "replace": ""}, "ENOSPC",
+        (r"shard-0\.ckpt\.journal", r"shard-\d\.hb"),
     ),
 }
 
 
+def _scan_queries(metrics_path):
+    metrics = json.loads(metrics_path.read_text())
+    return sum(
+        sample["value"]
+        for sample in metrics["repro_scan_queries_total"]["samples"]
+    )
+
+
 @pytest.fixture(scope="module")
-def cache_free_report():
-    proc = _run_cli(SMALL_STUDY)
+def clean_run(tmp_path_factory):
+    """The uninterrupted single-process study without a state dir:
+    (stdout, scan queries sent)."""
+    metrics = tmp_path_factory.mktemp("clean") / "metrics.json"
+    proc = _run_cli(SMALL_STUDY + ["--metrics-out", str(metrics)])
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc.stdout, _scan_queries(metrics)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_failing_state_dir(tmp_path, case, workers, cache_free_report):
-    """A single-process run writes only the build cache under
-    ``--state-dir``, so there every case is a counted cache error or
-    nothing at all; a fleet also writes journals, snapshots, done-files
-    and heartbeats, and a failure there stops the fleet."""
-    faults, code, names, cache_fails = CASES[case]
+def test_failing_state_dir(tmp_path, case, workers, clean_run):
+    """One process and a fleet both write journals, snapshots, done-files
+    and the build cache under ``--state-dir`` (a fleet also heartbeats),
+    and a failure anywhere but the build cache stops the run."""
+    faults, code, names = CASES[case]
+    names = names[workers - 1]
     site = tmp_path / "site"
     site.mkdir()
     (site / "sitecustomize.py").write_text(
@@ -227,7 +232,7 @@ def test_failing_state_dir(tmp_path, case, workers, cache_free_report):
     assert "Traceback" not in proc.stderr, proc.stderr
     assert not list(state.rglob("*.tmp"))
     assert elapsed < STALL_TIMEOUT_S / 2
-    if workers == 2 and names is not None:
+    if names is not None:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         (line,) = [
@@ -237,13 +242,54 @@ def test_failing_state_dir(tmp_path, case, workers, cache_free_report):
         assert re.search(names, line), line
         return
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == cache_free_report
-    if workers == 1:
-        (sim,) = [line for line in proc.stderr.splitlines() if line.startswith("[sim]")]
-        assert ("error:" in sim) == cache_fails, sim
-    else:
-        errors = sum(
-            (json.loads(done.read_text())["build_cache"] or {}).get("error", 0)
-            for done in state.glob("shard-*.done.json")
-        )
-        assert errors > 0
+    assert proc.stdout == clean_run[0]
+    errors = sum(
+        (json.loads(done.read_text())["build_cache"] or {}).get("error", 0)
+        for done in state.glob("shard-*.done.json")
+    )
+    assert errors > 0
+
+
+#: SIGKILLs the process right after its first journal append.
+KILL_AFTER_FIRST_APPEND = '''
+import os
+import signal
+
+from repro import durable
+
+append = durable.append
+
+def killing_append(path, *args, **kwargs):
+    append(path, *args, **kwargs)
+    if str(path).endswith(".journal"):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+durable.append = killing_append
+'''
+
+
+@pytest.mark.slow
+def test_single_process_resumes_after_sigkill(tmp_path, clean_run):
+    """``--workers 1 --state-dir`` journals like a fleet shard: killed
+    after its first flush (``flush_every`` 20 of 30 units), the rerun
+    prints the clean report and measures only the other 10 units."""
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(KILL_AFTER_FIRST_APPEND)
+    state = tmp_path / "state"
+    argv = SMALL_STUDY + ["--workers", "1", "--state-dir", str(state)]
+    killed = _run_cli(argv, pythonpath=[site])
+    assert killed.returncode == -9, killed.stderr
+    assert killed.stdout == ""
+    assert not (state / "shard-0.done.json").exists()
+
+    metrics = tmp_path / "metrics.json"
+    resumed = _run_cli(argv + ["--metrics-out", str(metrics)])
+    assert resumed.returncode == 0, resumed.stderr
+    stdout, clean_queries = clean_run
+    assert resumed.stdout == stdout
+    assert "resumed=20 executed=10 coverage=30/30" in resumed.stderr
+    done = json.loads((state / "shard-0.done.json").read_text())
+    assert (done["units"], done["resumed"], done["executed"]) == (30, 20, 10)
+    # The journaled 20 units cost no query the second time.
+    assert 0 < _scan_queries(metrics) < clean_queries

@@ -612,6 +612,18 @@ class TestSupervisedAcceptance:
         assert not outcome.coverage.complete
         assert 0 < outcome.coverage.units_merged < outcome.coverage.units_total
 
+    def test_fleet_without_state_dir_leaves_no_temp_dir(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        proc = _run_cli(
+            ["scan", "--domains", "4", "--tlds", "4", "--seed", "5",
+             "--workers", "2"]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"state dir {tmp_path / 'repro-fleet-'}" in proc.stderr
+        assert not list(tmp_path.glob("repro-fleet-*"))
+
     def test_requires_at_least_two_workers(self, tmp_path):
         with pytest.raises(ValueError):
             run_supervised(_plan(workers=1, state_dir=str(tmp_path)))
@@ -785,7 +797,7 @@ class TestCliExitCodes:
             total_domains=2,
             coverage=coverage,
         )
-        monkeypatch.setattr(cli, "run_supervised", lambda plan: outcome)
+        monkeypatch.setattr(cli, "run_supervised", lambda plan, target: outcome)
         return cli.main(
             ["scan", "--workers", "2", "--state-dir", str(tmp_path),
              "--exit-code-on-partial"]
@@ -799,3 +811,35 @@ class TestCliExitCodes:
     def test_complete_coverage_returns_none(self, monkeypatch, tmp_path):
         coverage = Coverage(units_total=4, units_merged=4)
         assert self._fleet_scan(monkeypatch, tmp_path, coverage) == 0
+
+    def test_kill_faults_need_a_fleet(self, capsys):
+        # Nothing in one process restarts a SIGKILLed shard or un-hangs a
+        # hung one, so a kill: token without a supervisor is refused.
+        import repro.__main__ as cli
+
+        assert cli.main(["scan", "--faults", "burst:0.1,kill:1.0:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: --faults kill: needs --workers 2"), line
+
+    def test_failed_fleet_removes_the_state_dir_it_made(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        import tempfile
+
+        import repro.__main__ as cli
+
+        made = []
+
+        def failing(plan, target):
+            made.append(plan.state_dir)
+            assert os.path.isdir(plan.state_dir)
+            raise CampaignError("shard 0 failed")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(cli, "run_supervised", failing)
+        assert cli.main(["scan", "--workers", "2"]) == 2
+        assert "repro: shard 0 failed" in capsys.readouterr().err
+        assert made and made[0].startswith(str(tmp_path / "repro-fleet-"))
+        assert not list(tmp_path.glob("repro-fleet-*"))
