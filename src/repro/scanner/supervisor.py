@@ -306,36 +306,44 @@ def _worker_run(spec):
 
     heartbeat = HeartbeatWriter(_heartbeat_path(plan.state_dir, shard), spec["attempt"])
     heartbeat.start(phase="build")
-    # Every completed sign_zone — eager infra, probe zones, lazy SLD
-    # materialisations, warm-pass entries — ticks build progress so the
-    # watchdog can tell a slow cold build from a hung one.
-    signing.zone_signed_listener = lambda zone: heartbeat.tick_built()
-    checkpoint = shard_checkpoint(plan, shard)
-    killer = _KillSwitch(spec["directive"], checkpoint)
-    shutdown = _ShutdownFlag(checkpoint, heartbeat)
-    shutdown.install()
+    try:
+        # Every completed sign_zone — eager infra, probe zones, lazy SLD
+        # materialisations, warm-pass entries — ticks build progress so
+        # the watchdog can tell a slow cold build from a hung one.
+        signing.zone_signed_listener = lambda zone: heartbeat.tick_built()
+        checkpoint = shard_checkpoint(plan, shard)
+        killer = _KillSwitch(spec["directive"], checkpoint)
+        shutdown = _ShutdownFlag(checkpoint, heartbeat)
+        shutdown.install()
 
-    def progress(phase, units_done, executed):
-        # The seeded kill fires after executed units only; the operator
-        # signal is checked last, so a stop lands on a journaled unit.
-        heartbeat.advance(units_done=units_done, phase=phase)
-        if executed:
-            killer.after_unit(units_done)
-        shutdown.check()
+        def progress(phase, units_done, executed):
+            # The seeded kill fires after executed units only; the
+            # operator signal is checked last, so a stop lands on a
+            # journaled unit.
+            heartbeat.advance(units_done=units_done, phase=phase)
+            if executed:
+                killer.after_unit(units_done)
+            shutdown.check()
 
-    # Scoped construction: TLD signing is deferred to first use (split
-    # across the fleet via the build cache under the state dir, which
-    # every worker and restart shares) and this shard's own SLD
-    # artifacts are pre-warmed into the cache during the build phase.
-    world = World.build(
-        plan,
-        scope=BuildScope(shard, plan.workers),
-        progress=heartbeat.tick_built,
-    )
-    run_shard(world, shard, checkpoint, progress, started, heartbeat, spec["attempt"])
-    heartbeat.advance(phase="done")
-    heartbeat.stop()
-    signing.zone_signed_listener = None
+        # Scoped construction: TLD signing is deferred to first use
+        # (split across the fleet via the build cache under the state
+        # dir, which every worker and restart shares) and this shard's
+        # own SLD artifacts are pre-warmed into the cache during the
+        # build phase.
+        world = World.build(
+            plan,
+            scope=BuildScope(shard, plan.workers),
+            progress=heartbeat.tick_built,
+        )
+        run_shard(
+            world, shard, checkpoint, progress, started, heartbeat, spec["attempt"]
+        )
+        heartbeat.advance(phase="done")
+    finally:
+        # Join the beating thread before a failed attempt exits: a beat
+        # cut off mid-write would leave its tmp file in the state dir.
+        heartbeat.stop()
+        signing.zone_signed_listener = None
 
 
 # -- the supervisor ----------------------------------------------------------

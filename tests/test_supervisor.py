@@ -724,6 +724,28 @@ class TestOperatorShutdown:
         assert 128 + stop.signum == 143
         assert "signal" in str(stop)
 
+    def test_failed_attempt_stops_its_heartbeat(self, tmp_path, monkeypatch):
+        # A failed attempt leaves through os._exit: a heartbeat thread
+        # still beating then can leave a half-written tmp file behind.
+        import threading
+
+        import repro.scanner.supervisor as supervisor_module
+        from repro.zone import signing
+
+        def failing(cls, *args, **kwargs):
+            raise CampaignError("cannot write: disk full")
+
+        monkeypatch.setattr(supervisor_module._ShutdownFlag, "install", lambda self: None)
+        monkeypatch.setattr(supervisor_module.World, "build", classmethod(failing))
+        plan = _plan("scan", domains=4, tlds=4, resolvers=0, state_dir=str(tmp_path))
+        spec = {"plan": plan.to_dict(), "shard": 0, "attempt": 0, "directive": None}
+        before = set(threading.enumerate())
+        with pytest.raises(CampaignError):
+            supervisor_module._worker_run(spec)
+        assert [t for t in threading.enumerate() if t not in before] == []
+        assert signing.zone_signed_listener is None
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_stopped_shard_merges_its_journal(self, tmp_path):
         plan = _plan(
             "scan", domains=8, tlds=6, resolvers=0, state_dir=str(tmp_path)
