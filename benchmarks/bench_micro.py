@@ -226,6 +226,60 @@ def test_nsec3_hash_memoized(benchmark):
     benchmark(nsec3_hash, _NSEC3_OWNER, _NSEC3_SALT, 150)
 
 
+#: A chain build's batch: 200 owners under one 8-octet salt.
+_NSEC3_BATCH_OWNERS = [
+    Name.from_text(f"host{index}.bench.example.com").canonical_wire()
+    for index in range(200)
+]
+_NSEC3_BATCH_SALT = bytes(range(8))
+
+
+def test_nsec3_hash_batch(benchmark):
+    """A chain build hashing 200 fresh owners at 10 iterations."""
+    from repro.dnssec.nsec3hash import nsec3_hash_batch
+
+    benchmark(nsec3_hash_batch, _NSEC3_BATCH_OWNERS, _NSEC3_BATCH_SALT, 10)
+
+
+def test_nsec3_hash_per_owner(benchmark):
+    """The same 200 owners through :func:`nsec3_hash` one by one, the
+    memo emptied first (a chain build's owners are all new to it)."""
+    from repro.dnssec.nsec3hash import _digest_memo, nsec3_hash
+
+    def per_owner():
+        _digest_memo.clear()
+        return [
+            nsec3_hash(owner, _NSEC3_BATCH_SALT, 10) for owner in _NSEC3_BATCH_OWNERS
+        ]
+
+    benchmark(per_owner)
+
+
+def test_kernel_execute_top_level(benchmark):
+    """One top-level query's driver: two delays through the event heap,
+    then the result."""
+    from repro.net.sim import SimKernel
+
+    kernel = SimKernel()
+
+    def exchange():
+        yield 10.0
+        yield 5.0
+        return "reply"
+
+    benchmark(lambda: kernel.execute(exchange()))
+
+
+def test_heartbeat_beat(benchmark, tmp_path):
+    """One heartbeat write: encode, write a tmp file, rename over the
+    last beat. A fleet worker pays it per phase change and per beat."""
+    from repro.net.procpool import Heartbeat, write_heartbeat
+
+    path = tmp_path / "shard-0.hb"
+    beat = Heartbeat(t=1.0, pid=1, attempt=0, phase="scan", units_done=7)
+    benchmark(write_heartbeat, path, beat)
+
+
 def test_event_emit_sampled(benchmark):
     """One journal emission on the hottest kind (sampled 1-in-8, no sink):
     the marginal cost every query pays when --events-out is active."""

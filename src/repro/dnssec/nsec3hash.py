@@ -83,9 +83,7 @@ def nsec3_hash_batch(owner_wires, salt, iterations, hash_algorithm=NSEC3_HASH_SH
     """Hash many owner names under one ``(salt, iterations)`` setting.
 
     Chain builds hash every name in a zone exactly once, so the
-    per-owner memo buys nothing there; this single pass instead hoists
-    the per-hash setup — one salt-extended iteration buffer reused
-    across the whole batch, the SHA-1 constructor bound once — and
+    per-owner memo buys nothing there; this single pass skips it and
     charges the meter per name exactly as :func:`nsec3_hash` would, so
     the cost model cannot tell the batch from N single calls. Callers
     fall back to :func:`nsec3_hash` when span tracing is on (the batch
@@ -93,19 +91,12 @@ def nsec3_hash_batch(owner_wires, salt, iterations, hash_algorithm=NSEC3_HASH_SH
     """
     if hash_algorithm != NSEC3_HASH_SHA1:
         raise UnknownHashAlgorithm(f"NSEC3 hash algorithm {hash_algorithm}")
-    sha1 = hashlib.sha1
     charge = meter.charge_nsec3
     observe = obs.profiler.observe_iterations if obs.enabled else None
     salt_length = len(salt)
     digests = []
-    buffer = bytearray(20 + salt_length)
-    buffer[20:] = salt
     for wire in owner_wires:
-        digest = sha1(wire + salt).digest()
-        for __ in range(iterations):
-            buffer[:20] = digest
-            digest = sha1(buffer).digest()
-        digests.append(digest)
+        digests.append(_compute_iterated_digest(wire, salt, iterations))
         charge(iterations, len(wire), salt_length)
         if observe is not None:
             observe(iterations)

@@ -11,10 +11,15 @@ machinery, which knows nothing about DNS:
 - the **heartbeat file protocol** — each worker atomically rewrites a
   small JSON file (wall-clock time, phase, units completed) from a
   daemon thread, so supervision needs no pipes that a SIGKILL could
-  leave half-read. Heartbeats are ephemeral coordination state: a
-  :func:`repro.durable.replace` that is never fsynced;
+  leave half-read. A phase change is written at once; completed units
+  and build progress only bump counters, which the next beat publishes,
+  so the unit loop pays no file write. Heartbeats are ephemeral
+  coordination state: a :func:`repro.durable.replace` that is never
+  fsynced;
 - :class:`Watchdog` — classifies a worker as making progress or stalled
-  by watching ``(phase, units, built)`` transitions on the wall clock.
+  by watching ``(phase, units, built)`` transitions on the monotonic
+  clock (a wall-clock step must neither condemn a healthy fleet nor
+  blind the watchdog).
   Build phases complete no units but report a monotonically increasing
   ``built`` count (zones signed, construction milestones); the startup
   exemption is granted only while that count advances, so a slow cold
@@ -46,7 +51,7 @@ STARTUP_PHASES = ("init", "build")
 class Heartbeat:
     """One worker's last sign of life."""
 
-    t: float          # wall-clock time of the write (time.time())
+    t: float          # wall-clock time of the write; never read by the watchdog
     pid: int
     attempt: int
     phase: str
@@ -132,13 +137,16 @@ class HeartbeatWriter:
                 self._beat()
 
     def advance(self, units_done=None, phase=None):
-        """Report progress; also beats immediately (phase changes and
-        unit completions should not wait out the interval)."""
+        """Report progress. A phase change is written at once (the
+        supervisor reads ``terminated``/``done`` as soon as the worker
+        exits); a unit count alone publishes with the next beat, within
+        one interval — far inside the watchdog's stall deadline, and it
+        keeps a file rename out of every unit."""
         if units_done is not None:
             self.units_done = units_done
-        if phase is not None:
+        if phase is not None and phase != self.phase:
             self.phase = phase
-        self._beat()
+            self._beat()
 
     def tick_built(self, n=1):
         """Bump the build-progress counter without forcing a write.
@@ -178,6 +186,12 @@ class WorkerHandle:
     def pid(self):
         return self.process.pid
 
+    @property
+    def sentinel(self):
+        """A handle that turns ready when the process ends, for
+        :func:`multiprocessing.connection.wait`."""
+        return self.process.sentinel
+
     def kill(self):
         """SIGKILL — for workers the watchdog has given up on."""
         if self.process.is_alive():
@@ -197,7 +211,7 @@ class WorkerHandle:
 
 
 class Watchdog:
-    """Progress tracking for one worker on the wall clock.
+    """Progress tracking for one worker on the monotonic clock.
 
     ``observe`` feeds it the latest heartbeat; ``stalled`` is True when
     no progress transition has been seen for *stall_timeout_s*. Progress
@@ -209,7 +223,7 @@ class Watchdog:
     once the timeout elapses.
     """
 
-    def __init__(self, stall_timeout_s, clock=time.time):
+    def __init__(self, stall_timeout_s, clock=time.monotonic):
         self.stall_timeout_s = stall_timeout_s
         self._clock = clock
         self.reset()

@@ -114,6 +114,39 @@ class PeriodicTask:
         self.cancelled = False
 
 
+class _Stepper:
+    """One top-level generator driven through the heap, a step per event.
+
+    The heap holds its bound :meth:`step`, not a closure over itself: a
+    self-referencing closure would keep each finished query's whole
+    response graph alive until the cyclic collector ran.
+    """
+
+    __slots__ = ("kernel", "gen", "outcome")
+
+    def __init__(self, kernel, gen):
+        self.kernel = kernel
+        self.gen = gen
+        #: ``("return", value)`` or ``("raise", exc)`` once the
+        #: generator is done; None while it runs.
+        self.outcome = None
+
+    def step(self):
+        kernel = self.kernel
+        kernel._dispatching += 1
+        try:
+            delay = next(self.gen)
+        except StopIteration as stop:
+            self.outcome = ("return", stop.value)
+            return
+        except BaseException as exc:  # surfaced to the caller
+            self.outcome = ("raise", exc)
+            return
+        finally:
+            kernel._dispatching -= 1
+        kernel.schedule(delay, self.step)
+
+
 class SimKernel:
     """The event heap and the single owned virtual clock of one run."""
 
@@ -206,26 +239,11 @@ class SimKernel:
             return stop.value
 
     def _run_scheduled(self, gen):
-        outcome = []
-
-        def step():
-            self._dispatching += 1
-            try:
-                delay = next(gen)
-            except StopIteration as stop:
-                outcome.append(("return", stop.value))
-                return
-            except BaseException as exc:  # surfaced to the caller below
-                outcome.append(("raise", exc))
-                return
-            finally:
-                self._dispatching -= 1
-            self.schedule(delay, step)
-
-        step()
-        while not outcome:
+        stepper = _Stepper(self, gen)
+        stepper.step()
+        while stepper.outcome is None:
             self.run_next()
-        kind, value = outcome[0]
+        kind, value = stepper.outcome
         if kind == "raise":
             raise value
         return value

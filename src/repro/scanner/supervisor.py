@@ -29,16 +29,17 @@ Pieces:
   :class:`~repro.net.faults.ProcessKill` directive makes it SIGKILL or
   hang itself mid-campaign — tearing its own journal tail on the way
   out, so restarts exercise the real recovery path.
-- :func:`run_supervised` — the fleet loop: wall-clock watchdog over
-  heartbeat files, bounded restart-with-backoff of crashed/hung/killed
-  workers (each restart resumes from the shard journal with zero
-  duplicate queries for every journaled unit), lame-shard quarantine
-  past the restart budget, and the deterministic merge: reports from
-  shard checkpoints in global unit order, metrics via
-  ``MetricsRegistry.merge``/``from_json``, plus explicit coverage
-  accounting when quarantine degraded the run. A shard that fails with
-  a :class:`~repro.scanner.campaign.CampaignError` is not restarted;
-  the fleet raises it once the other shards are through.
+- :func:`run_supervised` — the fleet loop: monotonic-clock watchdog
+  over heartbeat files, woken at once by a worker's exit, bounded
+  restart-with-backoff of crashed/hung/killed workers (each restart
+  resumes from the shard journal with zero duplicate queries for every
+  journaled unit), lame-shard quarantine past the restart budget, and
+  the deterministic merge: reports from shard checkpoints in global
+  unit order, metrics via ``MetricsRegistry.merge``/``from_json``, plus
+  explicit coverage accounting when quarantine degraded the run. A
+  shard that fails with a :class:`~repro.scanner.campaign.CampaignError`
+  is not restarted; the fleet raises it once the other shards are
+  through.
 
 Byte-identity is guaranteed for clean-network runs (``kill:`` faults
 included — they never touch a datagram). Network-weather chaos is
@@ -56,6 +57,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 from repro import durable, obs
 from repro.net.procpool import (
@@ -274,9 +276,10 @@ def run_shard(world, shard, sink, progress, started, heartbeat=None, attempt=0):
 
 
 def worker_main(spec):
-    """Spawn entry point for one shard attempt. Never raises: a
-    :class:`CampaignError` leaves its one line in the shard's ``.err``
-    file and exits 2, any other failure its traceback and exits 3."""
+    """Spawn entry point for one shard attempt. Never returns: a sealed
+    shard exits 0, a :class:`CampaignError` leaves its one line in the
+    shard's ``.err`` file and exits 2, any other failure its traceback
+    and exits 3."""
     try:
         _worker_run(spec)
     except OperatorShutdown as stop:
@@ -293,6 +296,12 @@ def worker_main(spec):
         except OSError:
             pass
         os._exit(2 if campaign else 3)
+    # Sealed: the done-file is fsynced, the journal compacted and the
+    # heartbeat thread joined. Tearing down the built world's heap would
+    # only delay the exit the supervisor is waiting on.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)
 
 
 def _worker_run(spec):
@@ -508,7 +517,7 @@ def run_supervised(plan, target=None):
             shard=str(state.shard),
         )
         delay = backoff_delay(state.attempt, plan.restart_backoff_s)
-        state.next_start_t = time.time() + delay
+        state.next_start_t = time.monotonic() + delay
         state.status = "pending"
         _log(
             f"shard {state.shard} died ({reason}); restart "
@@ -530,7 +539,7 @@ def run_supervised(plan, target=None):
         pending = [s for s in shards if s.status == "pending"]
         if not running and not pending:
             break
-        now = time.time()
+        now = time.monotonic()
         for state in pending:
             if now >= state.next_start_t:
                 launch(state)
@@ -598,7 +607,11 @@ def run_supervised(plan, target=None):
                 f"units {min(progress, len(units))}/{len(units)}"
             )
             last_progress_line = (progress, now)
-        time.sleep(plan.poll_interval_s)
+        # Wake on the first worker exit instead of sleeping through it.
+        wait(
+            [s.handle.sentinel for s in shards if s.status == "running"],
+            timeout=plan.poll_interval_s,
+        )
 
     failed = [s for s in shards if s.status == "failed"]
     if failed:

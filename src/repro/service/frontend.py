@@ -48,6 +48,10 @@ from repro.service.engine import ServiceEngine
 #: Largest UDP datagram worth handing to a backend.
 MAX_UDP_DATAGRAM = 65535
 
+#: The most datagrams one delivery takes off a UDP socket (a
+#: default-sized receive buffer holds about this many small queries).
+UDP_READ_BATCH = 256
+
 
 @dataclass
 class Binding:
@@ -68,26 +72,48 @@ class Binding:
 
 
 class _UdpProtocol(asyncio.DatagramProtocol):
-    """One UDP socket: admit → enqueue; replies hop back via the loop."""
+    """One UDP socket: admit → enqueue; replies hop back via the loop.
+
+    asyncio delivers one datagram per loop iteration, and the first one
+    dispatched wakes the engine worker, which then takes the GIL at every
+    system call the loop makes. Taken one at a time, a flood would be
+    paced by the very worker it overloads and pile up in the kernel
+    buffer, never reaching the gates. So each delivery first reads the
+    rest of the socket's backlog, then dispatches all of it: a burst
+    meets the gates at the rate it arrived.
+    """
 
     def __init__(self, service, binding):
         self.service = service
         self.binding = binding
         self.transport = None
+        self._sock = None
 
     def connection_made(self, transport):
         self.transport = transport
+        # A second handle on the same socket, for reading the backlog.
+        self._sock = transport.get_extra_info("socket").dup()
+
+    def connection_lost(self, exc):
+        self._sock.close()
 
     def datagram_received(self, data, addr):
-        if len(data) > MAX_UDP_DATAGRAM:
-            return
-        self.service._dispatch(
-            self.binding,
-            data,
-            addr[0],
-            via_tcp=False,
-            send=lambda wire, addr=addr: self._send(wire, addr),
-        )
+        backlog = [(data, addr)]
+        while len(backlog) < UDP_READ_BATCH:
+            try:
+                backlog.append(self._sock.recvfrom(MAX_UDP_DATAGRAM))
+            except OSError:  # drained (EAGAIN), or an error_received() case
+                break
+        for data, addr in backlog:
+            if len(data) > MAX_UDP_DATAGRAM:
+                continue
+            self.service._dispatch(
+                self.binding,
+                data,
+                addr[0],
+                via_tcp=False,
+                send=lambda wire, addr=addr: self._send(wire, addr),
+            )
 
     def _send(self, wire, addr):
         if wire is not None and self.transport is not None and not self.transport.is_closing():

@@ -8,6 +8,7 @@ from repro.dnssec.costmodel import meter
 from repro.dnssec.nsec3hash import (
     UnknownHashAlgorithm,
     nsec3_hash,
+    nsec3_hash_batch,
     nsec3_hash_name,
     nsec3_owner_name,
 )
@@ -95,3 +96,37 @@ class TestCostAccounting:
         delta = meter.snapshot() - before
         assert delta.nsec3_hashes == 1
         assert delta.sha1_compressions == 6
+
+
+class TestBatch:
+    """The chain builder's batch must be N single hashes in disguise:
+    same digests, same meter charges."""
+
+    OWNERS = [
+        Name.from_text(text).canonical_wire()
+        for text in ("example", "a.example", "*.w.example", "x" * 63 + ".example")
+    ]
+
+    @pytest.mark.parametrize("salt", [b"", bytes.fromhex("AABBCCDD"), b"\x07" * 200])
+    @pytest.mark.parametrize("iterations", [0, 1, 12, 150])
+    def test_matches_per_owner_hash(self, salt, iterations):
+        meter.reset()
+        batch = nsec3_hash_batch(self.OWNERS, salt, iterations)
+        batch_cost = meter.snapshot()
+        meter.reset()
+        single = [nsec3_hash(owner, salt, iterations) for owner in self.OWNERS]
+        assert batch == single
+        assert batch_cost == meter.snapshot()
+        assert batch_cost.nsec3_hashes == len(self.OWNERS)
+
+    def test_rfc5155_vector(self):
+        (digest,) = nsec3_hash_batch(
+            [Name.from_text("example").canonical_wire()],
+            TestRfc5155Vectors.SALT,
+            TestRfc5155Vectors.ITERATIONS,
+        )
+        assert b32hex_encode(digest) == "0P9MHAVEQVM6T7VBL5LOP2U3T2RP3TOM"
+
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(UnknownHashAlgorithm):
+            nsec3_hash_batch([b"\x00"], b"", 0, hash_algorithm=2)

@@ -463,6 +463,44 @@ class TestAdmissionControl:
         assert snapshot["gate_shed"] == 0
 
 
+    def test_socket_backlog_meets_the_gate_at_once(self, world):
+        """Datagrams already waiting on the socket are all dispatched
+        before any is answered, so a burst fills a small engine gate and
+        sheds, however quickly the worker resolves. Read one datagram
+        per loop iteration instead, the woken worker paces the reads and
+        the burst waits in the kernel buffer, never reaching the gate."""
+        burst, capacity = 128, 48
+
+        async def scenario():
+            service, port = await _start(
+                world, engine_kwargs={"capacity": capacity}
+            )
+            tag = random.randrange(1 << 30)
+            try:
+                # Blocking sends, no await between them: the whole burst
+                # is queued on the service's socket before the loop reads.
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+                    for index in range(burst):
+                        query = make_query(
+                            f"backlog-{tag}-{index}.{PROBE_VALID}", RdataType.A
+                        )
+                        client.sendto(query.to_wire(), ("127.0.0.1", port))
+                    deadline = time.monotonic() + 30.0
+                    stats = service.engine.stats
+                    while stats.received < burst or service.engine.gate.inflight:
+                        assert time.monotonic() < deadline
+                        await asyncio.sleep(0.01)
+            finally:
+                snapshot = await service.drain_and_stop()
+            return snapshot
+
+        snapshot = asyncio.run(scenario())
+        assert snapshot["received"] == burst and snapshot["packed"] == 0
+        assert snapshot["peak_inflight"] == capacity
+        assert snapshot["gate_shed"] >= 1
+        assert snapshot["answered"] + snapshot["shed_refused"] == burst
+
+
 class TestGracefulDrain:
     def test_drain_answers_every_queued_query(self, world):
         count = 15

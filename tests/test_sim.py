@@ -11,6 +11,7 @@ Three concerns, layered:
    elapsed time shrinks by roughly the window width.
 """
 
+import gc
 import random
 
 import pytest
@@ -98,6 +99,26 @@ class TestSimKernel:
 
         with pytest.raises(ValueError, match="boom"):
             kernel.execute(bad())
+
+    def test_finished_top_level_query_leaves_no_cycle(self):
+        # A top-level query's result (a whole response graph) must die by
+        # reference counting the moment the caller drops it, not wait
+        # for the cyclic collector.
+        kernel = SimKernel()
+
+        def steps(index):
+            yield 1.0
+            yield 2.0
+            return {"answer": [object() for __ in range(index % 4)]}
+
+        gc.collect()
+        gc.disable()
+        try:
+            for index in range(50):
+                kernel.execute(steps(index))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_frames_stack(self):
         clock = SimKernel().clock
@@ -342,6 +363,26 @@ class TestCampaignDeterminism:
 
         assert inet_a.network.clock_ms == inet_b.network.clock_ms
         assert engine_a.stats.finished_ms == engine_b.stats.finished_ms
+
+
+class TestNoCyclicGarbage:
+    def test_top_level_queries_leave_nothing_for_the_collector(self):
+        # Through the whole fabric: transport session, authoritative and
+        # resolver answers, the decoded response graph.
+        inet, domains = _small_internet()
+        upstream = inet.make_resolver(VENDOR_POLICIES["cloudflare"], name="gc")
+        engine = ScanEngine(inet.network, inet.allocator.next_v4(), upstream.ip)
+        names = [spec.name for spec in domains[:20]]
+        engine.query(names[0], 48)  # first-use state (tracer claims, memos)
+        gc.collect()
+        gc.disable()
+        try:
+            for name in names:
+                for qname, qtype in ((name, 48), (name, 1), (f"nx-gc.{name}", 1)):
+                    assert engine.query(qname, qtype) is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMicroPerf:

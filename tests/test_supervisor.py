@@ -21,9 +21,11 @@ import pytest
 from repro.core.zone_compliance import Nsec3Observation
 from repro.net.faults import ProcessKill
 from repro.net.procpool import (
+    HEARTBEAT_INTERVAL_S,
     Heartbeat,
     HeartbeatWriter,
     Watchdog,
+    WorkerHandle,
     backoff_delay,
     read_heartbeat,
     write_heartbeat,
@@ -42,11 +44,13 @@ from repro.scanner.supervisor import (
     Coverage,
     _ShardState,
     _checkpoint_path,
+    _done_path,
     _heartbeat_path,
     merge_shards,
     plan_units,
     run_supervised,
     shard_units,
+    worker_main,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -244,6 +248,55 @@ class TestProcpool:
         finally:
             writer.stop()
 
+    def test_units_publish_with_the_next_beat(self, tmp_path, monkeypatch):
+        # A unit only bumps the counter; the beating thread writes it
+        # within one interval. A phase change is written at once.
+        from repro import durable
+
+        path = tmp_path / "w.hb"
+        writes = []
+        replace = durable.replace
+
+        def counting(target, data, **kwargs):
+            writes.append(json.loads(data))
+            return replace(target, data, **kwargs)
+
+        monkeypatch.setattr(durable, "replace", counting)
+        writer = HeartbeatWriter(path, attempt=0, interval_s=0.05)
+        writer.start(phase="scan")
+        try:
+            before = len(writes)
+            for units in range(1, 201):
+                writer.advance(units_done=units, phase="scan")
+            assert len(writes) - before < 100  # not one write per unit
+            deadline = time.monotonic() + 2.0
+            while read_heartbeat(path).units_done != 200:
+                assert time.monotonic() < deadline, "units never published"
+                time.sleep(0.01)
+            writer.advance(phase="finalize")
+            assert writes[-1]["phase"] == "finalize"
+            assert writes[-1]["units_done"] == 200
+        finally:
+            writer.stop()
+
+    def test_watchdog_ignores_wall_clock_steps(self, monkeypatch):
+        # The default clock is monotonic: a wall clock stepped an hour
+        # forward must not condemn a healthy worker, nor one stepped an
+        # hour back make a hung one look fresh.
+        beat = Heartbeat(t=0.0, pid=1, attempt=0, phase="scan", units_done=1)
+        real = time.time
+        healthy = Watchdog(stall_timeout_s=5.0)
+        healthy.observe(beat)
+        monkeypatch.setattr(time, "time", lambda: real() + 3600.0)
+        assert not healthy.stalled()
+
+        hung = Watchdog(stall_timeout_s=0.2)
+        hung.observe(beat)
+        monkeypatch.setattr(time, "time", lambda: real() - 3600.0)
+        time.sleep(0.3)
+        hung.observe(beat)
+        assert hung.stalled()
+
     def test_watchdog_progress_resets_deadline(self):
         clock = [0.0]
         watchdog = Watchdog(stall_timeout_s=10.0, clock=lambda: clock[0])
@@ -421,6 +474,56 @@ def _dies_before_first_beat(spec):
 
 SMALL_STUDY = ["study", "--domains", "8", "--tlds", "8",
                "--resolvers", "3", "--seed", "5"]
+
+#: Logs, beside each heartbeat file, every beat written and every unit
+#: count reported, as ``[kind, monotonic time, phase, units_done]``.
+HEARTBEAT_LOG = '''
+import json
+import time
+
+from repro.net import procpool
+
+def _log(path, *entry):
+    with open(str(path) + ".log", "a", encoding="utf-8") as log:
+        log.write(json.dumps([entry[0], time.monotonic(), *entry[1:]]) + "\\n")
+
+write_heartbeat = procpool.write_heartbeat
+
+def logged_write(path, beat):
+    write_heartbeat(path, beat)
+    _log(path, "write", beat.phase, beat.units_done)
+
+advance = procpool.HeartbeatWriter.advance
+
+def logged_advance(self, units_done=None, phase=None):
+    advance(self, units_done, phase)
+    if units_done is not None:
+        _log(self.path, "unit", self.phase, units_done)
+
+procpool.write_heartbeat = logged_write
+procpool.HeartbeatWriter.advance = logged_advance
+'''
+
+#: Steps the wall clock an hour forward every second of real time.
+CLOCK_STEPS = '''
+import time
+
+_real = time.time
+_start = _real()
+
+def stepped():
+    now = _real()
+    return now + 3600.0 * int(now - _start)
+
+time.time = stepped
+'''
+
+
+def _site(tmp_path, source):
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(source)
+    return site
 
 
 def _campaign_counters(metrics_path):
@@ -623,6 +726,68 @@ class TestSupervisedAcceptance:
         assert proc.returncode == 0, proc.stderr
         assert f"state dir {tmp_path / 'repro-fleet-'}" in proc.stderr
         assert not list(tmp_path.glob("repro-fleet-*"))
+
+    def test_sealed_worker_exits_zero_without_tmp_files(self, tmp_path):
+        # The success path leaves through os._exit(0) once its done-file
+        # is on disk: no interpreter teardown, and nothing half-written.
+        plan = _plan("scan", domains=4, tlds=4, resolvers=0, state_dir=str(tmp_path))
+        spec = {"plan": plan.to_dict(), "shard": 0, "attempt": 0, "directive": None}
+        handle = WorkerHandle(worker_main, spec, _heartbeat_path(str(tmp_path), 0))
+        handle.start()
+        handle.join(timeout=120)
+        assert handle.exitcode == 0
+        done = json.loads(Path(_done_path(str(tmp_path), 0)).read_text())
+        assert done["shard"] == 0 and done["executed"] == done["units"]
+        assert read_heartbeat(handle.heartbeat_path).phase == "done"
+        assert not list(tmp_path.rglob("*.tmp"))
+        handle.close()
+
+    def test_spawned_worker_publishes_units_on_its_beat(
+        self, tmp_path, monkeypatch
+    ):
+        # Each unit's count reaches shard-N.hb within one beat, and the
+        # file is rewritten once per phase change or beat — not per unit.
+        site = _site(tmp_path, HEARTBEAT_LOG)
+        monkeypatch.setenv(
+            "PYTHONPATH", os.pathsep.join([str(site), str(REPO_ROOT / "src")])
+        )
+        state = tmp_path / "state"
+        plan = _plan("scan", domains=60, tlds=6, resolvers=0, state_dir=str(state))
+        outcome = run_supervised(plan)
+        assert outcome.coverage.complete and outcome.restarts == 0
+        for shard in range(plan.workers):
+            entries = [
+                json.loads(line)
+                for line in Path(f"{_heartbeat_path(str(state), shard)}.log")
+                .read_text()
+                .splitlines()
+            ]
+            writes = [e for e in entries if e[0] == "write"]
+            units = [e for e in entries if e[0] == "unit"]
+            assert len(units) > 20
+            for __, reported_t, __, count in units:
+                published_t = min(
+                    t for kind, t, __, done in writes if done >= count
+                )
+                assert published_t - reported_t < HEARTBEAT_INTERVAL_S + 0.5
+            phase_changes = sum(
+                1 for a, b in zip(writes, writes[1:]) if a[2] != b[2]
+            )
+            beats = (writes[-1][1] - writes[0][1]) / HEARTBEAT_INTERVAL_S
+            assert len(writes) <= 1 + phase_changes + beats + 2, len(writes)
+
+    def test_wall_clock_steps_stall_no_worker(self, tmp_path):
+        # Watchdog deadlines and restart backoff run on the monotonic
+        # clock: a wall clock leaping an hour every second changes nothing.
+        site = _site(tmp_path, CLOCK_STEPS)
+        proc = _run_cli(
+            ["scan", "--domains", "8", "--tlds", "6", "--seed", "5",
+             "--workers", "2", "--state-dir", str(tmp_path / "state")],
+            pythonpath=[site],
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "heartbeat stalled" not in proc.stderr
+        assert "restarts=0 heartbeat_timeouts=0" in proc.stderr
 
     def test_requires_at_least_two_workers(self, tmp_path):
         with pytest.raises(ValueError):
