@@ -13,12 +13,13 @@ import os
 import pytest
 
 from repro import obs
+from repro.core.resolver_compliance import classify_resolver
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.scanner.atlas import AtlasCampaign
-from repro.scanner.dnskey_scan import dnskey_scan
+from repro.scanner.dnskey_scan import dnssec_enabled
 from repro.scanner.engine import ScanEngine
-from repro.scanner.nsec3_scan import nsec3_scan, scan_tlds
-from repro.scanner.resolver_scan import ResolverSurvey
+from repro.scanner.nsec3_scan import domain_rng, scan_domain, scan_tld
+from repro.scanner.resolver_scan import ResolverSurvey, SurveyEntry, requeue_label
 from repro.testbed.internet import build_internet
 from repro.testbed.population import (
     PopulationConfig,
@@ -86,15 +87,45 @@ def domain_scan(bench_internet):
         inet.network, inet.allocator.next_v4(), upstream.ip, max_qps=14700
     )
     names = [d.name for d in bench_internet["domains"]]
-    enabled = dnskey_scan(engine, names)
-    results = nsec3_scan(engine, enabled)
+    enabled = [name for name in names if dnssec_enabled(engine, name)]
+    engine.drain()
+    results = [scan_domain(engine, name, domain_rng(1355, name)) for name in enabled]
+    engine.drain()
     return {"engine": engine, "enabled": enabled, "results": results,
             "upstream": upstream}
 
 
 @pytest.fixture(scope="session")
 def tld_scan(bench_internet, domain_scan):
-    return scan_tlds(domain_scan["engine"], bench_internet["tlds"])
+    engine = domain_scan["engine"]
+    results = [scan_tld(engine, spec) for spec in bench_internet["tlds"]]
+    engine.drain()
+    return results
+
+
+def survey_entries(inet, probes, deployment):
+    """Probe every open resolver from one scanner address and every closed
+    one from its Atlas vantage; returns ``(open, closed)`` classified
+    :class:`~repro.scanner.resolver_scan.SurveyEntry` lists."""
+
+    def classified(deployed, probed):
+        matrix, __ = probed
+        return SurveyEntry(
+            deployed, matrix, classify_resolver(matrix, resolver=deployed.ip)
+        )
+
+    survey = ResolverSurvey(inet.network, probes, inet.allocator.next_v4())
+    open_entries = [
+        classified(deployed, survey.probe(deployed, requeue_label(index)))
+        for index, deployed in enumerate(deployment)
+        if deployed.access != "closed"
+    ]
+    atlas = AtlasCampaign(inet.network, probes)
+    closed_entries = [
+        classified(deployed, atlas.probe(deployed, index))
+        for index, deployed in atlas.eligible(deployment)
+    ]
+    return open_entries, closed_entries
 
 
 @pytest.fixture(scope="session")
@@ -102,12 +133,9 @@ def resolver_survey(bench_internet):
     """The full §4.2 pipeline: deploy, probe open + closed resolvers."""
     inet = bench_internet["inet"]
     deployment = deploy_resolvers(inet, seed=77, **RESOLVER_COUNTS)
-    survey = ResolverSurvey(
-        inet.network, bench_internet["probes"], inet.allocator.next_v4()
+    open_entries, closed_entries = survey_entries(
+        inet, bench_internet["probes"], deployment
     )
-    open_entries = survey.run(deployment)
-    atlas = AtlasCampaign(inet.network, bench_internet["probes"])
-    closed_entries = atlas.run(deployment)
     return {
         "deployment": deployment,
         "open": open_entries,

@@ -31,9 +31,12 @@ def _measure(telemetry=False):
     time-series scraper, progress console) is attached around the survey
     — the configuration the CI perf gate compares against the bare run.
     """
-    from benchmarks.conftest import BENCH_CONFIG, RESOLVER_COUNTS, TRANCO_SIZE
-    from repro.scanner.atlas import AtlasCampaign
-    from repro.scanner.resolver_scan import ResolverSurvey
+    from benchmarks.conftest import (
+        BENCH_CONFIG,
+        RESOLVER_COUNTS,
+        TRANCO_SIZE,
+        survey_entries,
+    )
     from repro.testbed.internet import build_internet
     from repro.testbed.population import (
         generate_population,
@@ -71,9 +74,7 @@ def _measure(telemetry=False):
 
     survey_start = time.perf_counter()
     deployment = deploy_resolvers(inet, seed=77, **RESOLVER_COUNTS)
-    survey = ResolverSurvey(inet.network, probes, inet.allocator.next_v4())
-    open_entries = survey.run(deployment)
-    closed_entries = AtlasCampaign(inet.network, probes).run(deployment)
+    open_entries, closed_entries = survey_entries(inet, probes, deployment)
     survey_seconds = time.perf_counter() - survey_start
     if live is not None:
         live.finish()

@@ -16,12 +16,19 @@ from collections import Counter
 
 from repro.analysis.figures import figure3_series
 from repro.analysis.stats import resolver_headline_stats
+from repro.core.resolver_compliance import classify_resolver
 from repro.scanner.atlas import AtlasCampaign
-from repro.scanner.resolver_scan import ResolverSurvey
+from repro.scanner.resolver_scan import ResolverSurvey, SurveyEntry, requeue_label
 from repro.testbed.internet import build_internet
 from repro.testbed.population import PopulationConfig, generate_population, generate_tlds
 from repro.testbed.resolvers import deploy_resolvers
 from repro.testbed.rfc9276_wild import build_probe_zones
+
+
+def classified(deployed, probed):
+    """A probe session's ``(matrix, healthy)`` as a classified entry."""
+    matrix, __ = probed
+    return SurveyEntry(deployed, matrix, classify_resolver(matrix, resolver=deployed.ip))
 
 
 def main(open_v4=60):
@@ -51,10 +58,19 @@ def main(open_v4=60):
         print(f"  {count:4d} × {kind}/{policy}")
 
     start = time.perf_counter()
+    # Open resolvers are probed from the scanner, each under its own
+    # cache-busting label; closed ones from a vantage inside their network.
     survey = ResolverSurvey(inet.network, probes, inet.allocator.next_v4())
-    open_entries = survey.run(deployment)
+    open_entries = [
+        classified(deployed, survey.probe(deployed, requeue_label(index)))
+        for index, deployed in enumerate(deployment)
+        if deployed.access != "closed"
+    ]
     atlas = AtlasCampaign(inet.network, probes)
-    closed_entries = atlas.run(deployment)
+    closed_entries = [
+        classified(deployed, atlas.probe(deployed, index))
+        for index, deployed in atlas.eligible(deployment)
+    ]
     print(
         f"\nprobed {len(open_entries)} open + {len(closed_entries)} closed "
         f"resolvers in {time.perf_counter() - start:.1f}s "

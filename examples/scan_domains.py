@@ -17,9 +17,9 @@ from repro.analysis.figures import figure1_series
 from repro.analysis.stats import domain_headline_stats
 from repro.analysis.tables import format_operator_table, operator_table
 from repro.resolver.policy import VENDOR_POLICIES
-from repro.scanner.dnskey_scan import dnskey_scan
+from repro.scanner.dnskey_scan import dnssec_enabled
 from repro.scanner.engine import ScanEngine
-from repro.scanner.nsec3_scan import nsec3_scan
+from repro.scanner.nsec3_scan import domain_rng, scan_domain
 from repro.testbed.internet import build_internet
 from repro.testbed.population import (
     PopulationConfig,
@@ -59,11 +59,13 @@ def main(n_domains=800):
     )
 
     print("\nstage 1: DNSKEY scan…")
-    enabled = dnskey_scan(engine, [spec.name for spec in domains])
+    enabled = [spec.name for spec in domains if dnssec_enabled(engine, spec.name)]
+    engine.drain()
     print(f"  {len(enabled)}/{len(domains)} domains are DNSSEC-enabled")
 
     print("stage 2: NSEC3PARAM / NSEC3 / NS scan…")
-    results = nsec3_scan(engine, enabled)
+    results = [scan_domain(engine, name, domain_rng(1355, name)) for name in enabled]
+    engine.drain()
     print(
         f"  {engine.stats.queries} queries total, "
         f"resolver cache hit rate {upstream.cache.hit_rate:.2f}"

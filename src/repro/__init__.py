@@ -13,29 +13,6 @@ This package implements, from scratch and in pure Python:
   the ``rfc9276-in-the-wild.com`` probe zones, bulk scanners, and the
   RFC 9276 compliance engine (:mod:`repro.testbed`, :mod:`repro.scanner`,
   :mod:`repro.core`, :mod:`repro.analysis`).
-
-The headline entry points are re-exported here for convenience.
 """
 
-from repro.dns.name import Name
-from repro.dns.message import Message, Question
-from repro.dns.rrset import RRset
-from repro.core.guidance import GUIDANCE, GuidanceItem
-from repro.core.zone_compliance import check_zone_compliance, ZoneComplianceReport
-from repro.core.resolver_compliance import classify_resolver, ResolverClassification
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "Name",
-    "Message",
-    "Question",
-    "RRset",
-    "GUIDANCE",
-    "GuidanceItem",
-    "check_zone_compliance",
-    "ZoneComplianceReport",
-    "classify_resolver",
-    "ResolverClassification",
-    "__version__",
-]

@@ -8,27 +8,3 @@
   resolver from its observed responses to the ``it-N`` probe zones
   (paper §4.2/§5.2).
 """
-
-from repro.core.guidance import GUIDANCE, GuidanceItem, Requirement
-from repro.core.zone_compliance import (
-    Nsec3Observation,
-    ZoneComplianceReport,
-    check_zone_compliance,
-)
-from repro.core.resolver_compliance import (
-    ProbeResult,
-    ResolverClassification,
-    classify_resolver,
-)
-
-__all__ = [
-    "GUIDANCE",
-    "GuidanceItem",
-    "Requirement",
-    "Nsec3Observation",
-    "ZoneComplianceReport",
-    "check_zone_compliance",
-    "ProbeResult",
-    "ResolverClassification",
-    "classify_resolver",
-]

@@ -10,21 +10,3 @@ paths are identical to production-size keys.
 This is reproduction infrastructure, not a hardened cryptographic library:
 no constant-time guarantees, no side-channel defences.
 """
-
-from repro.crypto.keys import (
-    ALG_RSASHA1,
-    ALG_RSASHA256,
-    ALG_ECDSAP256SHA256,
-    KeyPair,
-    generate_keypair,
-    make_ds,
-)
-
-__all__ = [
-    "ALG_RSASHA1",
-    "ALG_RSASHA256",
-    "ALG_ECDSAP256SHA256",
-    "KeyPair",
-    "generate_keypair",
-    "make_ds",
-]

@@ -2,6 +2,13 @@
 
 Ties the raw RSA/ECDSA implementations to the DNSKEY/DS record formats of
 RFC 4034 and friends.
+
+No command signs with ECDSA P-256 (algorithm 13): the testbed signs every
+zone from its RSA key pool. It stays for two reasons. It is the default
+signer of the hand-built zones in the test suite, because its keys
+generate in microseconds. It is also the second algorithm of the planned
+zone-oracle differential test. ``tests/test_crypto.py`` checks it against
+the ``cryptography`` package in both directions.
 """
 
 from __future__ import annotations

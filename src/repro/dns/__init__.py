@@ -12,26 +12,3 @@ Public surface:
 - :mod:`repro.dns.rdata` — one class per supported RR type
 - :mod:`repro.dns.edns` — OPT pseudo-RR and Extended DNS Error codes
 """
-
-from repro.dns.name import Name, NameError_, root
-from repro.dns.types import RdataType, RdataClass, Opcode
-from repro.dns.rcode import Rcode
-from repro.dns.flags import Flag
-from repro.dns.rrset import RRset
-from repro.dns.message import Message, Question, make_query, make_response
-
-__all__ = [
-    "Name",
-    "NameError_",
-    "root",
-    "RdataType",
-    "RdataClass",
-    "Opcode",
-    "Rcode",
-    "Flag",
-    "RRset",
-    "Message",
-    "Question",
-    "make_query",
-    "make_response",
-]

@@ -6,7 +6,8 @@ Every concrete rdata class registers itself against its
 - ``write_wire(writer)`` — append wire-format rdata (names may be compressed
   only for types RFC 3597 permits; DNSSEC-era types never compress),
 - ``from_wire(reader, rdlength)`` — classmethod parser,
-- ``to_text()`` / ``from_text(text)`` — presentation format,
+- ``to_text()`` — presentation format (output only: nothing in the
+  program reads zone-file text),
 - ``canonical_wire()`` — RFC 4034 §6.2 canonical form used for signing,
   ordering within an RRset, and RRSIG computation,
 - ``packed()`` — the memoised position-independent encoding the message
@@ -56,7 +57,7 @@ def lazy(cls):
     those slots from the slice with ``cls._fields`` (the one field parser)
     and makes the instance a plain *cls*: later reads, and memo misses,
     go through no Python-level hook. ``cls`` itself has none, so records
-    built from values (signing, ``from_text``) pay nothing.
+    built from values (signing, the testbed) pay nothing.
     """
     fields = cls._FIELDS
     # The slots' own descriptors set faster than object.__setattr__.
@@ -103,10 +104,6 @@ class Rdata:
         raise NotImplementedError
 
     def to_text(self):
-        raise NotImplementedError
-
-    @classmethod
-    def from_text(cls, text):
         raise NotImplementedError
 
     @classmethod
@@ -225,16 +222,6 @@ class GenericRdata(Rdata):
     def to_text(self):
         return f"\\# {len(self.data)} {self.data.hex()}"
 
-    @classmethod
-    def from_text(cls, text, rrtype=0):
-        parts = text.split()
-        if len(parts) < 2 or parts[0] != "\\#":
-            raise ValueError(f"not RFC 3597 generic rdata: {text!r}")
-        payload = bytes.fromhex("".join(parts[2:]))
-        if len(payload) != int(parts[1]):
-            raise ValueError("generic rdata length mismatch")
-        return cls(rrtype, payload)
-
 
 def parse_rdata(rrtype, reader, rdlength):
     """Parse rdata of *rrtype* from *reader*, consuming exactly *rdlength*."""
@@ -251,14 +238,6 @@ def parse_rdata(rrtype, reader, rdlength):
             f"declared {rdlength}, consumed {consumed}"
         )
     return rdata
-
-
-def rdata_from_text(rrtype, text):
-    """Parse presentation-format rdata for *rrtype*."""
-    cls = _REGISTRY.get(int(rrtype))
-    if cls is None:
-        return GenericRdata.from_text(text, rrtype=int(rrtype))
-    return cls.from_text(text)
 
 
 # Import concrete types for registration side effects (keep at end).
@@ -289,7 +268,6 @@ __all__ = [
     "lazy",
     "class_for",
     "parse_rdata",
-    "rdata_from_text",
     "A",
     "AAAA",
     "NS",

@@ -46,10 +46,6 @@ class _Address(Rdata):
     def to_text(self):
         return str(self.address)
 
-    @classmethod
-    def from_text(cls, text):
-        return cls(text.strip())
-
 
 @register(RdataType.A)
 class A(_Address):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import base64
-import calendar
 import struct
 import time
 
@@ -31,15 +30,6 @@ PROTOCOL_DNSSEC = 3
 def sigtime_to_text(value):
     """Render an RRSIG time as ``YYYYMMDDHHmmSS`` (RFC 4034 §3.2)."""
     return time.strftime("%Y%m%d%H%M%S", time.gmtime(value))
-
-
-def sigtime_from_text(text):
-    """Parse ``YYYYMMDDHHmmSS`` or a raw integer into epoch seconds."""
-    text = text.strip()
-    if len(text) == 14 and text.isdigit():
-        parsed = time.strptime(text, "%Y%m%d%H%M%S")
-        return calendar.timegm(parsed)
-    return int(text)
 
 
 def _key_from_wire(cls, reader, rdlength):
@@ -110,13 +100,6 @@ class DNSKEY(Rdata):
     def to_text(self):
         key64 = base64.b64encode(self.key).decode("ascii")
         return f"{self.flags} {self.protocol} {self.algorithm} {key64}"
-
-    @classmethod
-    def from_text(cls, text):
-        fields = text.split()
-        flags, protocol, algorithm = fields[:3]
-        key = base64.b64decode("".join(fields[3:]))
-        return cls(int(flags), int(protocol), int(algorithm), key)
 
 
 @lazy
@@ -242,23 +225,6 @@ class RRSIG(Rdata):
             f"{self.key_tag} {self.signer.to_text()} {sig64}"
         )
 
-    @classmethod
-    def from_text(cls, text):
-        fields = text.split()
-        if len(fields) < 9:
-            raise ValueError(f"RRSIG needs ≥9 fields, got {len(fields)}")
-        return cls(
-            RdataType.from_text(fields[0]),
-            int(fields[1]),
-            int(fields[2]),
-            int(fields[3]),
-            sigtime_from_text(fields[4]),
-            sigtime_from_text(fields[5]),
-            int(fields[6]),
-            fields[7],
-            base64.b64decode("".join(fields[8:])),
-        )
-
 
 #: DS digest type codes (RFC 4034 / RFC 4509).
 DS_DIGEST_SHA1 = 1
@@ -296,10 +262,3 @@ class DS(Rdata):
             f"{self.key_tag} {self.algorithm} {self.digest_type} "
             f"{self.digest.hex().upper()}"
         )
-
-    @classmethod
-    def from_text(cls, text):
-        fields = text.split()
-        key_tag, algorithm, digest_type = fields[:3]
-        digest = bytes.fromhex("".join(fields[3:]))
-        return cls(int(key_tag), int(algorithm), int(digest_type), digest)

@@ -33,10 +33,6 @@ class _SingleName(CompressibleRdata):
     def to_text(self):
         return self.target.to_text()
 
-    @classmethod
-    def from_text(cls, text):
-        return cls(text.strip())
-
     def _canonical_form(self):
         # RFC 4034 §6.2: embedded names are lowercased and never compressed.
         return self.target.canonical_wire()
@@ -81,11 +77,6 @@ class MX(CompressibleRdata):
     def to_text(self):
         return f"{self.preference} {self.exchange.to_text()}"
 
-    @classmethod
-    def from_text(cls, text):
-        preference, exchange = text.split()
-        return cls(int(preference), exchange)
-
     def _canonical_form(self):
         return U16.pack(self.preference) + self.exchange.canonical_wire()
 
@@ -117,11 +108,6 @@ class SRV(CompressibleRdata):
 
     def to_text(self):
         return f"{self.priority} {self.weight} {self.port} {self.target.to_text()}"
-
-    @classmethod
-    def from_text(cls, text):
-        priority, weight, port, target = text.split()
-        return cls(int(priority), int(weight), int(port), target)
 
     def _canonical_form(self):
         fixed = _SRV_FIXED.pack(self.priority, self.weight, self.port)

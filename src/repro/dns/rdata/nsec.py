@@ -45,10 +45,5 @@ class NSEC(NameBearingRdata):
     def to_text(self):
         return f"{self.next_name.to_text()} {bitmap_to_text(self.types)}".rstrip()
 
-    @classmethod
-    def from_text(cls, text):
-        fields = text.split()
-        return cls(fields[0], [RdataType.from_text(t) for t in fields[1:]])
-
     def _canonical_form(self):
         return self.next_name.canonical_wire() + encode_bitmap(self.types)

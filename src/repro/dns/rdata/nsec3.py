@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.dns.base32 import b32hex_decode, b32hex_encode
+from repro.dns.base32 import b32hex_encode
 from repro.dns.bitmap import bitmap_to_text, bitmap_types, check_bitmap, encode_bitmap
 from repro.dns.rdata import Rdata, lazy, register
 from repro.dns.types import RdataType
@@ -46,10 +46,6 @@ def _write_params(writer, rdata):
 
 def _salt_to_text(salt):
     return salt.hex().upper() if salt else "-"
-
-
-def _salt_from_text(text):
-    return b"" if text == "-" else bytes.fromhex(text)
 
 
 @lazy
@@ -139,20 +135,6 @@ class NSEC3(Rdata):
         )
         return f"{base} {types_text}".rstrip()
 
-    @classmethod
-    def from_text(cls, text):
-        fields = text.split()
-        if len(fields) < 5:
-            raise ValueError(f"NSEC3 needs ≥5 fields, got {len(fields)}")
-        return cls(
-            int(fields[0]),
-            int(fields[1]),
-            int(fields[2]),
-            _salt_from_text(fields[3]),
-            b32hex_decode(fields[4]),
-            [RdataType.from_text(t) for t in fields[5:]],
-        )
-
 
 @register(RdataType.NSEC3PARAM)
 class NSEC3PARAM(Rdata):
@@ -197,10 +179,3 @@ class NSEC3PARAM(Rdata):
             f"{self.hash_algorithm} {self.flags} {self.iterations} "
             f"{_salt_to_text(self.salt)}"
         )
-
-    @classmethod
-    def from_text(cls, text):
-        fields = text.split()
-        if len(fields) != 4:
-            raise ValueError(f"NSEC3PARAM needs 4 fields, got {len(fields)}")
-        return cls(int(fields[0]), int(fields[1]), int(fields[2]), _salt_from_text(fields[3]))

@@ -73,14 +73,3 @@ class OPT(Rdata):
 
     def to_text(self):
         return " ".join(f"{o.code}:{o.data.hex()}" for o in self.options) or "(empty)"
-
-    @classmethod
-    def from_text(cls, text):
-        text = text.strip()
-        if text in ("", "(empty)"):
-            return cls()
-        options = []
-        for item in text.split():
-            code, __, data = item.partition(":")
-            options.append(EdnsOption(int(code), bytes.fromhex(data)))
-        return cls(options)

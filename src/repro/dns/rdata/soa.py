@@ -56,12 +56,5 @@ class SOA(CompressibleRdata):
             f"{self.refresh} {self.retry} {self.expire} {self.minimum}"
         )
 
-    @classmethod
-    def from_text(cls, text):
-        fields = text.split()
-        if len(fields) != 7:
-            raise ValueError(f"SOA needs 7 fields, got {len(fields)}")
-        return cls(*fields)
-
     def _canonical_form(self):
         return self.mname.canonical_wire() + self.rname.canonical_wire() + self._tail()

@@ -48,22 +48,3 @@ class TXT(Rdata):
             escaped = chunk.decode("utf-8", "backslashreplace").replace('"', '\\"')
             rendered.append(f'"{escaped}"')
         return " ".join(rendered)
-
-    @classmethod
-    def from_text(cls, text):
-        text = text.strip()
-        strings = []
-        if '"' in text:
-            current = None
-            for ch in text:
-                if ch == '"':
-                    if current is None:
-                        current = []
-                    else:
-                        strings.append("".join(current))
-                        current = None
-                elif current is not None:
-                    current.append(ch)
-        else:
-            strings = text.split()
-        return cls(strings or [""])

@@ -27,17 +27,6 @@ class RdataType(enum.IntEnum):
     ANY = 255
 
     @classmethod
-    def from_text(cls, text):
-        """Parse a mnemonic like ``"NSEC3PARAM"`` or ``"TYPE65534"``."""
-        text = text.strip().upper()
-        if text.startswith("TYPE") and text[4:].isdigit():
-            return int(text[4:])
-        try:
-            return cls[text]
-        except KeyError:
-            raise ValueError(f"unknown RR type mnemonic: {text!r}") from None
-
-    @classmethod
     def to_text(cls, value):
         """Render a TYPE value as its mnemonic, or ``TYPEnnn`` if unknown.
 

@@ -12,27 +12,3 @@ measures:
   authoritative server must assemble for a negative answer and what a
   validating resolver must hash to check it.
 """
-
-from repro.dnssec.nsec3hash import nsec3_hash, nsec3_hash_name, nsec3_owner_name
-from repro.dnssec.signer import sign_rrset, rrsig_signed_data
-from repro.dnssec.validator import (
-    ValidationContext,
-    ValidationResult,
-    SecurityStatus,
-    validate_rrset,
-)
-from repro.dnssec.costmodel import CostMeter, meter
-
-__all__ = [
-    "nsec3_hash",
-    "nsec3_hash_name",
-    "nsec3_owner_name",
-    "sign_rrset",
-    "rrsig_signed_data",
-    "ValidationContext",
-    "ValidationResult",
-    "SecurityStatus",
-    "validate_rrset",
-    "CostMeter",
-    "meter",
-]

@@ -6,38 +6,3 @@ methodology hinges on: *closed* resolvers only accept queries from inside
 their own network, so measuring them requires a vantage point within
 (the RIPE-Atlas substitute in :mod:`repro.scanner.atlas`).
 """
-
-from repro.net.address import AddressAllocator
-from repro.net.faults import (
-    Blackout,
-    Corruption,
-    FaultPlan,
-    Flapping,
-    GilbertElliott,
-    LatencyJitter,
-    RateLimitRefused,
-    parse_fault_spec,
-)
-from repro.net.network import Host, Network, NetworkStats
-from repro.net.resilience import BackoffPolicy, CircuitBreaker
-from repro.net.transport import CircuitOpenError, QueryFailure, Transport
-
-__all__ = [
-    "AddressAllocator",
-    "BackoffPolicy",
-    "Blackout",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "Corruption",
-    "FaultPlan",
-    "Flapping",
-    "GilbertElliott",
-    "Host",
-    "LatencyJitter",
-    "Network",
-    "NetworkStats",
-    "QueryFailure",
-    "RateLimitRefused",
-    "Transport",
-    "parse_fault_spec",
-]

@@ -4,20 +4,3 @@ The validating resolver composes :mod:`repro.dnssec` primitives with the
 per-vendor NSEC3 iteration policies of :mod:`repro.resolver.policy` — the
 behavioural axis the paper's §5.2 measures.
 """
-
-from repro.resolver.policy import Nsec3Policy, VENDOR_POLICIES
-from repro.resolver.cache import Cache
-from repro.resolver.iterative import IterativeResolver
-from repro.resolver.validating import ValidatingResolver
-from repro.resolver.forwarder import ForwardingResolver
-from repro.resolver.stub import StubClient
-
-__all__ = [
-    "Nsec3Policy",
-    "VENDOR_POLICIES",
-    "Cache",
-    "IterativeResolver",
-    "ValidatingResolver",
-    "ForwardingResolver",
-    "StubClient",
-]

@@ -12,10 +12,9 @@ Items 10/11 for closed resolvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.resolver_compliance import classify_resolver
-from repro.scanner.resolver_scan import SurveyEntry, probe_with_policy
+from repro.scanner.resolver_scan import probe_with_policy
 from repro.testbed.rfc9276_wild import PROBE_ZONE_ITERATIONS
 
 #: Classification note of a closed resolver whose probes stayed unhealthy.
@@ -35,10 +34,6 @@ class AtlasCampaign:
     #: Same graceful-degradation knobs as :class:`ResolverSurvey` — Atlas
     #: probes cross the same hostile network the scanner does.
     retry_policy: object = None
-    #: In-flight window on the simulation kernel (Atlas probes run from
-    #: independent vantage points, so their sessions naturally overlap).
-    concurrency: int = 1
-    entries: list = field(default_factory=list)
 
     def eligible(self, deployed_resolvers):
         """``(index, resolver)`` for the closed resolvers, in deployment
@@ -52,22 +47,6 @@ class AtlasCampaign:
             count += 1
             yield index, deployed
 
-    def run(self, deployed_resolvers):
-        from repro.net.sim import CampaignExecutor
-
-        executor = CampaignExecutor(self.network.kernel, self.concurrency)
-        self.entries = []
-        for index, deployed in self.eligible(deployed_resolvers):
-            matrix, healthy = executor.submit(
-                lambda d=deployed, i=index: self.probe(d, i)
-            )
-            classification = classify_resolver(matrix, resolver=deployed.ip)
-            if not healthy:
-                classification.notes.append(ATLAS_DEGRADED_NOTE)
-            self.entries.append(SurveyEntry(deployed, matrix, classification))
-        executor.drain()
-        return self.entries
-
     def probe(self, deployed, index):
         """One closed resolver's probe session; returns (matrix, healthy)."""
         return probe_with_policy(
@@ -80,6 +59,3 @@ class AtlasCampaign:
             self.retry_policy,
             keep_ede=False,  # Atlas does not expose EDE
         )
-
-    def classifications(self):
-        return [entry.classification for entry in self.entries]

@@ -21,12 +21,3 @@ def dnssec_enabled(engine, name):
     return answer.rcode == Rcode.NOERROR and any(
         int(rrset.rrtype) == int(RdataType.DNSKEY) for rrset in answer.answer
     )
-
-
-def dnskey_scan(engine, domain_names):
-    """Return the subset of *domain_names* that present DNSKEY records."""
-    enabled = [name for name in domain_names if dnssec_enabled(engine, name)]
-    # Settle the engine's in-flight window so stage 2 starts after every
-    # stage-1 session has completed on the simulated clock.
-    engine.drain()
-    return enabled

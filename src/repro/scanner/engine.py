@@ -88,7 +88,7 @@ class ScanStats:
 
 
 class ScanEngine:
-    """Runs query batches against one upstream resolver.
+    """Sends rate-limited queries to one upstream resolver.
 
     *target_retries* is the per-target resilience knob: a query whose
     final answer is a timeout or SERVFAIL is re-asked up to that many
@@ -237,25 +237,3 @@ class ScanEngine:
             )
         count_campaign("completed", "scan")
         return answer
-
-    def run(self, jobs, want_dnssec=True, checking_disabled=False):
-        """Run ``(qname, qtype)`` jobs; returns the list of answers.
-
-        The DNSSEC flags apply to every job in the batch — callers that
-        scan with CD set (measuring what zones publish rather than what a
-        validator accepts) keep that behaviour through the batch API.
-        """
-        jobs = list(jobs)
-        if obs.console is not None:
-            obs.console.expect(len(jobs))
-        answers = [
-            self.query(
-                qname,
-                qtype,
-                want_dnssec=want_dnssec,
-                checking_disabled=checking_disabled,
-            )
-            for qname, qtype in jobs
-        ]
-        self.drain()
-        return answers

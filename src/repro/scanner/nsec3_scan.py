@@ -18,7 +18,7 @@ publish, not what a validator accepts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.zone_compliance import Nsec3Observation, check_zone_compliance
 from repro.dns.rcode import Rcode
@@ -111,21 +111,6 @@ def scan_domain(engine, domain, rng, delegation_count=0, open_zone=False):
     return result
 
 
-def nsec3_scan(engine, domains, seed=1355):
-    """Stage-2 scan over many domains; returns DomainScanResults.
-
-    Probe labels come from :func:`domain_rng`, so any partition of
-    *domains* — shards in worker processes, resumed suffixes — issues
-    the same queries the full sequential scan would.
-    """
-    results = [
-        scan_domain(engine, domain, domain_rng(seed, domain))
-        for domain in domains
-    ]
-    engine.drain()
-    return results
-
-
 def scan_tld(engine, spec, seed=31):
     """The TLD variant of :func:`scan_domain` (§5.1's 1,449-TLD analysis).
 
@@ -141,10 +126,3 @@ def scan_tld(engine, spec, seed=31):
         delegation_count=10_000,
         open_zone=not isinstance(spec, str) and spec.open_zone_data,
     )
-
-
-def scan_tlds(engine, tld_specs, seed=31):
-    """:func:`scan_tld` over many TLDs, then settle the in-flight window."""
-    results = [scan_tld(engine, spec, seed) for spec in tld_specs]
-    engine.drain()
-    return results

@@ -7,14 +7,13 @@ feeds :func:`repro.core.resolver_compliance.classify_resolver`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
-from repro.core.resolver_compliance import ProbeResult, classify_resolver
+from repro.core.resolver_compliance import ProbeResult
 from repro.dns.types import RdataType
 from repro.dnssec.costmodel import meter
 from repro.resolver.stub import StubClient
-from repro.scanner.campaign import run_units
 from repro.testbed.rfc9276_wild import PROBE_ZONE_ITERATIONS
 
 #: Classification note of a resolver still unhealthy after every requeue.
@@ -117,44 +116,6 @@ def probe_resolver(
     return matrix
 
 
-def probe_stability(
-    network,
-    resolver_ip,
-    probe_set,
-    source_ip,
-    unique,
-    iterations=(1, 50, 100, 150, 151, 500),
-    attempts=2,
-):
-    """Re-probe a resolver and report whether its answers are stable.
-
-    The paper re-queried apparent Item 12 violators and found that
-    "different response patterns" usually meant a broken resolver, not a
-    real three-phase configuration. Returns ``(stable, matrices)``.
-    """
-    matrices = []
-    for attempt in range(attempts):
-        matrices.append(
-            probe_resolver(
-                network,
-                resolver_ip,
-                probe_set,
-                source_ip,
-                f"{unique}-a{attempt}",
-                iterations=iterations,
-            )
-        )
-    first = matrices[0]
-    stable = all(
-        all(
-            matrix[key].rcode == first[key].rcode and matrix[key].ad == first[key].ad
-            for key in first
-        )
-        for matrix in matrices[1:]
-    )
-    return stable, matrices
-
-
 @dataclass
 class SurveyEntry:
     """One resolver's probe matrix plus its classification."""
@@ -162,8 +123,6 @@ class SurveyEntry:
     resolver: object  # testbed.resolvers.DeployedResolver
     matrix: dict
     classification: object
-    #: Satisfied from a checkpoint without re-querying.
-    resumed: bool = False
     #: Entered the end-of-campaign requeue before producing this matrix.
     requeued: bool = False
 
@@ -302,16 +261,16 @@ def matrix_from_record(record):
 
 @dataclass
 class ResolverSurvey:
-    """Runs the full survey over a deployed resolver population.
+    """Probes open resolvers from the scanner's vantage point.
 
-    With a :class:`SurveyRetryPolicy` the survey degrades gracefully
-    under network weather: unhealthy resolvers (unanswered probes —
-    dead, flapping, or circuit-quarantined) are set aside during the
-    main pass and requeued at the end of the campaign; what still fails
-    is admitted with a ``degraded`` note rather than silently
-    misclassified. With *checkpoint_path*, completed matrices persist to
-    JSON and a resumed survey re-classifies them locally — zero
-    duplicate queries.
+    :meth:`probe` is one resolver's probe session; the campaign loop
+    (:func:`repro.scanner.campaign.run_units` over a
+    :class:`~repro.scanner.pipeline.World`) decides which resolvers are
+    probed, with which cache-busting label, and when an unhealthy one is
+    requeued. With a :class:`SurveyRetryPolicy` a session degrades
+    gracefully under network weather: it re-probes until every probe is
+    answered (and, with ``require_stable``, two matrices agree), and
+    reports the resolver unhealthy otherwise.
     """
 
     network: object
@@ -319,25 +278,11 @@ class ResolverSurvey:
     scanner_source_ip: str
     #: Restrict it-N probing to a subset for cheap smoke surveys.
     iterations: tuple = PROBE_ZONE_ITERATIONS
-    #: Re-probe apparent Item 12 violators and discount unstable ones —
-    #: the paper's §5.2 verification step ("querying these resolvers again
-    #: often results in different response patterns").
-    verify_item12_stability: bool = False
     #: Graceful-degradation knobs (None = legacy single-pass behaviour).
     retry_policy: object = None
-    #: JSON checkpoint for resumable campaigns (None = not persisted).
-    checkpoint_path: str = None
-    #: Archive an unreadable/foreign checkpoint and start fresh instead
-    #: of raising CampaignError (the CLI's --discard-checkpoint).
-    checkpoint_discard: bool = False
     #: Shared per-destination circuit breaker (created lazily when a
     #: retry policy is set).
     breaker: object = None
-    #: In-flight window on the simulation kernel: how many resolvers'
-    #: probe sessions overlap on the simulated clock (1 = serial; the
-    #: answers are identical at any width, only elapsed time changes).
-    concurrency: int = 1
-    entries: list = field(default_factory=list)
 
     def __post_init__(self):
         from repro.net.resilience import CircuitBreaker
@@ -349,95 +294,9 @@ class ResolverSurvey:
                 clock=lambda: self.network.clock_ms, recovery_ms=recovery
             )
 
-    def run(self, deployed_resolvers):
-        """Probe every open resolver (closed ones are unreachable from
-        the scanner; the Atlas campaign covers them)."""
-        from repro.net.sim import CampaignExecutor
-        from repro.scanner.campaign import CampaignCheckpoint
-
-        self._executor = CampaignExecutor(self.network.kernel, self.concurrency)
-        self._deployment = list(deployed_resolvers)
-        self._checkpoint = (
-            CampaignCheckpoint(
-                self.checkpoint_path,
-                schema="survey-matrix/1",
-                discard=self.checkpoint_discard,
-            )
-            if self.checkpoint_path
-            else None
-        )
-        self.entries = []
-        if obs.console is not None:
-            obs.console.expect(len(self._deployment))
-        run_units(
-            self,
-            [i for i, d in enumerate(self._deployment) if d.access != "closed"],
-            self,
-        )
-        if self._checkpoint is not None:
-            self._checkpoint.flush()
-        return self.entries
-
-    # -- the survey as run_units' campaign: a unit is a deployment index --------
-
-    def key(self, index):
-        return f"{self._deployment[index].ip}#{index}"
-
-    def phase_of(self, index):
-        return "survey"
-
-    def measure(self, index, requeue_round=None):
-        deployed = self._deployment[index]
-        unique = requeue_label(index, requeue_round)
-        matrix, healthy = self._executor.submit(
-            lambda: self.probe(deployed, unique)
-        )
-        return {"ip": deployed.ip, "unique": unique, "matrix": matrix}, healthy
-
-    def drain(self):
-        self._executor.drain()
-
-    # -- ... and as its sink: entries, persisted when checkpointed --------------
-
-    def done(self, key):
-        if self._checkpoint is None or not self._checkpoint.done(key):
-            return False
-        deployed = self._deployment[int(key.rpartition("#")[2])]
-        matrix = matrix_from_record(self._checkpoint.get(key))
-        # Classification is a pure function of the matrix, so a resume
-        # recomputes it without touching the network (the item-12
-        # stability verdict is baked into the stored matrix's
-        # provenance — no re-probing).
-        classification = classify_resolver(matrix, resolver=deployed.ip)
-        self.entries.append(
-            SurveyEntry(deployed, matrix, classification, resumed=True)
-        )
-        return True
-
-    def note(self, key, tag="requeued"):
-        return self._checkpoint is None or self._checkpoint.note(key, tag)
-
-    def record(self, key, record):
-        deployed = self._deployment[int(key.rpartition("#")[2])]
-        matrix = record["matrix"]
-        classification = classify_resolver(matrix, resolver=deployed.ip)
-        if record.get("degraded"):
-            classification.notes.append(SURVEY_DEGRADED_NOTE)
-        elif self.verify_item12_stability and classification.item12_gap:
-            self._verify_gap(deployed, record["unique"], classification)
-        self.entries.append(
-            SurveyEntry(
-                deployed, matrix, classification,
-                requeued=bool(record.get("requeued")),
-            )
-        )
-        # A degraded matrix is not persisted: a resumed survey gives the
-        # resolver a fresh chance instead of replaying the damage.
-        if self._checkpoint is not None and not record.get("degraded"):
-            self._checkpoint.record(key, matrix_to_record(matrix))
-
     def probe(self, deployed, unique):
-        """Probe once (legacy) or until healthy/stable (with a policy)."""
+        """Probe once (legacy) or until healthy/stable (with a policy);
+        returns ``(matrix, healthy)``."""
         return probe_with_policy(
             self.network,
             deployed.ip,
@@ -448,21 +307,3 @@ class ResolverSurvey:
             self.retry_policy,
             breaker=self.breaker,
         )
-
-    def _verify_gap(self, deployed, unique, classification):
-        stable, __ = probe_stability(
-            self.network,
-            deployed.ip,
-            self.probe_set,
-            self.scanner_source_ip,
-            f"{unique}-verify",
-            iterations=self.iterations,
-        )
-        if not stable:
-            classification.item12_gap = False
-            classification.notes.append(
-                "Item 12 gap discounted: responses unstable across re-probes"
-            )
-
-    def classifications(self):
-        return [entry.classification for entry in self.entries]

@@ -1,6 +1,1 @@
 """Authoritative name server and its query log."""
-
-from repro.server.authoritative import AuthoritativeServer
-from repro.server.querylog import QueryLog, QueryLogEntry
-
-__all__ = ["AuthoritativeServer", "QueryLog", "QueryLogEntry"]

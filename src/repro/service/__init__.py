@@ -21,8 +21,3 @@ servers and the validating resolver as a live service — the bridge from
   asserting bounded RSS, bounded benign p99, and zero unhandled
   exceptions.
 """
-
-from repro.service.engine import ServiceEngine, ServiceStats
-from repro.service.frontend import Binding, DnsService
-
-__all__ = ["Binding", "DnsService", "ServiceEngine", "ServiceStats"]

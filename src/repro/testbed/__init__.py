@@ -16,40 +16,3 @@ published marginals so the analysis pipelines regenerate the same shapes:
 - :mod:`repro.testbed.adversary` — CVE-2023-50868 and KeyTrap zones for
   the ``attack`` command.
 """
-
-from repro.testbed.operators import OPERATORS, OperatorProfile
-from repro.testbed.population import (
-    DomainSpec,
-    Population,
-    PopulationConfig,
-    TldSpec,
-    generate_population,
-    generate_tlds,
-    iter_population,
-    population_size,
-)
-from repro.testbed.internet import Internet, build_internet
-from repro.testbed.rfc9276_wild import ProbeZoneSet, build_probe_zones
-from repro.testbed.resolvers import DeployedResolver, ResolverMixture, deploy_resolvers
-from repro.testbed.tranco import assign_tranco_ranks
-
-__all__ = [
-    "OPERATORS",
-    "OperatorProfile",
-    "DomainSpec",
-    "TldSpec",
-    "Population",
-    "PopulationConfig",
-    "generate_population",
-    "generate_tlds",
-    "iter_population",
-    "population_size",
-    "Internet",
-    "build_internet",
-    "ProbeZoneSet",
-    "build_probe_zones",
-    "DeployedResolver",
-    "ResolverMixture",
-    "deploy_resolvers",
-    "assign_tranco_ranks",
-]

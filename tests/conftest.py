@@ -6,6 +6,8 @@ so the heavyweight fixtures are session-scoped and read-only by convention
 """
 
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +16,11 @@ from repro.dns.rdata import A
 from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.net.network import Network
+from repro.net.sim import CampaignExecutor
+from repro.scanner.atlas import AtlasCampaign
+from repro.scanner.campaign import run_units
+from repro.scanner.pipeline import FoldSink, World
+from repro.scanner.resolver_scan import ResolverSurvey
 from repro.server.authoritative import AuthoritativeServer
 from repro.testbed.internet import build_internet
 from repro.testbed.population import (
@@ -129,3 +136,56 @@ def testbed():
     inet = build_internet(domains, tlds, seed=5)
     probe_set = build_probe_zones(inet)
     return {"inet": inet, "probes": probe_set, "domains": domains, "tlds": tlds}
+
+
+def survey_world(inet, probes, deployment, iterations, concurrency=1, retry_policy=None):
+    """A :class:`World` that holds only the §4.2 resolver probers: open
+    resolvers from a scanner address allocated here, closed ones from
+    their Atlas vantage. Its units are ``survey_units(deployment)``."""
+    world = World()
+    world.inet, world.probes, world.deployment = inet, probes, deployment
+    world.survey = ResolverSurvey(
+        inet.network, probes, inet.allocator.next_v4(),
+        iterations=iterations, retry_policy=retry_policy,
+    )
+    world.atlas = AtlasCampaign(
+        inet.network, probes, iterations=iterations, retry_policy=retry_policy
+    )
+    world.atlas_budget = frozenset(i for i, __ in world.atlas.eligible(deployment))
+    world.executor = CampaignExecutor(inet.network.kernel, concurrency)
+    return world
+
+
+def survey_units(deployment):
+    return [("r", str(index)) for index in range(len(deployment))]
+
+
+def _keeping(deployment, entries):
+    """A fold target that appends each classified entry to *entries*,
+    holding its deployed resolver."""
+    by_ip = {deployed.ip: deployed for deployed in deployment}
+    return SimpleNamespace(
+        update_survey=lambda entry: entries.append(
+            replace(entry, resolver=by_ip[entry.resolver.ip])
+        )
+    )
+
+
+def survey_entries(deployment, records):
+    """Fold ``(unit key, record)`` pairs into classified
+    :class:`~repro.scanner.resolver_scan.SurveyEntry` objects."""
+    entries = []
+    sink = FoldSink(_keeping(deployment, entries))
+    for key, record in records:
+        sink.record(key, record)
+    return entries
+
+
+def run_survey(inet, probes, deployment, iterations, concurrency=1, retry_policy=None):
+    """The §4.2 survey of *deployment*, run the way every command runs it:
+    ``run_units`` over a :func:`survey_world`. Returns the classified
+    entries in settle order, so requeued resolvers come last."""
+    world = survey_world(inet, probes, deployment, iterations, concurrency, retry_policy)
+    entries = []
+    run_units(world, survey_units(deployment), FoldSink(_keeping(deployment, entries)))
+    return entries

@@ -5,10 +5,10 @@ truncate-to-last-good-frame recovery, atomic fsynced snapshots, strict
 version/schema validation with the ``--discard-checkpoint`` escape
 hatch), fuzzing of both durable framings — the journal and a build-cache
 entry — at every byte offset, ``run_units``' requeue/recover path, the
-zero-duplicate-queries resume guarantee, and the headline acceptance
-scenario: a survey run under burst loss, a flapping resolver, and a
-garbage-emitting authoritative classifies every resolver exactly as a
-clean run does.
+zero-duplicate-queries resume of a survey, and the headline acceptance
+scenario: a survey run under burst loss, a
+flapping resolver, and a garbage-emitting authoritative classifies every
+resolver exactly as a clean run does.
 """
 
 import json
@@ -31,7 +31,6 @@ from repro.scanner.campaign import (
 )
 from repro.scanner.engine import ScanEngine
 from repro.scanner.resolver_scan import (
-    ResolverSurvey,
     SurveyRetryPolicy,
     matrix_from_record,
     matrix_to_record,
@@ -45,6 +44,8 @@ from repro.testbed.population import (
 from repro.testbed.resolvers import deploy_resolvers
 from repro.testbed.rfc9276_wild import build_probe_zones
 from repro.zone.build_cache import ENTRY_MAGIC, ZoneBuildCache
+
+from tests.conftest import run_survey, survey_entries, survey_units, survey_world
 
 
 class Answering(Host):
@@ -164,7 +165,7 @@ class TestCheckpoint:
         checkpoint.record("a/1", {})
         checkpoint.compact()
         with pytest.raises(CampaignError, match="scan-answer/1"):
-            CampaignCheckpoint(path, schema="survey-matrix/1")
+            CampaignCheckpoint(path, schema="study-units/1")
         # Same schema (and schema-less readers) load fine.
         assert len(CampaignCheckpoint(path, schema="scan-answer/1")) == 1
         assert len(CampaignCheckpoint(path)) == 1
@@ -519,13 +520,9 @@ class TestChaosSurveyAcceptance:
         """Burst loss + one flapping resolver + one garbage-spewing probe
         authoritative must not change a single resolver classification."""
         clean_inet, clean_probes, clean_deployment = _build_survey_world()
-        clean_survey = ResolverSurvey(
-            clean_inet.network,
-            clean_probes,
-            clean_inet.allocator.next_v4(),
-            iterations=SURVEY_ITERATIONS,
+        clean_entries = run_survey(
+            clean_inet, clean_probes, clean_deployment, SURVEY_ITERATIONS
         )
-        clean_entries = clean_survey.run(clean_deployment)
 
         chaos_inet, chaos_probes, chaos_deployment = _build_survey_world()
         flapped_ip = chaos_deployment[0].ip
@@ -543,14 +540,13 @@ class TestChaosSurveyAcceptance:
                 ]
             )
         )
-        chaos_survey = ResolverSurvey(
-            chaos_inet.network,
+        chaos_entries = run_survey(
+            chaos_inet,
             chaos_probes,
-            chaos_inet.allocator.next_v4(),
-            iterations=SURVEY_ITERATIONS,
+            chaos_deployment,
+            SURVEY_ITERATIONS,
             retry_policy=SurveyRetryPolicy(require_stable=True),
         )
-        chaos_entries = chaos_survey.run(chaos_deployment)
 
         assert len(clean_entries) == len(chaos_entries)
         faults = chaos_inet.network.faults.injected
@@ -566,31 +562,31 @@ class TestChaosSurveyAcceptance:
             ), f"classification drifted for {clean.resolver.ip}"
 
     def test_survey_resume_issues_zero_queries(self, tmp_path):
+        """A survey journaled the way a shard journals resumes from its
+        checkpoint without a datagram, and the resolvers it folds from
+        disk classify exactly as they did when measured."""
         inet, probes, deployment = _build_survey_world(seed=17)
-        path = tmp_path / "survey.json"
-        survey = ResolverSurvey(
-            inet.network,
-            probes,
-            inet.allocator.next_v4(),
-            iterations=SURVEY_ITERATIONS,
+        world = survey_world(
+            inet, probes, deployment, SURVEY_ITERATIONS,
             retry_policy=SurveyRetryPolicy(),
-            checkpoint_path=str(path),
         )
-        entries = survey.run(deployment)
-        assert entries and not any(e.resumed for e in entries)
+        units = survey_units(deployment)
+        path = tmp_path / "survey.ckpt"
+        checkpoint = CampaignCheckpoint(path, schema="study-units/1")
+        assert run_units(world, units, checkpoint) == (0, len(units))
+        checkpoint.flush()
+        measured = survey_entries(
+            deployment, [(key, checkpoint.get(key)) for key in checkpoint.keys()]
+        )
+        assert len(measured) == len(units)
 
         datagrams_before = inet.network.stats.datagrams
-        resumed_survey = ResolverSurvey(
-            inet.network,
-            probes,
-            inet.allocator.next_v4(),
-            iterations=SURVEY_ITERATIONS,
-            retry_policy=SurveyRetryPolicy(),
-            checkpoint_path=str(path),
-        )
-        resumed_entries = resumed_survey.run(deployment)
+        resumed = CampaignCheckpoint(path, schema="study-units/1")
+        assert run_units(world, units, resumed) == (len(units), 0)
         assert inet.network.stats.datagrams == datagrams_before
-        assert all(e.resumed for e in resumed_entries)
-        assert [
-            _classification_fields(e.classification) for e in resumed_entries
-        ] == [_classification_fields(e.classification) for e in entries]
+        reloaded = survey_entries(
+            deployment, [(key, resumed.get(key)) for key in resumed.keys()]
+        )
+        assert [_classification_fields(e.classification) for e in reloaded] == [
+            _classification_fields(e.classification) for e in measured
+        ]

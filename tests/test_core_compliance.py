@@ -10,6 +10,7 @@ from repro.core.resolver_compliance import (
 )
 from repro.core.resolver_compliance import summarize as summarize_resolvers
 from repro.core.zone_compliance import (
+    SMALL_ZONE_DELEGATIONS,
     Nsec3Observation,
     check_rfc5155_consistency,
     check_zone_compliance,
@@ -125,6 +126,19 @@ class TestZoneCompliance:
             observation(opt_out_seen=True, delegation_count=50_000)
         )
         assert report.item4_optout_ok
+
+    def test_optout_small_zone_cut_at_1000_delegations(self):
+        """A small zone has *fewer* than 1 000 delegations: opt-out is
+        flagged at 999 and allowed at exactly 1 000."""
+        assert SMALL_ZONE_DELEGATIONS == 1000
+
+        def optout_ok(delegations):
+            return check_zone_compliance(
+                observation(opt_out_seen=True, delegation_count=delegations)
+            ).item4_optout_ok
+
+        assert not optout_ok(999)
+        assert optout_ok(1000)
 
     def test_open_zone_item1(self):
         report = check_zone_compliance(observation(zone_published_openly=True))

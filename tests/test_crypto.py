@@ -7,7 +7,13 @@ import types
 import pytest
 
 from repro.crypto import ecdsa, rsa
-from repro.crypto.keys import ALG_RSASHA1, ALG_RSASHA256, KeyPair, verify_signature
+from repro.crypto.keys import (
+    ALG_ECDSAP256SHA256,
+    ALG_RSASHA1,
+    ALG_RSASHA256,
+    KeyPair,
+    verify_signature,
+)
 from repro.crypto.primes import generate_prime, is_probable_prime
 from repro.dns.rdata import A
 from repro.dns.rdata.dnssec import FLAG_ZONE
@@ -321,3 +327,33 @@ class TestEcdsa:
             ecdsa.EcdsaPrivateKey(0)
         with pytest.raises(ValueError):
             ecdsa.EcdsaPrivateKey(ecdsa.N)
+
+    def test_cryptography_agrees(self, key):
+        """The outside oracle, through the DNSSEC key layer: OpenSSL loads
+        our DNSKEY public key field (RFC 6605 §4: x‖y) as a P-256 point,
+        verifies our raw r‖s signature once DER-wrapped, and signs one
+        that we verify."""
+        pytest.importorskip("cryptography")
+        from cryptography.hazmat.primitives import hashes
+        from cryptography.hazmat.primitives.asymmetric import ec
+        from cryptography.hazmat.primitives.asymmetric.utils import (
+            decode_dss_signature,
+            encode_dss_signature,
+        )
+
+        pair = KeyPair(ALG_ECDSAP256SHA256, FLAG_ZONE, key)
+        message = b"ecdsa oracle"
+        public = ec.EllipticCurvePublicKey.from_encoded_point(
+            ec.SECP256R1(), b"\x04" + pair.dnskey.key
+        )
+        ours = pair.sign(message)
+        r, s = int.from_bytes(ours[:32], "big"), int.from_bytes(ours[32:], "big")
+        public.verify(
+            encode_dss_signature(r, s), message, ec.ECDSA(hashes.SHA256())
+        )  # raises InvalidSignature on reject
+        oracle = ec.derive_private_key(key.d, ec.SECP256R1())
+        assert oracle.public_key().public_numbers() == public.public_numbers()
+        r, s = decode_dss_signature(oracle.sign(message, ec.ECDSA(hashes.SHA256())))
+        theirs = r.to_bytes(32, "big") + s.to_bytes(32, "big")
+        assert verify_signature(pair.dnskey, message, theirs)
+        assert not verify_signature(pair.dnskey, b"another message", theirs)

@@ -70,6 +70,17 @@ class TestHashCovers:
         assert hash_covers(b"\xf0", b"\x10", b"\x05")
         assert not hash_covers(b"\xf0", b"\x10", b"\x80")
 
+    def test_wraparound_interval_is_open_at_both_ends(self):
+        """The last record of the chain covers what lies past its owner
+        and before the first owner, but neither owner itself: those names
+        exist, so a proof that "covers" them proves nothing."""
+        assert not hash_covers(b"\xf0", b"\x10", b"\xf0")
+        assert not hash_covers(b"\xf0", b"\x10", b"\x10")
+        assert hash_covers(b"\xf0", b"\x10", b"\xf0\x00")
+        # A one-record chain (owner == next) covers every other hash.
+        assert hash_covers(b"\x80", b"\x80", b"\x81")
+        assert not hash_covers(b"\x80", b"\x80", b"\x80")
+
 
 class TestOwnerHash:
     def test_round_trip(self, zone):

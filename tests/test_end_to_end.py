@@ -16,12 +16,12 @@ from repro.dns.types import RdataType
 from repro.dnssec.costmodel import meter
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.resolver.stub import StubClient
-from repro.scanner.atlas import AtlasCampaign
-from repro.scanner.dnskey_scan import dnskey_scan
 from repro.scanner.engine import ScanEngine
-from repro.scanner.nsec3_scan import nsec3_scan, scan_tlds
-from repro.scanner.resolver_scan import ResolverSurvey
+from repro.scanner.nsec3_scan import scan_tld
+from repro.scanner.pipeline import measure_domain
 from repro.testbed.resolvers import deploy_resolvers
+
+from tests.conftest import run_survey
 
 SMOKE_ITERATIONS = (1, 10, 25, 50, 51, 100, 101, 150, 151, 300, 500)
 
@@ -31,10 +31,10 @@ def domain_pipeline(testbed):
     inet = testbed["inet"]
     upstream = inet.make_resolver(VENDOR_POLICIES["cloudflare"], name="e2e-upstream")
     engine = ScanEngine(inet.network, inet.allocator.next_v4(), upstream.ip)
-    names = [d.name for d in testbed["domains"]]
-    enabled = dnskey_scan(engine, names)
-    results = nsec3_scan(engine, enabled)
-    return engine, enabled, results
+    results = [measure_domain(engine, d.name) for d in testbed["domains"]]
+    engine.drain()
+    results = [result for result in results if result is not None]
+    return engine, [result.domain for result in results], results
 
 
 @pytest.fixture(scope="module")
@@ -43,15 +43,9 @@ def resolver_pipeline(testbed):
     deployment = deploy_resolvers(
         inet, open_v4=24, open_v6=6, closed_v4=6, closed_v6=4, seed=11
     )
-    survey = ResolverSurvey(
-        inet.network,
-        testbed["probes"],
-        inet.allocator.next_v4(),
-        iterations=SMOKE_ITERATIONS,
-    )
-    open_entries = survey.run(deployment)
-    atlas = AtlasCampaign(inet.network, testbed["probes"], iterations=SMOKE_ITERATIONS)
-    closed_entries = atlas.run(deployment)
+    entries = run_survey(inet, testbed["probes"], deployment, SMOKE_ITERATIONS)
+    open_entries = [e for e in entries if e.resolver.access == "open"]
+    closed_entries = [e for e in entries if e.resolver.access == "closed"]
     return deployment, open_entries, closed_entries
 
 
@@ -89,7 +83,8 @@ class TestDomainPipeline:
         upstream = inet.make_resolver(VENDOR_POLICIES["google"], name="tld-upstream")
         engine = ScanEngine(inet.network, inet.allocator.next_v4(), upstream.ip)
         specs = [t for t in testbed["tlds"] if t.registry == "identity-digital"]
-        results = scan_tlds(engine, specs[:3])
+        results = [scan_tld(engine, spec) for spec in specs[:3]]
+        engine.drain()
         assert all(r.report.iterations == 100 for r in results if r.nsec3_enabled)
         assert all(not r.report.item2_zero_iterations for r in results if r.nsec3_enabled)
 

@@ -113,8 +113,11 @@ class TestAtlasBudget:
         campaign = AtlasCampaign(
             inet.network, testbed["probes"], iterations=(1, 151), max_probes=2
         )
-        entries = campaign.run(deployment)
-        assert len(entries) == 2
+        eligible = list(campaign.eligible(deployment))
+        assert [index for index, __ in eligible] == [0, 1]
+        for index, deployed in eligible:
+            __, healthy = campaign.probe(deployed, index)
+            assert healthy
 
 
 class TestGluelessResolution:

@@ -14,30 +14,49 @@ from repro.dnssec.nsec3hash import (
 )
 
 
+#: RFC 5155 Appendix A: every hashed owner name of the example zone
+#: (salt AABBCCDD, 12 additional iterations).
+APPENDIX_A = [
+    ("example", "0P9MHAVEQVM6T7VBL5LOP2U3T2RP3TOM"),
+    ("a.example", "35MTHGPGCU1QG68FAB165KLNSNK3DPVL"),
+    ("ai.example", "GJEQE526PLBF1G8MKLP59ENFD789NJGI"),
+    ("ns1.example", "2T7B4G4VSA5SMI47K61MV5BV1A22BOJR"),
+    ("ns2.example", "Q04JKCEVQVMU85R014C7DKBA38O0JI5R"),
+    ("w.example", "K8UDEMVP1J2F7EG6JEBPS17VP3N8I58H"),
+    ("*.w.example", "R53BQ7CC2UVMUBFU5OCMM6PERS9TK9EN"),
+    ("x.w.example", "B4UM86EGHHDS6NEA196SMVMLO4ORS995"),
+    ("y.w.example", "JI6NEOAEPV8B5O6K4EV33ABHA8HT9FGC"),
+    ("x.y.w.example", "2VPTU5TIMAMQTTGL4LUU9KG21E0AOR3S"),
+    ("xx.example", "T644EBQK9BIBCNA874GIVR6JOJ62MLHV"),
+]
+
+
 class TestRfc5155Vectors:
     """RFC 5155 Appendix A uses salt AABBCCDD and 12 additional iterations."""
 
     SALT = bytes.fromhex("AABBCCDD")
     ITERATIONS = 12
 
-    @pytest.mark.parametrize(
-        "name,expected",
-        [
-            ("example", "0P9MHAVEQVM6T7VBL5LOP2U3T2RP3TOM"),
-            ("a.example", "35MTHGPGCU1QG68FAB165KLNSNK3DPVL"),
-            ("ai.example", "GJEQE526PLBF1G8MKLP59ENFD789NJGI"),
-            ("ns1.example", "2T7B4G4VSA5SMI47K61MV5BV1A22BOJR"),
-            ("w.example", "K8UDEMVP1J2F7EG6JEBPS17VP3N8I58H"),
-            ("*.w.example", "R53BQ7CC2UVMUBFU5OCMM6PERS9TK9EN"),
-            ("x.w.example", "B4UM86EGHHDS6NEA196SMVMLO4ORS995"),
-            ("y.w.example", "JI6NEOAEPV8B5O6K4EV33ABHA8HT9FGC"),
-            ("x.y.w.example", "2VPTU5TIMAMQTTGL4LUU9KG21E0AOR3S"),
-            ("xx.example", "T644EBQK9BIBCNA874GIVR6JOJ62MLHV"),
-        ],
-    )
+    @pytest.mark.parametrize("name,expected", APPENDIX_A)
     def test_appendix_a_hashes(self, name, expected):
         digest = nsec3_hash_name(name, self.SALT, self.ITERATIONS)
         assert b32hex_encode(digest) == expected
+        # nsec3_hash itself, on the owner wire the chain builder and the
+        # validator hand it, agrees with a hashlib-only reference.
+        owner = Name.from_text(name).canonical_wire()
+        assert nsec3_hash(owner, self.SALT, self.ITERATIONS) == digest
+        assert digest == _reference_hash(owner, self.SALT, self.ITERATIONS)
+
+
+def _reference_hash(owner_wire, salt, iterations):
+    """RFC 5155 §5 with :mod:`hashlib` alone: IH(salt, x, 0) = H(x || salt),
+    IH(salt, x, k) = H(IH(salt, x, k-1) || salt)."""
+    import hashlib
+
+    digest = hashlib.sha1(owner_wire + salt).digest()
+    for __ in range(iterations):
+        digest = hashlib.sha1(digest + salt).digest()
+    return digest
 
 
 class TestBasics:

@@ -334,11 +334,9 @@ class TestScanEngine:
 
     def test_run_threads_dnssec_flags(self):
         engine = self._engine([_FakeAnswer(Rcode.NOERROR)] * 2)
-        engine.run(
-            [("a.example.", 1), ("b.example.", 1)],
-            want_dnssec=False,
-            checking_disabled=True,
-        )
+        for qname in ("a.example.", "b.example."):
+            engine.query(qname, 1, want_dnssec=False, checking_disabled=True)
+        engine.drain()
         assert engine.client.calls == [
             ("a.example.", False, True),
             ("b.example.", False, True),
@@ -354,7 +352,9 @@ class TestScanEngine:
                 _FakeAnswer(Rcode.NOERROR, answered=False),
             ]
         )
-        engine.run([(f"q{i}.example.", 1) for i in range(5)])
+        for i in range(5):
+            engine.query(f"q{i}.example.", 1)
+        engine.drain()
         stats = engine.stats
         assert stats.rcode_counts() == {"NOERROR": 1, "NXDOMAIN": 2, "SERVFAIL": 1}
         assert stats.unanswered == 1
@@ -367,7 +367,8 @@ class TestScanEngine:
         engine = self._engine(
             [_FakeAnswer(Rcode.NXDOMAIN), _FakeAnswer(Rcode.NOERROR, answered=False)]
         )
-        engine.run([("a.example.", 1), ("b.example.", 1)])
+        engine.query("a.example.", 1)
+        engine.query("b.example.", 1)
         family = obs.registry.get("repro_scan_queries_total")
         assert family.labels(rcode="NXDOMAIN").value == 1
         assert family.labels(rcode="timeout").value == 1

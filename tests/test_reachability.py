@@ -16,8 +16,6 @@ ALLOWED = {
     "repro.scanner.zonewalk": "the title claim (iterations cost the walker nothing, the "
     "cracker and the defender alike): tests/test_zonewalk.py, examples/zone_walking.py",
     "repro.testbed.tranco": "Figure 2's rank list: benchmarks/bench_figure2.py",
-    "repro.resolver.flaky": "§5.2's answer-flipping resolvers, the fake probe_stability and "
-    "ResolverSurvey._verify_gap are tested against: tests/test_flaky.py",
 }
 
 

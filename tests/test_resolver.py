@@ -14,7 +14,7 @@ from repro.dns.types import RdataType
 from repro.dnssec.validator import SecurityStatus
 from repro.resolver.cache import Cache
 from repro.resolver.iterative import IterativeResolver
-from repro.resolver.policy import VENDOR_POLICIES, Nsec3Policy
+from repro.resolver.policy import RFC5155_MAX_ITERATIONS, VENDOR_POLICIES, Nsec3Policy
 from repro.resolver.stub import StubClient
 from repro.resolver.validating import ValidatingResolver
 
@@ -202,6 +202,15 @@ class TestPolicyGate:
         verdict = resolver.resolve_and_validate("zilch.example.com", RdataType.A)
         assert verdict.rcode == Rcode.NXDOMAIN
         assert verdict.ad
+
+    def test_rfc5155_ceiling_applies_without_a_limit(self):
+        """RFC 5155 §10.3 caps iterations at 2 500: past that, even a
+        resolver with no RFC 9276 limit treats the answer as insecure."""
+        legacy = VENDOR_POLICIES["legacy"]
+        assert legacy.insecure_above is None
+        assert RFC5155_MAX_ITERATIONS == 2500
+        assert not legacy.exceeds_insecure(RFC5155_MAX_ITERATIONS)
+        assert legacy.exceeds_insecure(RFC5155_MAX_ITERATIONS + 1)
 
     def test_positive_answers_not_gated(self, mini_internet):
         # Iteration limits apply to denial proofs, not positive answers.

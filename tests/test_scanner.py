@@ -5,13 +5,14 @@ import pytest
 from repro.dns.rcode import Rcode
 from repro.dns.types import RdataType
 from repro.resolver.policy import VENDOR_POLICIES
-from repro.scanner.atlas import AtlasCampaign
-from repro.scanner.dnskey_scan import dnskey_scan
 from repro.scanner.engine import ScanEngine
-from repro.scanner.nsec3_scan import nsec3_scan, scan_tlds
-from repro.scanner.resolver_scan import ResolverSurvey, probe_resolver
+from repro.scanner.nsec3_scan import scan_tld
+from repro.scanner.pipeline import measure_domain
+from repro.scanner.resolver_scan import probe_resolver
 from repro.core.resolver_compliance import classify_resolver
 from repro.testbed.resolvers import deploy_resolvers
+
+from tests.conftest import run_survey
 
 SMOKE_ITERATIONS = (1, 25, 50, 51, 100, 101, 150, 151, 500)
 
@@ -27,9 +28,10 @@ def engine(testbed):
 
 @pytest.fixture(scope="module")
 def scan_results(testbed, engine):
-    names = [d.name for d in testbed["domains"]]
-    enabled = dnskey_scan(engine, names)
-    return enabled, nsec3_scan(engine, enabled)
+    results = [measure_domain(engine, d.name) for d in testbed["domains"]]
+    engine.drain()
+    results = [result for result in results if result is not None]
+    return [result.domain for result in results], results
 
 
 class TestDnskeyScan:
@@ -79,7 +81,8 @@ class TestNsec3Scan:
 class TestTldScan:
     def test_tld_parameters(self, testbed, engine):
         specs = [t for t in testbed["tlds"] if t.dnssec][:10]
-        results = scan_tlds(engine, specs)
+        results = [scan_tld(engine, spec) for spec in specs]
+        engine.drain()
         truth = {t.label: t for t in specs}
         for result in results:
             spec = truth[result.domain]
@@ -104,15 +107,14 @@ class TestResolverSurvey:
             inet, open_v4=10, open_v6=3, closed_v4=3, closed_v6=2, seed=7
         )
 
-    def test_open_survey_classifies(self, testbed, deployment):
-        inet = testbed["inet"]
-        survey = ResolverSurvey(
-            inet.network,
-            testbed["probes"],
-            inet.allocator.next_v4(),
-            iterations=SMOKE_ITERATIONS,
+    @pytest.fixture(scope="class")
+    def entries(self, testbed, deployment):
+        return run_survey(
+            testbed["inet"], testbed["probes"], deployment, SMOKE_ITERATIONS
         )
-        entries = survey.run(deployment)
+
+    def test_open_survey_classifies(self, deployment, entries):
+        entries = [e for e in entries if e.resolver.access == "open"]
         open_count = sum(1 for d in deployment if d.access == "open")
         assert len(entries) == open_count
         truth = {d.ip: d for d in deployment}
@@ -145,31 +147,26 @@ class TestResolverSurvey:
             if policy.servfail_above is not None:
                 assert cls.implements_item8, deployed.policy_name
 
-    def test_atlas_reaches_closed(self, testbed, deployment):
-        inet = testbed["inet"]
-        campaign = AtlasCampaign(
-            inet.network, testbed["probes"], iterations=SMOKE_ITERATIONS
+    def test_atlas_reaches_closed(self, deployment, entries):
+        closed = [d.ip for d in deployment if d.access == "closed"]
+        entries = [e for e in entries if e.resolver.access == "closed"]
+        assert sorted(e.resolver.ip for e in entries) == sorted(closed)
+        assert all(
+            result.answered for e in entries for result in e.matrix.values()
         )
-        entries = campaign.run(deployment)
-        closed = sum(1 for d in deployment if d.access == "closed")
-        assert len(entries) == closed
 
-    def test_atlas_strips_ede(self, testbed, deployment):
-        inet = testbed["inet"]
-        campaign = AtlasCampaign(
-            inet.network, testbed["probes"], iterations=SMOKE_ITERATIONS
-        )
-        for entry in campaign.run(deployment):
+    def test_atlas_strips_ede(self, entries):
+        closed = [e for e in entries if e.resolver.access == "closed"]
+        assert closed
+        for entry in closed:
             for result in entry.matrix.values():
                 assert result.ede_codes == ()
 
-    def test_open_survey_skips_closed(self, testbed, deployment):
-        inet = testbed["inet"]
-        survey = ResolverSurvey(
-            inet.network,
-            testbed["probes"],
-            inet.allocator.next_v4(),
-            iterations=SMOKE_ITERATIONS,
+    def test_open_survey_skips_closed(self, deployment, entries):
+        """The scanner probes exactly the open resolvers: a closed one is
+        measured once, from its Atlas vantage, never from the scanner."""
+        scanned = [e.resolver.ip for e in entries if e.resolver.access == "open"]
+        assert sorted(scanned) == sorted(
+            d.ip for d in deployment if d.access == "open"
         )
-        entries = survey.run(deployment)
-        assert all(e.resolver.access == "open" for e in entries)
+        assert len(entries) == len(deployment)

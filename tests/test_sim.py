@@ -22,11 +22,12 @@ from repro.net.sim import CampaignExecutor, SimKernel
 from repro.net.transport import QueryFailure, Transport
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.scanner.engine import ScanEngine, shard_source_ip
-from repro.scanner.resolver_scan import ResolverSurvey
 from repro.testbed.internet import build_internet
 from repro.testbed.population import generate_population, generate_tlds
 from repro.testbed.resolvers import deploy_resolvers
 from repro.testbed.rfc9276_wild import build_probe_zones
+
+from tests.conftest import run_survey
 
 from tests.conftest import SMALL_CONFIG
 
@@ -272,17 +273,12 @@ def _survey_run(concurrency, resolvers=12, seed=11):
     deployment = deploy_resolvers(
         inet, open_v4=resolvers, open_v6=2, closed_v4=2, closed_v6=1, seed=seed
     )
-    survey = ResolverSurvey(
-        inet.network,
-        probes,
-        inet.allocator.next_v4(),
-        iterations=(0, 1, 150),
-        concurrency=concurrency,
+    entries = run_survey(
+        inet, probes, deployment, (0, 1, 150), concurrency=concurrency
     )
-    survey.run(deployment)
     matrices = [
         {key: (r.rcode, r.ad, r.answered) for key, r in entry.matrix.items()}
-        for entry in survey.entries
+        for entry in entries
     ]
     labels = [
         (
@@ -291,7 +287,7 @@ def _survey_run(concurrency, resolvers=12, seed=11):
             entry.classification.insecure_threshold,
             entry.classification.servfail_threshold,
         )
-        for entry in survey.entries
+        for entry in entries
     ]
     return matrices, labels, inet.network.clock_ms
 
@@ -328,9 +324,11 @@ class TestCampaignDeterminism:
                 concurrency=concurrency,
                 shards=min(concurrency, 4),
             )
-            answers = engine.run(
-                [(d.name, 48) for d in domains[:30]], checking_disabled=True
-            )
+            answers = [
+                engine.query(d.name, 48, checking_disabled=True)
+                for d in domains[:30]
+            ]
+            engine.drain()
             summary = [
                 (a.rcode, a.ad, a.answered, len(a.answer)) for a in answers
             ]
@@ -345,13 +343,16 @@ class TestCampaignDeterminism:
     def test_serial_engine_clock_matches_legacy_trajectory(self):
         """concurrency=1 must leave the exact clock the serial engine did:
         run the same campaign twice on identically-seeded internets, once
-        through the executor bypass and once through bare queries."""
+        settled by ``drain()`` as a campaign phase is, and once through
+        bare queries."""
         inet_a, domains = _small_internet()
         upstream_a = inet_a.make_resolver(VENDOR_POLICIES["bind9-2021"], name="legacy")
         engine_a = ScanEngine(
             inet_a.network, inet_a.allocator.next_v4(), upstream_a.ip, concurrency=1
         )
-        engine_a.run([(d.name, 48) for d in domains[:20]])
+        for d in domains[:20]:
+            engine_a.query(d.name, 48)
+        engine_a.drain()
 
         inet_b, domains_b = _small_internet()
         upstream_b = inet_b.make_resolver(VENDOR_POLICIES["bind9-2021"], name="legacy")
@@ -489,5 +490,6 @@ class TestSharding:
         )
         sources = {engine._client_for(i).source_ip for i in range(6)}
         assert len(sources) == 3
-        answers = engine.run([(d.name, 48) for d in domains[:6]])
+        answers = [engine.query(d.name, 48) for d in domains[:6]]
+        engine.drain()
         assert all(a.answered for a in answers)

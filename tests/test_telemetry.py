@@ -288,7 +288,10 @@ def _scan_with_telemetry(concurrency, chaos=False, seed=11):
         concurrency=concurrency,
         shards=min(concurrency, 4),
     )
-    answers = engine.run([(d.name, 48) for d in domains[:30]], checking_disabled=True)
+    answers = [
+        engine.query(d.name, 48, checking_disabled=True) for d in domains[:30]
+    ]
+    engine.drain()
     scraper.scrape(inet.network.kernel.now)
     summary = [(a.rcode, a.ad, a.answered) for a in answers]
     finals = {
@@ -343,9 +346,10 @@ class TestStreamingDeterminism:
             concurrency=8,
             shards=4,
         )
-        answers = engine.run(
-            [(d.name, 48) for d in domains[:30]], checking_disabled=True
-        )
+        answers = [
+            engine.query(d.name, 48, checking_disabled=True) for d in domains[:30]
+        ]
+        engine.drain()
         assert [(a.rcode, a.ad, a.answered) for a in answers] == with_telemetry
 
 
@@ -513,19 +517,24 @@ class TestMergeEqualsSingleRun:
             jobs = [(d.name, 48) for d in domains[:24]]
             return engine, jobs
 
+        def scan(engine, jobs):
+            for qname, qtype in jobs:
+                engine.query(qname, qtype, checking_disabled=True)
+            engine.drain()
+
         engine, jobs = world()
         obs.enable()
-        engine.run(jobs[:12], checking_disabled=True)
+        scan(engine, jobs[:12])
         first_half = obs.registry.to_json()
         obs.reset()
-        engine.run(jobs[12:], checking_disabled=True)
+        scan(engine, jobs[12:])
         second_half = obs.registry.to_json()
         obs.disable()
         obs.reset()
 
         engine, jobs = world()
         obs.enable()
-        engine.run(jobs, checking_disabled=True)
+        scan(engine, jobs)
         full = obs.registry.to_json()
 
         merged = MetricsRegistry.from_json(first_half).merge(

@@ -28,7 +28,7 @@ from repro.net.faults import parse_fault_spec
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.scanner.engine import ScanEngine
 from repro.scanner.pipeline import measure_domain
-from repro.scanner.resolver_scan import ResolverSurvey
+from repro.scanner.resolver_scan import ResolverSurvey, requeue_label
 from repro.testbed.internet import build_internet
 from repro.testbed.population import (
     Population,
@@ -91,7 +91,8 @@ def test_campaign_wire_bytes_are_pinned():
     survey = ResolverSurvey(
         inet.network, probes, inet.allocator.next_v4(), iterations=ITERATIONS
     )
-    assert len(survey.run(deployment)) == 4
+    for index, deployed in enumerate(deployment):
+        survey.probe(deployed, requeue_label(index))
 
     assert counter[0] == GOLDEN_DATAGRAMS
     assert digest.hexdigest() == GOLDEN_SHA256
