@@ -146,6 +146,40 @@ def test_build_domain_zone_unsigned(benchmark):
     assert zone.record_count() == 5
 
 
+@pytest.mark.parametrize("complete", [False, True], ids=["deferred", "completed"])
+def test_lazy_zone_four_scan_questions(benchmark, complete):
+    """One NSEC3-signed lazily hosted SLD zone built, hosted and asked
+    paper §4.1's four questions (DNSKEY, NSEC3PARAM, NS, a random name)
+    with DO set: as the lazy host builds it, signing each RRset on first
+    read, and with every signature completed before it serves."""
+    pool = KeyPool(size=2, seed=8)
+    spec = DomainSpec(
+        "bench-site.com", "com", "generic-web",
+        dnssec=True, denial="nsec3", iterations=5, salt_length=8,
+    )
+    ns_pair = (NS("ns1.generic-web-dns.net."), NS("ns2.generic-web-dns.net."))
+    queries = [
+        make_query(name, rrtype, want_dnssec=True, msg_id=1).to_wire()
+        for name, rrtype in (
+            ("bench-site.com", RdataType.DNSKEY),
+            ("bench-site.com", RdataType.NSEC3PARAM),
+            ("bench-site.com", RdataType.NS),
+            ("q7x2.bench-site.com", RdataType.A),
+        )
+    ]
+
+    def build_and_ask():
+        zone = build_domain_zone(spec, 7, pool, ns_pair, defer_signatures=True)
+        if complete:
+            zone.complete_rrsigs()
+        server = AuthoritativeServer("bench").add_zone(zone)
+        return [server.handle_datagram(query, "198.51.100.9") for query in queries]
+
+    replies = benchmark(build_and_ask)
+    assert replies == build_and_ask()
+    assert Message.from_wire(replies[-1]).rcode == 3  # NXDOMAIN
+
+
 @pytest.fixture(scope="module")
 def rsa_pair():
     return generate_keypair(ALG_RSASHA256, rsa_bits=512, rng=random.Random(1))

@@ -73,7 +73,7 @@ def main():
     # --- 3. Host everything and attach a validating resolver (BIND9-style
     #        policy: insecure above 150 iterations).
     for ip, zone in (("192.0.2.1", root), ("192.0.2.52", com), ("192.0.2.53", example)):
-        server = AuthoritativeServer(f"auth-{ip}", net)
+        server = AuthoritativeServer(f"auth-{ip}")
         server.add_zone(zone)
         net.attach(ip, server)
 

@@ -100,12 +100,6 @@ def main(open_v4=60):
                 nx, adnx, servfail = fig.series[count]
                 print(f"{count:6d} {nx:10.1f} {adnx:8.1f} {servfail:10.1f}")
 
-    # Server-side query log: who actually contacted the probe infrastructure
-    # (the paper's forwarder-identification methodology).
-    log = probes.query_log
-    print(f"\nprobe nameserver observed {len(log)} queries from "
-          f"{len(log.by_source)} distinct sources")
-
 
 if __name__ == "__main__":
     main(int(sys.argv[1]) if len(sys.argv) > 1 else 60)

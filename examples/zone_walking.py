@@ -43,7 +43,7 @@ def serve(net, index, nsec3):
     for label in SECRET_LABELS:
         builder.a(label, "198.18.0.1")
     zone = sign_zone(builder.build(), SigningPolicy(nsec3=nsec3), rng=random.Random(index))
-    server = AuthoritativeServer(f"auth-{index}", net)
+    server = AuthoritativeServer(f"auth-{index}")
     server.add_zone(zone)
     net.attach(f"192.0.2.{index}", server)
     resolver = ValidatingResolver(

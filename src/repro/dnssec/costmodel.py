@@ -19,7 +19,7 @@ reset it around measured regions. Counters:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

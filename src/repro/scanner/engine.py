@@ -44,47 +44,18 @@ class ScanStats:
     """Bookkeeping for one scan campaign.
 
     Outcomes are kept per rcode (``rcodes``), so SERVFAIL-vs-NXDOMAIN
-    splits survive aggregation; ``answered``/``timeouts`` are derived
-    views kept for compatibility.
+    splits survive aggregation.
     """
 
     queries: int = 0
     #: Answered queries by (integer) rcode.
     rcodes: Counter = field(default_factory=Counter)
+    #: Queries unanswered after every retry.
     unanswered: int = 0
     started_ms: float = 0.0
     finished_ms: float = 0.0
     #: Extra per-target attempts spent absorbing flaky answers.
     reprobes: int = 0
-
-    @property
-    def answered(self):
-        """Queries that got any response at all."""
-        return sum(self.rcodes.values())
-
-    @property
-    def timeouts(self):
-        """Queries unanswered after every retry."""
-        return self.unanswered
-
-    def rcode_counts(self):
-        """Answered-query outcomes as ``{rcode text: count}``."""
-        return {
-            Rcode.to_text(rcode): count
-            for rcode, count in sorted(self.rcodes.items())
-        }
-
-    @property
-    def duration_ms(self):
-        """Simulated wall-clock time spanned by the campaign."""
-        return max(0.0, self.finished_ms - self.started_ms)
-
-    @property
-    def effective_qps(self):
-        """Achieved queries/second on the simulated clock."""
-        if self.duration_ms <= 0:
-            return 0.0
-        return self.queries / (self.duration_ms / 1000.0)
 
 
 class ScanEngine:

@@ -67,16 +67,15 @@ from repro.net.procpool import (
     backoff_delay,
 )
 from repro.scanner.campaign import CampaignCheckpoint, CampaignError, run_units
-# deployment_counts is not used here: the benchmark ledger imports it
-# from this module.
 from repro.scanner.pipeline import (
     CampaignPlan,
     UnitUniverse,
     World,
-    deployment_counts,
     fold_record,
     unit_key,
 )
+# Re-exported: the benchmark ledger imports it from this module.
+from repro.scanner.pipeline import deployment_counts  # noqa: F401
 from repro.testbed.internet import BuildScope
 from repro.zone import build_cache, signing
 

@@ -20,7 +20,6 @@ from repro.dns.wire import WireError
 from repro.dnssec.costmodel import meter
 from repro.dnssec.nsec3hash import nsec3_hash
 from repro.net.network import Host
-from repro.server.querylog import QueryLog
 from repro.zone.zone import LookupStatus
 
 #: Hard cap on CNAME chain chasing within one response.
@@ -47,7 +46,7 @@ def _count_response(server, rcode_text):
 
 class _CachedAnswer:
     """One packed response: the encoded wire after the id, its recorded
-    cost charges, and what the query log and the span say about a hit.
+    cost charges, and the qname the span names on a hit.
 
     A hit :meth:`CostMeter.replay`\\ s the charges recorded when the
     response was first built, so the cost model and guard budgets behave
@@ -57,40 +56,27 @@ class _CachedAnswer:
     :meth:`Zone.replace_rrset`, which fires the mutation listeners).
     """
 
-    __slots__ = ("tail", "rcode_text", "charges", "qname", "qtype")
+    __slots__ = ("tail", "rcode_text", "charges", "qname")
 
-    def __init__(self, tail, rcode_text, charges, qname, qtype):
+    def __init__(self, tail, rcode_text, charges, qname):
         self.tail = tail
         self.rcode_text = rcode_text
         self.charges = charges
         self.qname = qname
-        self.qtype = qtype
 
 
 class AuthoritativeServer(Host):
     """A name server authoritative for a set of zones."""
 
-    def __init__(self, name="auth", network=None):
+    def __init__(self, name="auth"):
         self.name = name
-        self.network = network
         self.zones = {}
-        self.log = QueryLog()
         self.answer_cache = PackedAnswerCache("auth")
         #: Longest-prefix index over zone origins (canonical label keys).
         self._zone_index = {}
         #: Optional hook: called with a qname that matched no hosted
         #: zone; may materialise and host one on the spot (lazy SLDs).
         self.zone_factory = None
-        #: Optional clock override for query-log timestamps. The
-        #: simulated campaigns leave it None (log entries carry the sim
-        #: clock); the socket service points it at wall time so live
-        #: logs line up with operator tooling.
-        self.clock = None
-
-    def _log_clock(self):
-        if self.clock is not None:
-            return self.clock()
-        return self.network.clock_ms if self.network else 0.0
 
     def add_zone(self, zone):
         """Host *zone* (keyed by origin) on this server."""
@@ -155,7 +141,7 @@ class AuthoritativeServer(Host):
             cache_key = (bytes(wire[2:]), via_tcp)
             entry = self.answer_cache.get(cache_key)
             if entry is not None:
-                return self._serve_cached(bytes(wire[:2]), entry, src_ip)
+                return self._serve_cached(bytes(wire[:2]), entry)
         try:
             query = Message.from_wire(wire)
         except WireError:
@@ -171,7 +157,7 @@ class AuthoritativeServer(Host):
             meter.recorder = recorder_charges
         try:
             if not obs.enabled:
-                response = self._dispatch(query, src_ip)
+                response = self._dispatch(query)
             else:
                 if obs.tracing:
                     # qname rendering is span decoration only — skip it
@@ -184,11 +170,11 @@ class AuthoritativeServer(Host):
                     with obs.span(
                         "auth.query", server=self.name, qname=qname
                     ) as span:
-                        response = self._dispatch(query, src_ip)
+                        response = self._dispatch(query)
                         if response is not None:
                             span.set(rcode=Rcode.to_text(response.rcode))
                 else:
-                    response = self._dispatch(query, src_ip)
+                    response = self._dispatch(query)
                 if response is not None:
                     _count_response(self.name, Rcode.to_text(response.rcode))
             if response is None:
@@ -201,15 +187,13 @@ class AuthoritativeServer(Host):
             if cache_key is not None:
                 meter.recorder = previous_recorder
         if cache_key is not None:
-            question = query.question[0]
             self.answer_cache.put(
                 cache_key,
                 _CachedAnswer(
                     encoded[2:],
                     Rcode.to_text(response.rcode),
                     tuple(recorder_charges),
-                    question.name.to_text(),
-                    question.rrtype,
+                    query.question[0].name.to_text(),
                 ),
             )
         return encoded
@@ -224,9 +208,8 @@ class AuthoritativeServer(Host):
             and query.question[0].rrtype != int(RdataType.AXFR)
         )
 
-    def _serve_cached(self, id_bytes, entry, src_ip):
-        """Log, re-charge the cost model, and splice the query id in."""
-        self.log.record(src_ip, entry.qname, entry.qtype, self._log_clock())
+    def _serve_cached(self, id_bytes, entry):
+        """Re-charge the cost model and splice the query id in."""
         self.answer_cache.hits += 1
         if not obs.enabled:
             meter.replay(entry.charges)
@@ -243,38 +226,32 @@ class AuthoritativeServer(Host):
             _count_response(self.name, entry.rcode_text)
         return id_bytes + entry.tail
 
-    def _dispatch(self, query, src_ip):
+    def _dispatch(self, query):
         if (
             query.question
             and int(query.question[0].rrtype) == int(RdataType.AXFR)
         ):
-            return self.handle_axfr(query, src_ip)
-        return self.handle_query(query, src_ip)
+            return self.handle_axfr(query)
+        return self.handle_query(query)
 
-    def handle_axfr(self, query, src_ip):
+    def handle_axfr(self, query):
         """Decline a zone transfer (RFC 5936): NOTAUTH for a zone not
         hosted here, REFUSED for one that is — no zone is transferable,
         as at almost every registry in practice."""
-        question = query.question[0]
-        clock = self._log_clock()
-        self.log.record(src_ip, question.name.to_text(), question.rrtype, clock)
         response = make_response(query)
-        hosted = question.name in self.zones
+        hosted = query.question[0].name in self.zones
         response.rcode = Rcode.REFUSED if hosted else Rcode.NOTAUTH
         return response
 
     # -- query processing -------------------------------------------------------
 
-    def handle_query(self, query, src_ip="?"):
+    def handle_query(self, query):
         """Answer one parsed query message authoritatively."""
         if query.is_response or query.opcode != Opcode.QUERY or not query.question:
             response = make_response(query)
             response.rcode = Rcode.FORMERR
             return response
         question = query.question[0]
-        clock = self._log_clock()
-        self.log.record(src_ip, question.name.to_text(), question.rrtype, clock)
-
         response = make_response(query)
         zone = self.zone_for(question.name)
         if (
@@ -314,14 +291,14 @@ class AuthoritativeServer(Host):
                     )
         elif result.status is LookupStatus.WILDCARD:
             rrset = result.rrset or result.cname
-            wildcard_sigs = zone.get_rrsigs(result.wildcard_owner, rrset.rrtype)
             response.answer.append(rrset)
-            if dnssec and wildcard_sigs is not None:
-                retargeted = RRset(
-                    qname, RdataType.RRSIG, wildcard_sigs.ttl, list(wildcard_sigs.rdatas)
-                )
-                response.answer.append(retargeted)
             if dnssec:
+                wildcard_sigs = zone.get_rrsigs(result.wildcard_owner, rrset.rrtype)
+                if wildcard_sigs is not None:
+                    retargeted = RRset(
+                        qname, RdataType.RRSIG, wildcard_sigs.ttl, list(wildcard_sigs.rdatas)
+                    )
+                    response.answer.append(retargeted)
                 self._add_wildcard_proof(response, zone, qname)
         elif result.status is LookupStatus.DELEGATION:
             self._add_referral(response, zone, result.delegation, dnssec)
@@ -338,9 +315,11 @@ class AuthoritativeServer(Host):
 
     def _add_with_sigs(self, response, section, zone, rrset):
         section.append(rrset)
-        sigs = zone.get_rrsigs(rrset.name, rrset.rrtype)
-        if response.dnssec_ok and sigs is not None:
-            section.append(sigs)
+        if response.dnssec_ok:
+            # Read only when sent: a deferred signature is computed here.
+            sigs = zone.get_rrsigs(rrset.name, rrset.rrtype)
+            if sigs is not None:
+                section.append(sigs)
 
     def _add_glue(self, response, zone, ns_rrset):
         for ns in ns_rrset:

@@ -155,7 +155,6 @@ class DnsService:
         self._reaper_task = None
         self._stop_event = None
         self._started = False
-        self._epoch = time.time()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -170,7 +169,6 @@ class DnsService:
         self.engine.start()
         for binding in self.bindings:
             await self._bind(binding)
-            self._wire_wall_clock(binding.backend)
         self._reaper_task = self._loop.create_task(self._reap_loop())
         self._started = True
         return self
@@ -204,12 +202,6 @@ class DnsService:
             self._tcp_servers.append(server)
             return
         raise last_error
-
-    def _wire_wall_clock(self, backend):
-        # Query-log timestamps on the sim clock are meaningless for a
-        # live service; point backends that expose the hook at wall time.
-        if hasattr(backend, "clock") and backend.clock is None:
-            backend.clock = lambda: (time.time() - self._epoch) * 1000.0
 
     def install_signal_handlers(self):
         """SIGTERM/SIGINT → graceful drain (idempotent, loop-native)."""

@@ -28,7 +28,6 @@ bounded benign p99 under attack, shed counters rising, clean drain.
 from __future__ import annotations
 
 import asyncio
-import json
 import random
 import time
 from dataclasses import dataclass, field

@@ -99,10 +99,6 @@ class AttackZoneSet:
         """Child zone labels in deterministic probing order."""
         return sorted(label for label in self.zones if label != "@")
 
-    @property
-    def query_log(self):
-        return self.server.log
-
 
 def forge_colliding_dnskey(target_tag, algorithm, rng, flags=FLAG_ZONE):
     """Forge a DNSKEY whose RFC 4034 key tag equals *target_tag*.
@@ -229,7 +225,7 @@ def build_attack_zones(
     """
     rng = random.Random(seed)
     network = inet.network
-    server = AuthoritativeServer("nsec3-attack-lab", network)
+    server = AuthoritativeServer("nsec3-attack-lab")
     v4, v6 = inet.allocator.next_v4(), inet.allocator.next_v6()
     network.attach(v4, server)
     network.attach(v6, server)

@@ -229,13 +229,13 @@ def _nsec3_params_for(spec, rng):
     return Nsec3Params(iterations=spec.iterations, salt=salt, opt_out=spec.opt_out)
 
 
-def _sign_from_spec(zone, spec, pool, rng, name):
+def _sign_from_spec(zone, spec, pool, rng, name, defer_signatures=False):
     ksk, zsk = pool.pair_for(name)
     if spec.denial == "nsec3":
         policy = SigningPolicy(nsec3=_nsec3_params_for(spec, rng))
     else:
         policy = SigningPolicy(nsec3=None)
-    sign_zone(zone, policy, ksk=ksk, zsk=zsk)
+    sign_zone(zone, policy, ksk=ksk, zsk=zsk, defer_signatures=defer_signatures)
     return zone
 
 
@@ -243,7 +243,7 @@ def _host_address(rng):
     return A._trusted(bytes((198, 18, rng.randrange(256), rng.randrange(1, 255))))
 
 
-def build_domain_zone(spec, seed, pool, ns_pair):
+def build_domain_zone(spec, seed, pool, ns_pair, defer_signatures=False):
     """Build (and sign, per its spec) one registered-domain zone.
 
     Everything is derived from ``(spec, seed)``: addresses and salt from
@@ -255,6 +255,7 @@ def build_domain_zone(spec, seed, pool, ns_pair):
     operator's shared ``(NS, NS)`` rdata, names derive from the origin
     and the A rdata from their octets. Same records, in the same order,
     as ``ZoneBuilder(name).soa(...).ns(...).a("@", ...).a("www", ...)``.
+    *defer_signatures* is passed to :func:`sign_zone`.
     """
     rng = zone_rng(seed, spec.name)
     builder = ZoneBuilder(spec.name)
@@ -265,7 +266,7 @@ def build_domain_zone(spec, seed, pool, ns_pair):
     zone.add(origin, RdataType.A, ttl, _host_address(rng))
     zone.add(origin.prepend("www"), RdataType.A, ttl, _host_address(rng))
     if spec.dnssec:
-        _sign_from_spec(zone, spec, pool, rng, spec.name)
+        _sign_from_spec(zone, spec, pool, rng, spec.name, defer_signatures)
     return zone
 
 
@@ -285,10 +286,12 @@ class LazyZoneHost:
     inverted back to its :class:`~repro.testbed.population.DomainSpec`
     and the zone is built, signed, and hosted on the spot — byte-identical
     to the eager build, because :func:`build_domain_zone` derives all
-    content from ``(spec, seed)``. A bounded FIFO keeps at most *limit*
-    signed zones resident; evicted zones rebuild deterministically if
-    queried again, so cached packed answers stay valid across evictions
-    (eviction therefore does **not** invalidate answer caches).
+    content from ``(spec, seed)``. Its signatures are deferred: each is
+    computed when a query first reads it. A bounded FIFO keeps at most
+    *limit* signed zones resident; evicted zones rebuild
+    deterministically if queried again, so cached packed answers stay
+    valid across evictions (eviction therefore does **not** invalidate
+    answer caches).
     """
 
     def __init__(self, population, ns_rdata, seed, pool, limit=256):
@@ -316,7 +319,8 @@ class LazyZoneHost:
         if spec is None or spec.operator != operator_key:
             return None
         zone = build_domain_zone(
-            spec, self.seed, self.pool, self.ns_rdata[spec.operator]
+            spec, self.seed, self.pool, self.ns_rdata[spec.operator],
+            defer_signatures=True,
         )
         server.host_lazily(zone)
         self._resident[zone.origin] = server
@@ -494,12 +498,12 @@ def build_internet(
         progress = _no_progress
 
     # --- servers -----------------------------------------------------------
-    root_server = AuthoritativeServer("root-servers", network)
+    root_server = AuthoritativeServer("root-servers")
     root_v4, root_v6 = allocator.next_v4(), allocator.next_v6()
     network.attach(root_v4, root_server)
     network.attach(root_v6, root_server)
 
-    registry_server = AuthoritativeServer("tld-registry", network)
+    registry_server = AuthoritativeServer("tld-registry")
     registry_v4, registry_v6 = allocator.next_v4(), allocator.next_v6()
     network.attach(registry_v4, registry_server)
     network.attach(registry_v6, registry_server)
@@ -512,7 +516,7 @@ def build_internet(
     operator_keys = set(spec.operator for spec in domain_specs)
     operator_keys.add("generic-web")
     for key in sorted(operator_keys):
-        server = AuthoritativeServer(f"op-{key}", network)
+        server = AuthoritativeServer(f"op-{key}")
         v4, v6 = allocator.next_v4(), allocator.next_v6()
         network.attach(v4, server)
         network.attach(v6, server)

@@ -23,7 +23,7 @@ that forced the paper onto RIPE Atlas.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.network import Host
 from repro.resolver.forwarder import QueryCopyingForwarder

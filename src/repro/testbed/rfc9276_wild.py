@@ -67,10 +67,6 @@ class ProbeZoneSet:
             return f"it-{key}"
         return str(key)
 
-    @property
-    def query_log(self):
-        return self.server.log
-
     def all_probe_keys(self):
         """Controls plus every it-N, in probing order."""
         return ["valid", "expired", *PROBE_ZONE_ITERATIONS, "it-2501-expired"]
@@ -102,7 +98,7 @@ def build_probe_zones(inet, seed=9276):
     """
     rng = random.Random(seed)
     network = inet.network
-    server = AuthoritativeServer("rfc9276-wild", network)
+    server = AuthoritativeServer("rfc9276-wild")
     v4, v6 = inet.allocator.next_v4(), inet.allocator.next_v6()
     network.attach(v4, server)
     network.attach(v6, server)

@@ -10,7 +10,7 @@ NSEC3 record and the spanning record carries the opt-out flag.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.dns.base32 import b32hex_encode

@@ -11,6 +11,11 @@ NSEC3PARAM / chain RRsets, and signs every authoritative RRset:
 
 The paper's control zones need broken signatures on purpose, so the
 policy can mark the whole zone — or only the NSEC3 records — as expired.
+
+With ``defer_signatures`` signing takes a snapshot of each RRset, which
+fixes everything its signature covers, and computes the signature the
+first time :meth:`Zone.get_rrsigs` reads it. The lazy zone host signs
+this way, so a zone pays only for the signatures its queries read.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from repro import obs
 from repro.crypto.keys import ALG_ECDSAP256SHA256, generate_keypair
@@ -67,12 +73,15 @@ class SigningPolicy:
         return self.now - 3600, self.now + 30 * 86400
 
 
-def sign_zone(zone, policy=None, ksk=None, zsk=None, rng=None):
+def sign_zone(zone, policy=None, ksk=None, zsk=None, rng=None, defer_signatures=False):
     """Sign *zone* in place and return it.
 
     Generates an ECDSA KSK/ZSK pair when none is supplied (a seeded *rng*
     makes the zone reproducible). Repeat signing replaces previous DNSSEC
-    material.
+    material. With *defer_signatures* each RRset's signature waits in
+    ``zone.pending_rrsigs``, over a snapshot of the RRset taken now,
+    until a read needs it; the signatures are the same bytes either way
+    (PKCS#1 v1.5 and RFC 6979 are deterministic).
 
     When a :mod:`repro.zone.build_cache` is active, the signing work is
     content-addressed: the first process to sign a given (zone content,
@@ -90,12 +99,13 @@ def sign_zone(zone, policy=None, ksk=None, zsk=None, rng=None):
         zsk = generate_keypair(policy.algorithm, ksk=False, rsa_bits=policy.rsa_bits, rng=rng)
     zone.keys = [ksk, zsk]
     zone.rrsigs = {}
+    zone.pending_rrsigs = {}
 
     _strip_dnssec(zone)
 
     cache = build_cache.active()
     if cache is None:
-        _sign_stripped(zone, policy, ksk, zsk)
+        _sign_stripped(zone, policy, ksk, zsk, defer_signatures)
     else:
         fingerprint = _zone_fingerprint(zone, policy, ksk, zsk)
         payload = cache.load("zone", fingerprint)
@@ -112,14 +122,14 @@ def sign_zone(zone, policy=None, ksk=None, zsk=None, rng=None):
                     _install_entry(zone, policy, ksk, zsk, payload)
                 else:
                     cache.count("miss")
-                    _sign_stripped(zone, policy, ksk, zsk)
+                    _sign_stripped(zone, policy, ksk, zsk, defer_signatures)
                     cache.store("zone", fingerprint, _entry_payload(zone))
     if zone_signed_listener is not None:
         zone_signed_listener(zone)
     return zone
 
 
-def _sign_stripped(zone, policy, ksk, zsk):
+def _sign_stripped(zone, policy, ksk, zsk, defer_signatures=False):
     """The cold signing pass over an already-stripped zone."""
     apex = zone.origin
     dnskey_rrset = RRset(apex, RdataType.DNSKEY, DNSSEC_TTL, [ksk.dnskey, zsk.dnskey])
@@ -142,7 +152,7 @@ def _sign_stripped(zone, policy, ksk, zsk):
         for rrset in chain.rrsets(DNSSEC_TTL):
             zone.add_rrset(rrset)
 
-    _sign_all(zone, policy, ksk, zsk)
+    _sign_all(zone, policy, ksk, zsk, defer_signatures)
     zone.signed = True
     # _sign_all writes zone.rrsigs directly; let generation-keyed caches know.
     zone.touch()
@@ -183,7 +193,12 @@ def _zone_fingerprint(zone, policy, ksk, zsk):
 
 
 def _entry_payload(zone):
-    """Serialise a freshly signed zone's DNSSEC artifacts for the cache."""
+    """Serialise a freshly signed zone's DNSSEC artifacts for the cache.
+
+    A cache entry holds finished signatures, so any still pending are
+    computed first.
+    """
+    zone.complete_rrsigs()
     if zone.nsec3_chain is not None:
         denial = "nsec3"
         chain = [
@@ -311,7 +326,7 @@ def _should_sign(zone, rrset):
     return False  # glue below the cut
 
 
-def _sign_all(zone, policy, ksk, zsk):
+def _sign_all(zone, policy, ksk, zsk, defer_signatures=False):
     # Hoist the per-key signing setup (EMSA prefix, CRT context for
     # RSA) out of the per-RRset loop; same signature bytes.
     sign_with = {id(ksk): ksk.bulk_signer(), id(zsk): zsk.bulk_signer()}
@@ -321,21 +336,29 @@ def _sign_all(zone, policy, ksk, zsk):
         if not _should_sign(zone, rrset):
             continue
         inception, expiration = policy.signature_window(rrset.rrtype)
-        signers = [zsk]
-        if int(rrset.rrtype) == int(RdataType.DNSKEY):
-            signers = [ksk]
-        rrsigs = [
-            sign_rrset(
-                rrset,
-                key,
-                zone.origin,
-                inception=inception,
-                expiration=expiration,
-                now=policy.now,
-                sign=sign_with[id(key)],
-            )
-            for key in signers
-        ]
-        zone.rrsigs[(rrset.name, int(rrset.rrtype))] = RRset(
-            rrset.name, RdataType.RRSIG, rrset.ttl, rrsigs
+        key = ksk if int(rrset.rrtype) == int(RdataType.DNSKEY) else zsk
+        signature = partial(
+            _rrsig_rrset,
+            # Deferred, it signs a snapshot: an RRset edited after this
+            # point keeps the signature over the data as signed now.
+            rrset.copy() if defer_signatures else rrset,
+            key,
+            zone.origin,
+            inception,
+            expiration,
+            policy.now,
+            sign_with[id(key)],
         )
+        slot = (rrset.name, int(rrset.rrtype))
+        if defer_signatures:
+            zone.pending_rrsigs[slot] = signature
+        else:
+            zone.rrsigs[slot] = signature()
+
+
+def _rrsig_rrset(rrset, key, signer, inception, expiration, now, sign):
+    """The RRSIG RRset over *rrset*, signed with *key* through *sign*."""
+    rrsig = sign_rrset(
+        rrset, key, signer, inception=inception, expiration=expiration, now=now, sign=sign
+    )
+    return RRset(rrset.name, RdataType.RRSIG, rrset.ttl, [rrsig])

@@ -57,6 +57,10 @@ class Zone:
         self.keys = []
         #: RRSIGs keyed like RRsets: (name, type) -> RRset of RRSIGs.
         self.rrsigs = {}
+        #: Signatures fixed at signing time but not yet computed:
+        #: (name, type) -> zero-arg callable returning the RRSIG RRset.
+        #: :meth:`get_rrsigs` runs one on first read.
+        self.pending_rrsigs = {}
         #: Bumped on every mutation; derived caches key their freshness on
         #: it (the sorted existence index below, the authoritative
         #: server's packed-answer cache).
@@ -127,8 +131,24 @@ class Zone:
         return node.get(int(rrtype))
 
     def get_rrsigs(self, name, rrtype):
-        """The RRSIG RRset covering (name, type), or None."""
-        return self.rrsigs.get((Name.from_text(name), int(rrtype)))
+        """The RRSIG RRset covering (name, type), or None.
+
+        A pending signature is computed here and kept in :attr:`rrsigs`.
+        That is no mutation (no :meth:`touch`): its content was fixed
+        when the zone was signed.
+        """
+        key = (Name.from_text(name), int(rrtype))
+        rrsigs = self.rrsigs.get(key)
+        if rrsigs is None and self.pending_rrsigs:
+            pending = self.pending_rrsigs.pop(key, None)
+            if pending is not None:
+                rrsigs = self.rrsigs[key] = pending()
+        return rrsigs
+
+    def complete_rrsigs(self):
+        """Compute every pending signature, in signing order."""
+        for name, rrtype in list(self.pending_rrsigs):
+            self.get_rrsigs(name, rrtype)
 
     @property
     def soa(self):

@@ -109,7 +109,7 @@ def mini_internet():
         ("192.0.2.52", [com]),
         ("192.0.2.53", [example, unsigned]),
     ):
-        server = AuthoritativeServer(f"auth-{ip}", net)
+        server = AuthoritativeServer(f"auth-{ip}")
         for zone in zones:
             server.add_zone(zone)
         net.attach(ip, server)

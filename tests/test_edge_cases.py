@@ -149,7 +149,7 @@ class TestLossyNetwork:
         lossy = Network(loss_rate=0.25, seed=8)
         # Rebuild servers on the lossy network reusing the signed zones.
         for ip, server in mini_internet["servers"].items():
-            clone = AuthoritativeServer(server.name, lossy)
+            clone = AuthoritativeServer(server.name)
             for zone in server.zones.values():
                 clone.add_zone(zone)
             lossy.attach(ip, clone)

@@ -480,17 +480,6 @@ class TestAnswerCache:
         assert not server.answer_cache.entries
         assert (server.answer_cache.misses, server.answer_cache.hits) == (0, 0)
 
-    def test_hit_logs_what_a_miss_logs(self):
-        server, _ = _build_server()
-        _ask_wire(server, "WWW.example.com", RdataType.A, msg_id=1)
-        _ask_wire(server, "WWW.example.com", RdataType.A, msg_id=2)
-        assert server.answer_cache.hits == 1
-        miss_entry, hit_entry = server.log.entries
-        assert hit_entry == miss_entry
-        assert hit_entry.source_ip == "198.51.100.9"
-        assert hit_entry.qtype == int(RdataType.A)
-        assert server.log.by_source["198.51.100.9"] == 2
-
     def test_fifo_eviction_is_deterministic(self):
         cache = PackedAnswerCache("auth", limit=2)
         a, b, c = ((name, False) for name in (b"a", b"b", b"c"))

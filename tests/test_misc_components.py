@@ -1,5 +1,5 @@
 """Coverage for smaller components: engine rate limiting, cost model,
-query log, EDNS details, Atlas budget, glueless resolution."""
+EDNS details, Atlas budget, glueless resolution."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.dnssec.costmodel import CostMeter, _sha1_blocks
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.scanner.atlas import AtlasCampaign
 from repro.scanner.engine import ScanEngine
-from repro.server.querylog import QueryLog
 from repro.testbed.resolvers import deploy_resolvers
 
 
@@ -61,28 +60,6 @@ class TestEdns:
         assert "Unsupported NSEC3" in repr(ExtendedError(27))
 
 
-class TestQueryLog:
-    def test_bounded(self):
-        log = QueryLog(max_entries=3)
-        for index in range(10):
-            log.record("1.2.3.4", f"q{index}.test.", 1)
-        assert len(log) == 3
-        assert log.by_source["1.2.3.4"] == 10  # counter keeps counting
-
-    def test_sources_for(self):
-        log = QueryLog()
-        log.record("1.1.1.1", "a.probe.test.", 1)
-        log.record("2.2.2.2", "b.probe.test.", 1)
-        log.record("3.3.3.3", "other.test.", 1)
-        assert log.sources_for("probe.test") == ["1.1.1.1", "2.2.2.2"]
-
-    def test_clear(self):
-        log = QueryLog()
-        log.record("1.1.1.1", "x.test.", 1)
-        log.clear()
-        assert len(log) == 0 and not log.by_source
-
-
 class TestScanEngineRateLimit:
     def test_rate_limit_advances_clock(self, testbed):
         inet = testbed["inet"]
@@ -93,15 +70,16 @@ class TestScanEngineRateLimit:
         for index in range(5):
             engine.query(f"q{index}.com", 2)
         # 5 queries at 10 qps: the 5th is scheduled no earlier than 400 ms.
-        assert engine.stats.duration_ms >= 400
+        stats = engine.stats
+        assert stats.finished_ms - stats.started_ms >= 400
         # Path latency rides on top of the schedule; allow slack.
-        assert engine.stats.effective_qps <= 13.0
+        assert stats.queries / ((stats.finished_ms - stats.started_ms) / 1000.0) <= 13.0
 
     def test_stats_track_timeouts(self, testbed):
         inet = testbed["inet"]
         engine = ScanEngine(inet.network, inet.allocator.next_v4(), "172.31.255.1")
         engine.query("x.com", 1)
-        assert engine.stats.timeouts == 1
+        assert engine.stats.unanswered == 1
 
 
 class TestAtlasBudget:

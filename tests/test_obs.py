@@ -1,8 +1,8 @@
 """The telemetry layer: metrics registry, span tracing, no-op guarantees.
 
 Also covers the observability-adjacent fixes that rode along with it:
-QueryLog ring-buffer retention, NetworkStats.reset(), loss-model byte
-accounting, and the ScanEngine batch API threading its DNSSEC flags.
+NetworkStats.reset(), loss-model byte accounting, and the ScanEngine
+batch API threading its DNSSEC flags.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.net.network import Host, Network, NetworkStats
 from repro.obs.metrics import MetricError, MetricsRegistry
 from repro.obs.trace import Tracer, render_span_tree
 from repro.scanner.engine import ScanEngine
-from repro.server.querylog import QueryLog
 
 
 @pytest.fixture(autouse=True)
@@ -260,32 +259,6 @@ class TestDisabledPath:
 # -- satellite fixes --------------------------------------------------------
 
 
-class TestQueryLogRing:
-    def test_keeps_newest_entries(self):
-        log = QueryLog(max_entries=3)
-        for index in range(10):
-            log.record(f"10.0.0.{index}", f"q{index}.example.", 1)
-        assert len(log) == 3
-        assert [e.qname for e in log.entries] == ["q7.example.", "q8.example.", "q9.example."]
-        assert log.dropped == 7
-        assert sum(log.by_source.values()) == 10  # totals stay exact
-
-    def test_sources_for_sees_recent_traffic(self):
-        log = QueryLog(max_entries=2)
-        log.record("10.0.0.1", "old.probe.example.", 1)
-        log.record("10.0.0.2", "probe.example.", 1)
-        log.record("10.0.0.3", "probe.example.", 1)
-        assert log.sources_for("probe") == ["10.0.0.2", "10.0.0.3"]
-
-    def test_clear_resets_dropped(self):
-        log = QueryLog(max_entries=1)
-        log.record("a", "x.", 1)
-        log.record("b", "y.", 1)
-        assert log.dropped == 1
-        log.clear()
-        assert log.dropped == 0 and len(log) == 0
-
-
 class TestNetworkStats:
     def test_reset_restores_every_field(self):
         stats = NetworkStats(
@@ -356,10 +329,8 @@ class TestScanEngine:
             engine.query(f"q{i}.example.", 1)
         engine.drain()
         stats = engine.stats
-        assert stats.rcode_counts() == {"NOERROR": 1, "NXDOMAIN": 2, "SERVFAIL": 1}
+        assert stats.rcodes == {Rcode.NOERROR: 1, Rcode.NXDOMAIN: 2, Rcode.SERVFAIL: 1}
         assert stats.unanswered == 1
-        assert stats.timeouts == 1  # compatibility alias
-        assert stats.answered == 4
         assert stats.queries == 5
 
     def test_scan_counter_when_enabled(self):

@@ -96,7 +96,7 @@ class TestScanEngineStats:
         queried = engine.stats.queries
         engine.query("com", RdataType.NS)
         assert engine.stats.queries == queried + 1
-        assert engine.stats.answered > 0
+        assert sum(engine.stats.rcodes.values()) > 0
 
 
 class TestResolverSurvey:

@@ -182,11 +182,3 @@ class TestErrors:
         assert self._transfer_rcodes(server, "not-hosted-here") == [Rcode.NOTAUTH] * 2
         # A name inside a hosted zone is not a zone this server can transfer.
         assert self._transfer_rcodes(server, "www.example.com") == [Rcode.NOTAUTH] * 2
-
-
-class TestQueryLog:
-    def test_queries_logged(self, server):
-        before = len(server.log)
-        ask(server, "logged.example.com", RdataType.A)
-        assert len(server.log) == before + 1
-        assert server.log.sources_for("logged.example.com") == ["?"]

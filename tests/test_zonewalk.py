@@ -56,7 +56,7 @@ def walk_setup(mini_internet):
 
     zones = [make_zone("walkme.com"), make_zone("hashme.com", iterations=3)]
     zones += [make_zone(f"it{n}.com", iterations=n) for n in ITERATIONS]
-    server = AuthoritativeServer("walk-auth", net)
+    server = AuthoritativeServer("walk-auth")
     for zone in zones:
         server.add_zone(zone)
     net.attach("192.0.2.201", server)
