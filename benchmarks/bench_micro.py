@@ -345,3 +345,58 @@ def test_timeseries_scrape_tick(benchmark):
     registry.gauge("repro_inflight_sessions", "g").set(32)
     scraper = TimeSeriesScraper(SimKernel(), registry, interval_ms=500.0)
     benchmark(scraper.scrape, 500.0)
+
+
+def test_upstream_bytes_per_scanned_domain(benchmark):
+    """Memory, not time: the bytes the shared upstream resolver keeps per
+    scanned domain (paper §4.1 sends every name through one resolver).
+    tracemalloc brackets 500 ``measure_domain`` calls over a lazily built
+    population, as ``scan-stream`` scans it; the upstream's share is what
+    dropping its verdict, delegation and packet caches and its zone
+    security memo frees afterwards. Read from ``extra_info``."""
+    import gc
+    import tracemalloc
+
+    from repro.resolver.policy import VENDOR_POLICIES
+    from repro.scanner.engine import ScanEngine
+    from repro.scanner.pipeline import measure_domain
+    from repro.testbed.internet import build_internet
+    from repro.testbed.population import Population, generate_tlds, scaled_config
+
+    domains = 500
+    config = scaled_config(domains, 120)
+    tlds = generate_tlds(config)
+    population = Population(config, tlds=tlds)
+    inet = build_internet(population, tlds, seed=7, lazy_domains=True)
+    upstream = inet.make_resolver(VENDOR_POLICIES["cloudflare"], name="bench-upstream")
+    engine = ScanEngine(
+        inet.network, inet.allocator.next_v4(), upstream.ip, max_qps=14_700
+    )
+    names = [spec.name for spec in population][:domains]
+
+    def traced_bytes():
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    def scan():
+        tracemalloc.start()
+        try:
+            before = traced_bytes()
+            for name in names:
+                measure_domain(engine, name)
+            engine.drain()
+            after = traced_bytes()
+            upstream.cache.clear()
+            upstream.packets.invalidate()
+            upstream._zone_security.clear()
+            return after - before, after - traced_bytes()
+        finally:
+            tracemalloc.stop()
+
+    grown, upstream_bytes = benchmark.pedantic(scan, rounds=1, iterations=1)
+    benchmark.extra_info["window_bytes_per_domain"] = round(grown / len(names))
+    benchmark.extra_info["upstream_bytes_per_domain"] = round(
+        upstream_bytes / len(names)
+    )
+    assert len(names) == domains
+    assert 0 < upstream_bytes <= grown

@@ -1,9 +1,10 @@
-"""Resolver cache: positive RRsets, negative answers, infrastructure data.
+"""Resolver cache: client-facing verdicts and delegations.
 
 TTL expiry runs on the simulated network clock so long scans age entries
-realistically. The cache also memoises per-zone DNSKEY validation results,
-which is where the bulk of a scan's work would otherwise go — the effect
-the paper leans on when routing 302 M queries through one resolver.
+realistically. The validating resolver keeps its verdicts here (keyed by
+:func:`negative_key`) and the iterative engine its zone cuts (keyed by
+:func:`delegation_key`). Per-zone DNSKEY validation is memoised apart, in
+``ValidatingResolver._zone_security``.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from repro.dns.name import Name
 _LOOKUP_CHILDREN = obs.ChildCache()
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     value: object
     expires_ms: float
-    secure: bool = False
 
 
 class Cache:
@@ -96,15 +96,13 @@ class Cache:
         """
         return self._store.get(key)
 
-    def put(self, key, value, ttl_seconds, secure=False):
+    def put(self, key, value, ttl_seconds):
         """Store *value* for *ttl_seconds* of simulated time."""
         if len(self._store) >= self.max_entries:
             self._evict_expired()
             if len(self._store) >= self.max_entries:
                 self._evict_oldest_batch()
-        self._store[key] = CacheEntry(
-            value, self._now() + ttl_seconds * 1000.0, secure
-        )
+        self._store[key] = CacheEntry(value, self._now() + ttl_seconds * 1000.0)
 
     def _evict_expired(self):
         now = self._now()
@@ -146,16 +144,14 @@ class Cache:
         return self.hits / total if total else 0.0
 
 
-def rrset_key(name, rrtype):
-    return ("rrset", Name.from_text(name), int(rrtype))
+def negative_key(name, rrtype, checking_disabled=False):
+    """The verdict-cache key for one client question.
 
-
-def negative_key(name, rrtype):
-    return ("neg", Name.from_text(name), int(rrtype))
-
-
-def zone_keys_key(zone):
-    return ("dnskey", Name.from_text(zone))
+    A verdict obtained with CD=1 was never validated, so it is kept
+    apart and never answers a CD=0 question (RFC 4035 §4.7).
+    """
+    role = "neg-cd" if checking_disabled else "neg"
+    return (role, Name.from_text(name), int(rrtype))
 
 
 def delegation_key(zone):

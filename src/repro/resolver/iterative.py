@@ -1,8 +1,10 @@
 """Iterative (recursive-resolver-side) resolution: walking delegations.
 
-Starting from root hints, follows referrals down the tree, collecting the
-zone-cut evidence (NS, DS, glue) that DNSSEC chain validation needs. The
-validating layer (:mod:`repro.resolver.validating`) wraps this engine.
+Starting from root hints, follows referrals down the tree and caches each
+zone cut as where to ask next: the child zone and its name-server
+addresses. DNSSEC chain validation asks its own DS and DNSKEY questions
+in the validating layer (:mod:`repro.resolver.validating`), which wraps
+this engine.
 """
 
 from __future__ import annotations
@@ -24,21 +26,17 @@ MAX_REFERRALS = 24
 MAX_RECURSION = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class ZoneCut:
-    """Evidence about one delegation on the path to the answer."""
+    """One delegation on the path to the answer: the child zone and the
+    addresses of its name servers, all a later query reads from the
+    delegation cache."""
 
     zone: Name
-    parent: Name
-    ns_rrset: object = None
-    ds_rrset: object = None
-    ds_rrsigs: object = None
-    #: NSEC3/NSEC records from a referral without DS (absence proof).
-    ds_denial: list = field(default_factory=list)
-    addresses: list = field(default_factory=list)
+    addresses: list
 
 
-@dataclass
+@dataclass(slots=True)
 class ResolutionOutcome:
     """Everything learned while resolving one question."""
 
@@ -97,7 +95,7 @@ class IterativeResolver:
                 return outcome
 
             if self._is_referral(response):
-                cut = self._extract_cut(response, current_zone, want_dnssec, _depth)
+                cut = self._extract_cut(response, _depth)
                 if cut is None:
                     outcome.failure = "referral without usable name servers"
                     return outcome
@@ -177,7 +175,7 @@ class IterativeResolver:
             int(rrset.rrtype) == int(RdataType.NS) for rrset in response.authority
         )
 
-    def _extract_cut(self, response, parent_zone, want_dnssec, depth):
+    def _extract_cut(self, response, depth):
         ns_rrset = None
         for rrset in response.authority:
             if int(rrset.rrtype) == int(RdataType.NS):
@@ -185,25 +183,13 @@ class IterativeResolver:
                 break
         if ns_rrset is None:
             return None
-        cut = ZoneCut(zone=ns_rrset.name, parent=parent_zone, ns_rrset=ns_rrset)
-        for rrset in response.authority:
-            if rrset.name == cut.zone and int(rrset.rrtype) == int(RdataType.DS):
-                cut.ds_rrset = rrset
-            elif int(rrset.rrtype) == int(RdataType.RRSIG) and rrset.name == cut.zone:
-                if any(r.type_covered == int(RdataType.DS) for r in rrset):
-                    cut.ds_rrsigs = rrset
-            elif int(rrset.rrtype) in (int(RdataType.NSEC3), int(RdataType.NSEC)):
-                cut.ds_denial.append(rrset)
-            elif int(rrset.rrtype) == int(RdataType.RRSIG):
-                cut.ds_denial.append(rrset)
         addresses = []
         for rrset in response.additional:
             if int(rrset.rrtype) in (int(RdataType.A), int(RdataType.AAAA)):
                 addresses.extend(r.to_text() for r in rrset)
         if not addresses:
             addresses = self._resolve_glueless(ns_rrset, depth)
-        cut.addresses = addresses
-        return cut
+        return ZoneCut(ns_rrset.name, addresses)
 
     def _resolve_glueless(self, ns_rrset, depth):
         """Resolve NS target addresses when the referral carried no glue."""

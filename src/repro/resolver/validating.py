@@ -64,7 +64,7 @@ MAX_CHAIN_DEPTH = 32
 MAX_FLUSH_WALK = 128
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
     """The resolver's conclusion for one client question."""
 
@@ -176,16 +176,17 @@ class ValidatingResolver(Host):
             response.rcode = Rcode.REFUSED
             return response.to_wire()
         question = query.question[0]
-        key = negative_key(question.name, question.rrtype)
+        checking_disabled = query.has_flag(Flag.CD)
+        key = negative_key(question.name, question.rrtype, checking_disabled)
         live = self.cache.peek(key)
-        verdict = self._admission_shed(question)
+        verdict = self._admission_shed(question, checking_disabled)
         if verdict is None:
             start_ms = self.network.clock_ms
             try:
                 verdict = self.resolve_and_validate(
                     question.name,
                     question.rrtype,
-                    checking_disabled=query.has_flag(Flag.CD),
+                    checking_disabled=checking_disabled,
                 )
             finally:
                 if self.admission is not None:
@@ -268,12 +269,14 @@ class ValidatingResolver(Host):
             return None
         response = make_response(query, recursion_available=True)
         question = query.question[0]
-        verdict = self.shed_verdict(question.name, question.rrtype)
+        verdict = self.shed_verdict(
+            question.name, question.rrtype, query.has_flag(Flag.CD)
+        )
         return self._finish_response(query, response, verdict, via_tcp)
 
     # -- load shedding ----------------------------------------------------------
 
-    def _admission_shed(self, question):
+    def _admission_shed(self, question, checking_disabled):
         """Shed this arrival when too much work is in flight; None = admit.
 
         Overload answers follow RFC 8767 where possible: an expired cached
@@ -284,17 +287,18 @@ class ValidatingResolver(Host):
             return None
         if self.admission.admit(self.network.clock_ms):
             return None
-        return self.shed_verdict(question.name, question.rrtype)
+        return self.shed_verdict(question.name, question.rrtype, checking_disabled)
 
-    def stale_verdict(self, qname, qtype):
+    def stale_verdict(self, qname, qtype, checking_disabled=False):
         """An RFC 8767 stale answer for ``(qname, qtype)``, or None.
 
         Shared by the sim-clock admission path and the socket service's
         real-time overload path: reads the verdict cache without
         mutating it, so the service event loop may call it while the
-        worker thread is resolving.
+        worker thread is resolving. A CD=0 question is never served a
+        verdict obtained under CD=1.
         """
-        stale = self.cache.peek(negative_key(Name.from_text(qname), int(qtype)))
+        stale = self.cache.peek(negative_key(qname, qtype, checking_disabled))
         if stale is None:
             return None
         cached = stale.value
@@ -306,7 +310,7 @@ class ValidatingResolver(Host):
             ede=cached.ede + ((EDE_STALE_ANSWER, "served stale under load"),),
         )
 
-    def shed_verdict(self, qname, qtype):
+    def shed_verdict(self, qname, qtype, checking_disabled=False):
         """The overload answer for one shed arrival (RFC 8767 where possible).
 
         An expired cached verdict for the same question is served with
@@ -314,7 +318,7 @@ class ValidatingResolver(Host):
         Also counts the shed in ``repro_guard_shed_total``.
         """
         if self.guard is not None and self.guard.serve_stale:
-            verdict = self.stale_verdict(qname, qtype)
+            verdict = self.stale_verdict(qname, qtype, checking_disabled)
             if verdict is not None:
                 resource_guard.count_shed(self.name, "stale")
                 if obs.events:
@@ -396,7 +400,8 @@ class ValidatingResolver(Host):
     def _resolve_and_validate(self, qname, qtype, checking_disabled):
         qname = Name.from_text(qname)
         qtype = int(qtype)
-        cached = self.cache.get(negative_key(qname, qtype))
+        key = negative_key(qname, qtype, checking_disabled)
+        cached = self.cache.get(key)
         if cached is not None:
             return cached.value
 
@@ -413,7 +418,7 @@ class ValidatingResolver(Host):
             verdict = Verdict(
                 response.rcode, list(response.answer), list(response.authority)
             )
-            self._cache_verdict(qname, qtype, verdict)
+            self._cache_verdict(key, verdict)
             return verdict
 
         verdict = self._validated_verdict(qname, qtype, outcome)
@@ -426,7 +431,7 @@ class ValidatingResolver(Host):
             retry = self.engine.resolve(qname, qtype, want_dnssec=True)
             if retry.ok and retry.response.rcode in (Rcode.NOERROR, Rcode.NXDOMAIN):
                 verdict = self._validated_verdict(qname, qtype, retry)
-        self._cache_verdict(qname, qtype, verdict)
+        self._cache_verdict(key, verdict)
         return verdict
 
     def _flush_chain(self, qname):
@@ -443,8 +448,8 @@ class ValidatingResolver(Host):
                 return
             name = name.parent()
 
-    def _cache_verdict(self, qname, qtype, verdict):
-        self.cache.put(negative_key(qname, qtype), verdict, _verdict_ttl(verdict))
+    def _cache_verdict(self, key, verdict):
+        self.cache.put(key, verdict, _verdict_ttl(verdict))
 
     # -- chain of trust --------------------------------------------------------------
 

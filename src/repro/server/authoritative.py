@@ -46,7 +46,8 @@ def _count_response(server, rcode_text):
 
 class _CachedAnswer:
     """One packed response: the encoded wire after the id, its recorded
-    cost charges, and the qname the span names on a hit.
+    cost charges, and the question name (rendered only for a traced hit's
+    span).
 
     A hit :meth:`CostMeter.replay`\\ s the charges recorded when the
     response was first built, so the cost model and guard budgets behave
@@ -193,7 +194,7 @@ class AuthoritativeServer(Host):
                     encoded[2:],
                     Rcode.to_text(response.rcode),
                     tuple(recorder_charges),
-                    query.question[0].name.to_text(),
+                    query.question[0].name,
                 ),
             )
         return encoded
@@ -217,7 +218,7 @@ class AuthoritativeServer(Host):
             self.answer_cache.count("hit")
             if obs.tracing:
                 with obs.span(
-                    "auth.query", server=self.name, qname=entry.qname
+                    "auth.query", server=self.name, qname=entry.qname.to_text()
                 ) as span:
                     span.set(rcode=entry.rcode_text, cached=True)
                     meter.replay(entry.charges)

@@ -5,11 +5,15 @@ example.com (NSEC3, 5 iterations) plus an unsigned.com insecure
 delegation.
 """
 
+import gc
+
 import pytest
 
 from repro.dns.flags import Flag
 from repro.dns.message import Message, make_query
 from repro.dns.rcode import Rcode
+from repro.dns.rdata import Rdata
+from repro.dns.rrset import RRset
 from repro.dns.types import RdataType
 from repro.dnssec.validator import SecurityStatus
 from repro.resolver.cache import Cache
@@ -48,13 +52,17 @@ class TestIterative:
         assert outcome.auth_zone.to_text() == "example.com."
         assert [cut.zone.to_text() for cut in outcome.cuts] == ["com.", "example.com."]
 
-    def test_referral_carries_ds(self, mini_internet):
-        engine = IterativeResolver(
-            mini_internet["network"], "203.0.113.51", mini_internet["root_addresses"]
+    def test_signed_delegations_validate_through_their_ds(self, mini_internet):
+        """A cut keeps no DS evidence; chain validation asks its own DS
+        question, and example.com's chain is secure through it."""
+        resolver = fresh_resolver(mini_internet)
+        resolver.engine.resolve("www.example.com", RdataType.A)
+        assert resolver.zone_security("example.com")[0] is SecurityStatus.SECURE
+        outcome = resolver.engine.resolve("example.com", RdataType.DS)
+        assert outcome.ok
+        assert outcome.response.find_rrset(
+            outcome.response.answer, "example.com", RdataType.DS
         )
-        outcome = engine.resolve("www.example.com", RdataType.A)
-        assert outcome.cuts[0].ds_rrset is not None
-        assert outcome.cuts[1].ds_rrset is not None
 
     def test_delegation_cache_reused(self, mini_internet):
         engine = IterativeResolver(
@@ -241,3 +249,86 @@ class TestCache:
         for index in range(8):
             cache.put(("k", index), index, 60)
         assert len(cache) <= 4
+
+
+class TestCheckingDisabled:
+    """RFC 4035 §4.7: a verdict obtained with CD=1 was never validated,
+    so it must not answer a later CD=0 question."""
+
+    QNAME = "x1.expired.rfc9276-in-the-wild.com"
+
+    def ask(self, testbed, resolver, checking_disabled):
+        stub = StubClient(testbed["inet"].network, "203.0.113.70")
+        return stub.ask(
+            resolver.ip, self.QNAME, RdataType.A, checking_disabled=checking_disabled
+        )
+
+    def test_cd_verdict_answers_only_cd_repeats(self, testbed):
+        inet = testbed["inet"]
+        fresh = inet.make_resolver(VENDOR_POLICIES["cloudflare"], name="cd-fresh")
+        assert self.ask(testbed, fresh, False).rcode == Rcode.SERVFAIL
+        resolver = inet.make_resolver(VENDOR_POLICIES["cloudflare"], name="cd-mixed")
+        assert self.ask(testbed, resolver, True).rcode == Rcode.NOERROR
+        assert self.ask(testbed, resolver, False).rcode == Rcode.SERVFAIL
+        sent = resolver.engine.queries_sent
+        assert self.ask(testbed, resolver, True).rcode == Rcode.NOERROR
+        assert resolver.engine.queries_sent == sent  # the CD=1 verdict cached
+
+    def test_stale_cd_verdict_not_served_to_cd0(self, testbed):
+        resolver = testbed["inet"].make_resolver(
+            VENDOR_POLICIES["cloudflare"], name="cd-stale"
+        )
+        self.ask(testbed, resolver, True)
+        assert resolver.stale_verdict(self.QNAME, RdataType.A) is None
+        stale = resolver.stale_verdict(self.QNAME, RdataType.A, checking_disabled=True)
+        assert stale.rcode == Rcode.NOERROR
+
+
+@pytest.fixture(scope="module")
+def unsigned_scan():
+    """One resolver that has resolved ~200 unsigned population domains."""
+    from repro.testbed.internet import build_internet
+    from repro.testbed.population import Population, generate_tlds, scaled_config
+
+    config = scaled_config(240, 30)
+    tlds = generate_tlds(config)
+    population = Population(config, tlds=tlds)
+    inet = build_internet(population, tlds, seed=7, lazy_domains=True)
+    resolver = inet.make_resolver(VENDOR_POLICIES["cloudflare"], name="retention")
+    names = [spec.name for spec in population if not spec.dnssec][:200]
+    for name in names:
+        resolver.resolve_and_validate(name, RdataType.A)
+    return resolver, names
+
+
+class TestDelegationRetention:
+    """A cached zone cut keeps where to ask next and nothing else: no
+    decoded record of the referral it came from stays reachable."""
+
+    @staticmethod
+    def reachable(roots):
+        seen = {}
+        stack = list(roots)
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+        return list(seen.values())
+
+    def test_delegations_hold_no_records(self, unsigned_scan):
+        resolver, names = unsigned_scan
+        assert len(names) == 200
+        entries = [
+            entry
+            for key, entry in resolver.cache._store.items()
+            if key[0] == "delegation"
+        ]
+        assert len(entries) > 200  # every SLD's cut, plus the TLDs'
+        leaked = [
+            type(obj).__name__
+            for obj in self.reachable(entries)
+            if isinstance(obj, (RRset, Rdata))
+        ]
+        assert leaked == []
