@@ -282,11 +282,15 @@ class Name:
         """RFC 4034 §6.1 canonical order key: reversed lowercased labels.
 
         Memoized: this key backs equality, ordering, hashing, and subtree
-        containment — the busiest comparisons in the scan engine.
+        containment — the busiest comparisons in the scan engine. A label
+        already in lower case is reused, not copied.
         """
         key = self._canonical_key
         if key is None:
-            key = tuple(label.lower() for label in reversed(self.labels))
+            key = tuple(
+                label if (lower := label.lower()) == label else lower
+                for label in reversed(self.labels)
+            )
             object.__setattr__(self, "_canonical_key", key)
         return key
 

@@ -50,11 +50,11 @@ class CostMeter:
     #: budget check here while a budget is active; it stays None otherwise
     #: so the uninstrumented hot path pays one attribute test per charge.
     listener: object = None
-    #: Optional list capturing each charge as a ``(sha1, nsec3, verify)``
-    #: delta tuple. The authoritative answer cache records the charge
-    #: sequence of a response build here and :meth:`replay`\ s it on a
-    #: cache hit, so budgets trip at exactly the same points whether the
-    #: response was computed or served from cache.
+    #: Optional list capturing each charge as three ints in a flat run,
+    #: its ``sha1, nsec3, verify`` deltas. The authoritative answer cache
+    #: records the charge sequence of a response build here and
+    #: :meth:`replay`\ s it on a cache hit, so budgets trip at exactly the
+    #: same points whether the response was computed or served from cache.
     recorder: object = None
 
     def charge_nsec3(self, iterations, input_length, salt_length):
@@ -70,19 +70,19 @@ class CostMeter:
         self.sha1_compressions += blocks
         self.nsec3_hashes += 1
         if self.recorder is not None:
-            self.recorder.append((blocks, 1, 0))
+            self.recorder.extend((blocks, 1, 0))
         if self.listener is not None:
             self.listener()
 
     def charge_verification(self):
         self.signature_verifications += 1
         if self.recorder is not None:
-            self.recorder.append((0, 0, 1))
+            self.recorder.extend((0, 0, 1))
         if self.listener is not None:
             self.listener()
 
     def replay(self, charges):
-        """Re-apply a recorded charge sequence, op by op.
+        """Re-apply a recorded charge sequence, op by op (three ints each).
 
         A cache hit charges the model exactly as the original computation
         did — same per-operation deltas, same order, listener fired after
@@ -92,12 +92,13 @@ class CostMeter:
         """
         recorder = self.recorder
         listener_active = self.listener is not None
-        for sha1, nsec3, verify in charges:
+        ops = iter(charges)
+        for sha1, nsec3, verify in zip(ops, ops, ops):
             self.sha1_compressions += sha1
             self.nsec3_hashes += nsec3
             self.signature_verifications += verify
             if recorder is not None:
-                recorder.append((sha1, nsec3, verify))
+                recorder.extend((sha1, nsec3, verify))
             if listener_active:
                 self.listener()
 

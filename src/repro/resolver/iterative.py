@@ -183,16 +183,19 @@ class IterativeResolver:
                 break
         if ns_rrset is None:
             return None
+        # One string per server address, shared by every cut it serves.
+        canonical = self.network.canonical
         addresses = []
         for rrset in response.additional:
             if int(rrset.rrtype) in (int(RdataType.A), int(RdataType.AAAA)):
-                addresses.extend(r.to_text() for r in rrset)
+                addresses.extend(canonical(r.to_text()) for r in rrset)
         if not addresses:
             addresses = self._resolve_glueless(ns_rrset, depth)
         return ZoneCut(ns_rrset.name, addresses)
 
     def _resolve_glueless(self, ns_rrset, depth):
         """Resolve NS target addresses when the referral carried no glue."""
+        canonical = self.network.canonical
         addresses = []
         for ns in list(ns_rrset)[:3]:
             for rrtype in (RdataType.A, RdataType.AAAA):
@@ -200,7 +203,7 @@ class IterativeResolver:
                 if sub.ok and sub.response.rcode == Rcode.NOERROR:
                     for rrset in sub.response.answer:
                         if int(rrset.rrtype) == int(rrtype):
-                            addresses.extend(r.to_text() for r in rrset)
+                            addresses.extend(canonical(r.to_text()) for r in rrset)
             if addresses:
                 break
         return addresses

@@ -66,24 +66,55 @@ MAX_FLUSH_WALK = 128
 
 @dataclass(slots=True)
 class Verdict:
-    """The resolver's conclusion for one client question."""
+    """The resolver's conclusion for one client question.
+
+    The verdict cache keeps :meth:`packed` copies, whose *sections* hold
+    the answer and authority RRsets encoded as one message (about a sixth
+    of the memory of the decoded RRsets) and whose *answer* and
+    *authority* are empty. :meth:`unpacked` decodes new RRsets from
+    *sections* for every reader.
+    """
 
     rcode: int
     answer: list
     authority: list
     ad: bool = False
     ede: tuple = ()
+    sections: bytes = b""
 
     def apply(self, response):
-        """Copy this verdict's sections, flags, and EDE into *response*."""
+        """Hand this verdict's sections, flags, and EDE to *response*.
+
+        The RRsets move, uncopied: a fresh verdict is applied once, and a
+        cached one is :meth:`unpacked` afresh for every reply.
+        """
         response.rcode = self.rcode
-        response.answer = [rrset.copy() for rrset in self.answer]
-        response.authority = [rrset.copy() for rrset in self.authority]
+        response.answer = self.answer
+        response.authority = self.authority
         response.set_flag(Flag.AD, self.ad)
         if response.edns is not None:
             for code, text in self.ede:
                 response.edns.add_extended_error(code, text)
         return response
+
+    def packed(self):
+        """This verdict as the cache keeps it, its sections encoded."""
+        sections = b""
+        if self.answer or self.authority:
+            message = Message(0)
+            message.answer = self.answer
+            message.authority = self.authority
+            sections = message.to_wire()
+        return Verdict(self.rcode, (), (), self.ad, self.ede, sections)
+
+    def unpacked(self, ede=()):
+        """A servable copy of a :meth:`packed` verdict, *ede* appended."""
+        if not self.sections:
+            return Verdict(self.rcode, [], [], self.ad, self.ede + ede)
+        message = Message.from_wire(self.sections)
+        return Verdict(
+            self.rcode, message.answer, message.authority, self.ad, self.ede + ede
+        )
 
 
 class _PackedVerdict:
@@ -180,6 +211,7 @@ class ValidatingResolver(Host):
         key = negative_key(question.name, question.rrtype, checking_disabled)
         live = self.cache.peek(key)
         verdict = self._admission_shed(question, checking_disabled)
+        repeat = False
         if verdict is None:
             start_ms = self.network.clock_ms
             try:
@@ -191,15 +223,14 @@ class ValidatingResolver(Host):
             finally:
                 if self.admission is not None:
                     self.admission.complete(start_ms, self.network.clock_ms)
+            # Resolving leaves the verdict cache holding the entry it held
+            # on arrival only when it served that entry: a miss drops an
+            # expired entry and stores a new one.
+            repeat = live is not None and self.cache.peek(key) is live
         reply = self._finish_response(query, response, verdict, via_tcp)
-        if (
-            live is not None
-            and verdict is live.value
-            and len(wire) <= MAX_CACHEABLE_QUERY
-        ):
-            # A repeat question: the verdict cache served the entry it
-            # already held (it hands out live entries only), so keep the
-            # reply for packed_answer. One-shot questions store nothing.
+        if repeat and len(wire) <= MAX_CACHEABLE_QUERY:
+            # A repeat question, so keep the reply for packed_answer.
+            # One-shot questions store nothing.
             self.packets.put(
                 (bytes(wire[2:]), via_tcp), _PackedVerdict(key, live, reply[2:])
             )
@@ -301,13 +332,8 @@ class ValidatingResolver(Host):
         stale = self.cache.peek(negative_key(qname, qtype, checking_disabled))
         if stale is None:
             return None
-        cached = stale.value
-        return Verdict(
-            cached.rcode,
-            cached.answer,
-            cached.authority,
-            ad=cached.ad,
-            ede=cached.ede + ((EDE_STALE_ANSWER, "served stale under load"),),
+        return stale.value.unpacked(
+            ede=((EDE_STALE_ANSWER, "served stale under load"),)
         )
 
     def shed_verdict(self, qname, qtype, checking_disabled=False):
@@ -403,7 +429,7 @@ class ValidatingResolver(Host):
         key = negative_key(qname, qtype, checking_disabled)
         cached = self.cache.get(key)
         if cached is not None:
-            return cached.value
+            return cached.value.unpacked()
 
         outcome = self.engine.resolve(qname, qtype, want_dnssec=True)
         if not outcome.ok:
@@ -449,7 +475,8 @@ class ValidatingResolver(Host):
             name = name.parent()
 
     def _cache_verdict(self, key, verdict):
-        self.cache.put(key, verdict, _verdict_ttl(verdict))
+        ttl = _verdict_ttl(verdict)
+        self.cache.put(key, verdict.packed(), ttl)
 
     # -- chain of trust --------------------------------------------------------------
 

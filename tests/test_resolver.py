@@ -23,7 +23,7 @@ from repro.resolver.stub import StubClient
 from repro.resolver.validating import ValidatingResolver
 
 
-def fresh_resolver(mini, policy=None, validate=True, ip=None):
+def fresh_resolver(mini, policy=None, validate=True, ip=None, guard=None):
     net = mini["network"]
     ip = ip or f"198.51.100.{fresh_resolver.counter}"
     fresh_resolver.counter += 1
@@ -34,6 +34,7 @@ def fresh_resolver(mini, policy=None, validate=True, ip=None):
         mini["trust_anchor"],
         policy=policy or Nsec3Policy(),
         validate=validate,
+        guard=guard,
     )
     net.attach(ip, resolver)
     return resolver
@@ -187,6 +188,81 @@ class TestDatagramInterface:
     def test_garbage_ignored(self, mini_internet):
         resolver = fresh_resolver(mini_internet)
         assert resolver.handle_datagram(b"nonsense", "1.2.3.4") is None
+
+
+class TestCachedReplies:
+    """The verdict cache keeps each verdict's sections encoded: a reply
+    served from it has the bytes, after the id, of the miss that stored
+    it."""
+
+    CLIENT = "203.0.113.64"
+
+    @staticmethod
+    def wire(qname, rrtype, msg_id, dnssec_ok=True, cd=False, payload=1232):
+        query = make_query(
+            qname, rrtype, want_dnssec=dnssec_ok, payload_size=payload, msg_id=msg_id
+        )
+        query.set_flag(Flag.CD, cd)
+        return query.to_wire()
+
+    @pytest.mark.parametrize(
+        "qname, rrtype, dnssec_ok, cd, payload, shape",
+        [
+            ("gone1.example.com", RdataType.A, True, False, 1232, "nsec3"),
+            ("gone2.example.com", RdataType.A, False, False, 1232, "stripped"),
+            ("example.com", RdataType.DNSKEY, True, True, 1232, "dnskey"),
+            ("gone3.example.com", RdataType.A, True, False, 512, "truncated"),
+        ],
+    )
+    def test_hit_reply_is_the_miss_reply(
+        self, mini_internet, qname, rrtype, dnssec_ok, cd, payload, shape
+    ):
+        resolver = fresh_resolver(mini_internet)
+        ask = resolver.handle_datagram
+        miss = ask(self.wire(qname, rrtype, 0x1111, dnssec_ok, cd, payload), self.CLIENT)
+        sent = resolver.engine.queries_sent
+        hit = ask(self.wire(qname, rrtype, 0x2222, dnssec_ok, cd, payload), self.CLIENT)
+        assert resolver.engine.queries_sent == sent  # served from the cache
+        assert hit[:2] == b"\x22\x22" and hit[2:] == miss[2:]
+        reply = Message.from_wire(hit)
+        types = {int(rrset.rrtype) for rrset in reply.answer + reply.authority}
+        if shape == "nsec3":
+            assert reply.rcode == Rcode.NXDOMAIN and reply.authenticated
+            assert int(RdataType.NSEC3) in types and int(RdataType.RRSIG) in types
+        elif shape == "stripped":
+            assert reply.rcode == Rcode.NXDOMAIN and types == {int(RdataType.SOA)}
+        elif shape == "dnskey":
+            assert reply.rcode == Rcode.NOERROR and not reply.authenticated
+            assert int(RdataType.DNSKEY) in types
+        else:
+            assert reply.has_flag(Flag.TC) and not reply.answer + reply.authority
+            assert len(miss) <= 512
+
+    def test_stale_reply_is_the_miss_reply_with_ede_3(self, mini_internet):
+        from repro.dns.edns import EDE_STALE_ANSWER
+        from repro.resolver.guard import GuardConfig
+
+        resolver = fresh_resolver(
+            mini_internet, guard=GuardConfig(name="stale", max_inflight=None)
+        )
+        wire = self.wire("gone4.example.com", RdataType.A, 0x3333)
+        miss = resolver.handle_datagram(wire, self.CLIENT)
+        expected = Message.from_wire(miss)
+        assert expected.to_wire() == miss
+        expected.edns.add_extended_error(EDE_STALE_ANSWER, "served stale under load")
+        assert resolver.shed_datagram(wire) == expected.to_wire()
+
+    def test_every_hit_decodes_its_own_rrsets(self, mini_internet):
+        resolver = fresh_resolver(mini_internet)
+        first = resolver.resolve_and_validate("gone5.example.com", RdataType.A)
+        sent = resolver.engine.queries_sent
+        second, third = (
+            resolver.resolve_and_validate("gone5.example.com", RdataType.A)
+            for __ in range(2)
+        )
+        assert resolver.engine.queries_sent == sent  # both served from the cache
+        assert first.authority == second.authority == third.authority
+        assert not {id(r) for r in second.authority} & {id(r) for r in third.authority}
 
 
 class TestPolicyGate:
