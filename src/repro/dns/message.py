@@ -241,8 +241,20 @@ class Message:
         rrtype = rrset.rrtype
         rdclass = rrset.rdclass
         ttl = rrset.ttl & 0xFFFFFFFF
-        for rdata in rrset.rdatas:
-            writer.write_name(name)
+        # Once the owner is written it is a compression target: every
+        # later record re-emits that pointer, as write_name would, without
+        # walking the name again. No target (compression off, the root,
+        # an owner first written past 0x4000) writes the name in full. A
+        # one-record RRset, the common case, skips the lookup altogether.
+        targets = writer._targets
+        rdatas = rrset.rdatas
+        key = name._key() if writer._compress and len(rdatas) > 1 else None
+        for rdata in rdatas:
+            pointer = targets.get(key) if key else None
+            if pointer is None:
+                writer.write_name(name)
+            else:
+                buf += U16.pack(0xC000 | pointer)
             packed = rdata.packed()
             if packed is not None:
                 buf += RR_FIXED.pack(rrtype, rdclass, ttl, len(packed))

@@ -107,11 +107,14 @@ class PackedAnswerCache:
             if obs.events:
                 obs.emit("cache.evict", cache=self.name, reason="capacity", n=evicted)
 
+    def clear(self):
+        """Drop every entry; the event counters keep their counts."""
+        self.entries.clear()
+        self.bytes = 0
+
     def invalidate(self):
         """Drop every entry (what the entries were built from changed)."""
-        if self.entries:
-            self.entries.clear()
-            self.bytes = 0
+        self.clear()
         self.invalidations += 1
         if obs.enabled:
             self.count("invalidation")

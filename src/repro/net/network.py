@@ -35,11 +35,16 @@ class Host:
 
     Subclasses implement :meth:`handle_datagram`, returning response wire
     bytes (or ``None`` to drop). ``via_tcp`` distinguishes the retry path
-    after truncation.
+    after truncation. :meth:`forget` drops what the host has cached: the
+    resolver survey calls it when a host's probe session is over.
     """
 
     def handle_datagram(self, wire, src_ip, via_tcp=False):
         raise NotImplementedError
+
+    def forget(self):
+        """Drop every cache this host keeps; a host that caches nothing
+        has nothing to drop."""
 
 
 @dataclass

@@ -192,6 +192,18 @@ class ValidatingResolver(Host):
         #: Replies to repeat questions, for :meth:`packed_answer`.
         self.packets = PackedAnswerCache("packet")
 
+    def forget(self):
+        """Empty the verdict and zone-cut cache, the packet cache and the
+        zone-security memo, so the next question finds the resolver cold.
+
+        The resolver survey calls this when a resolver's probe session is
+        over: nothing asks it again, so nothing it cached can change an
+        output. Every hit, miss and eviction counter keeps its count.
+        """
+        self.cache.clear()
+        self.packets.clear()
+        self._zone_security.clear()
+
     # -- datagram entry point ---------------------------------------------------
 
     def handle_datagram(self, wire, src_ip, via_tcp=False):

@@ -70,6 +70,19 @@ def _confirmed_probe(client, resolver_ip, probe_set, key, unique, confirm):
     return answer
 
 
+def _probe_matrix(
+    network, resolver_ip, probe_set, source_ip, unique, iterations, keep_ede,
+    breaker, retries, confirm,
+):
+    """One probe session's matrix; the resolver keeps what it cached."""
+    client = StubClient(network, source_ip, retries=retries, breaker=breaker)
+    matrix = {}
+    for key in ("valid", "expired", *(n for n in iterations if n), "it-2501-expired"):
+        answer = _confirmed_probe(client, resolver_ip, probe_set, key, unique, confirm)
+        matrix[key] = _to_probe_result(answer, keep_ede)
+    return matrix
+
+
 def probe_resolver(
     network,
     resolver_ip,
@@ -84,35 +97,19 @@ def probe_resolver(
 ):
     """Probe one resolver; returns the matrix for classify_resolver().
 
+    The session is the resolver's whole life: it ends by emptying the
+    resolver's caches, so a surveyed resolver holds nothing once probed.
     With a shared *breaker*, probes to a quarantined resolver fail fast
     (they come back as unanswered entries) instead of burning the full
     per-probe retry schedule on a host that is known dead. *retries* is
     the stub transport's per-query retry count; *confirm* > 0 turns on
     per-cell answer confirmation (see :func:`_confirmed_probe`).
     """
-    client = StubClient(network, source_ip, retries=retries, breaker=breaker)
-    matrix = {}
-    matrix["valid"] = _to_probe_result(
-        _confirmed_probe(client, resolver_ip, probe_set, "valid", unique, confirm),
-        keep_ede,
+    matrix = _probe_matrix(
+        network, resolver_ip, probe_set, source_ip, unique, iterations, keep_ede,
+        breaker, retries, confirm,
     )
-    matrix["expired"] = _to_probe_result(
-        _confirmed_probe(client, resolver_ip, probe_set, "expired", unique, confirm),
-        keep_ede,
-    )
-    for count in iterations:
-        if count == 0:
-            continue
-        answer = _confirmed_probe(
-            client, resolver_ip, probe_set, count, unique, confirm
-        )
-        matrix[count] = _to_probe_result(answer, keep_ede)
-    matrix["it-2501-expired"] = _to_probe_result(
-        _confirmed_probe(
-            client, resolver_ip, probe_set, "it-2501-expired", unique, confirm
-        ),
-        keep_ede,
-    )
+    network.host_at(resolver_ip).forget()
     return matrix
 
 
@@ -192,34 +189,31 @@ def probe_with_policy(
     and, with ``require_stable``, two consecutive attempts agreed. The
     last matrix is returned either way so callers can keep the evidence.
     Without a *policy* it is the legacy single pass, healthy by decree.
+
+    Only a healthy session ends the resolver's life, as
+    :func:`probe_resolver` does. Between attempts, and for the requeue
+    owed to an unhealthy one, the resolver keeps its caches: a later
+    attempt re-probes it warm.
     """
     if policy is None:
-        matrix = probe_resolver(
+        return probe_resolver(
             network, resolver_ip, probe_set, source_ip, unique,
             iterations=iterations, keep_ede=keep_ede,
-        )
-        return matrix, True
+        ), True
     previous = None
     matrix = None
     for attempt in range(policy.max_attempts):
-        matrix = probe_resolver(
-            network,
-            resolver_ip,
-            probe_set,
-            source_ip,
-            f"{unique}-t{attempt}",
-            iterations=iterations,
-            keep_ede=keep_ede,
-            breaker=breaker,
-            retries=policy.stub_retries,
-            confirm=policy.confirm,
+        matrix = _probe_matrix(
+            network, resolver_ip, probe_set, source_ip, f"{unique}-t{attempt}",
+            iterations, keep_ede, breaker, policy.stub_retries, policy.confirm,
         )
         if not _matrix_healthy(matrix):
             previous = None
             continue
-        if not policy.require_stable:
-            return matrix, True
-        if previous is not None and _matrices_agree(previous, matrix):
+        if not policy.require_stable or (
+            previous is not None and _matrices_agree(previous, matrix)
+        ):
+            network.host_at(resolver_ip).forget()
             return matrix, True
         previous = matrix
     return matrix, False

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.crypto.keys import ALG_RSASHA256, KeyPair, generate_keypair, make_ds
@@ -173,7 +173,8 @@ class Internet:
     operator_servers: dict
     operator_ips: dict
     key_pool: KeyPool
-    resolvers: list = field(default_factory=list)
+    #: How many resolvers :meth:`make_resolver` has made, for default names.
+    resolvers_made: int = 0
     #: The bounded lazy SLD host when built with ``lazy_domains=True``.
     lazy_host: object = None
 
@@ -199,11 +200,11 @@ class Internet:
             self.trust_anchor_ds,
             policy=policy or Nsec3Policy(),
             validate=validate,
-            name=name or f"resolver-{len(self.resolvers)}",
+            name=name or f"resolver-{self.resolvers_made}",
             guard=guard,
         )
         self.network.attach(ip, resolver, network_id=network_id)
-        self.resolvers.append(resolver)
+        self.resolvers_made += 1
         return resolver
 
     def zone_of(self, domain):

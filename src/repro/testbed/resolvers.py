@@ -80,7 +80,6 @@ class DeployedResolver:
     network_id: str
     kind: str                # "resolver" | "copier" | "non-validating"
     policy_name: str
-    host: object
     #: For closed resolvers: a source address inside their network segment
     #: that an Atlas-style probe can use.
     probe_source_ip: str = ""
@@ -177,17 +176,19 @@ def deploy_resolvers(
                 )
                 copier_upstreams[policy_name] = upstream
             ip = inet.allocator.next_v6() if ipv6 else inet.allocator.next_v4()
-            host = QueryCopyingForwarder(inet.network, ip, upstream.ip)
-            inet.network.attach(ip, host, network_id=network_id)
+            inet.network.attach(
+                ip,
+                QueryCopyingForwarder(inet.network, ip, upstream.ip),
+                network_id=network_id,
+            )
         else:
-            host = inet.make_resolver(
+            ip = inet.make_resolver(
                 VENDOR_POLICIES[policy_name],
                 validate=(kind != "non-validating"),
                 network_id=network_id,
                 ipv6=ipv6,
                 name=f"{access}-{family}-{policy_name}-{index}",
-            )
-            ip = host.ip
+            ).ip
 
         probe_source = ""
         if access == "closed":
@@ -203,7 +204,6 @@ def deploy_resolvers(
                 network_id=network_id,
                 kind=kind,
                 policy_name=policy_name,
-                host=host,
                 probe_source_ip=probe_source,
             )
         )

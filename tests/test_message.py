@@ -10,7 +10,7 @@ from repro.dns.rcode import Rcode
 from repro.dns.rdata import A, DNSKEY, NS, NSEC3, RRSIG, SOA, TXT
 from repro.dns.rrset import RRset
 from repro.dns.types import Opcode, RdataType
-from repro.dns.wire import WireError
+from repro.dns.wire import RR_FIXED, U16, Writer, WireError
 
 
 def round_trip(msg):
@@ -299,3 +299,60 @@ class TestLargeRRsetDecode:
             decoded = Message.from_wire(wire)
             assert len(decoded.answer[0]) == 2000
             assert calls[0] <= 2000, (cls.__name__, calls[0])
+
+
+def _record_by_record(writer, rrset):
+    """Reference RRset encoder: the owner goes through write_name for
+    every record, so every record resolves its own compression."""
+    buf = writer.buf
+    for rdata in rrset.rdatas:
+        writer.write_name(rrset.name)
+        packed = rdata.packed()
+        if packed is not None:
+            buf += RR_FIXED.pack(rrset.rrtype, rrset.rdclass, rrset.ttl, len(packed))
+            buf += packed
+        else:
+            buf += RR_FIXED.pack(rrset.rrtype, rrset.rdclass, rrset.ttl, 0)
+            start = len(buf)
+            rdata.write_wire(writer)
+            U16.pack_into(buf, start - 2, len(buf) - start)
+
+
+class TestOwnerWrittenOnce:
+    """A multi-record RRset re-emits its owner's pointer; the bytes are
+    those of writing the owner record by record, fallbacks included."""
+
+    LATE = b"\x04late\x07example\x03net\x00"
+
+    @staticmethod
+    def _message():
+        msg = Message(3)
+        msg.set_flag(Flag.QR)
+        msg.question.append(Question("big.example.org", RdataType.TXT))
+        msg.answer.append(RRset("big.example.org", RdataType.TXT, 60, [
+            TXT([f"{index:03d}" + "x" * 240]) for index in range(70)
+        ]))
+        # First written past 0x4000: no compression target, the owner is
+        # written in full for every record.
+        msg.authority.append(RRset("late.example.net", RdataType.NS, 60, [
+            NS(f"ns{index}.late.example.net") for index in range(3)
+        ]))
+        msg.additional.append(RRset(".", RdataType.TXT, 60, [TXT("a"), TXT("b")]))
+        return msg
+
+    def test_matches_record_by_record(self, monkeypatch):
+        wire = self._message().to_wire()
+        monkeypatch.setattr(Message, "_write_rrset", staticmethod(_record_by_record))
+        assert wire == self._message().to_wire()
+        assert wire.count(self.LATE + b"\x00\x02\x00\x01") == 3  # owner, NS, IN
+        assert len(wire) > 0x4000
+        # Below 0x4000 the TXT owner is one name and 70 pointers.
+        assert wire.count(b"\x03big\x07example\x03org\x00") == 1
+
+    def test_compression_off_writes_every_owner(self):
+        rrset = RRset("late.example.net", RdataType.A, 60, [A("192.0.2.1"), A("192.0.2.2")])
+        fast, reference = Writer(enable_compression=False), Writer(enable_compression=False)
+        Message._write_rrset(fast, rrset)
+        _record_by_record(reference, rrset)
+        assert fast.getvalue() == reference.getvalue()
+        assert fast.getvalue().count(self.LATE) == 2

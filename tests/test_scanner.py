@@ -4,11 +4,18 @@ import pytest
 
 from repro.dns.rcode import Rcode
 from repro.dns.types import RdataType
+from repro.net.faults import FaultModel, FaultPlan
+from repro.resolver.forwarder import QueryCopyingForwarder
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.scanner.engine import ScanEngine
 from repro.scanner.nsec3_scan import scan_tld
 from repro.scanner.pipeline import measure_domain
-from repro.scanner.resolver_scan import probe_resolver
+from repro.scanner import resolver_scan
+from repro.scanner.resolver_scan import (
+    SurveyRetryPolicy,
+    probe_resolver,
+    probe_with_policy,
+)
 from repro.core.resolver_compliance import classify_resolver
 from repro.testbed.resolvers import deploy_resolvers
 
@@ -170,3 +177,118 @@ class TestResolverSurvey:
             d.ip for d in deployment if d.access == "open"
         )
         assert len(entries) == len(deployment)
+
+
+class _LoseCell(FaultModel):
+    """Drops every query for one probe cell on its way to one resolver."""
+
+    def __init__(self, dst_ip, label):
+        self.dst_ip = dst_ip
+        self.label = label.encode()
+
+    def drop_reason(self, ctx):
+        if ctx.dst_ip == self.dst_ip and self.label in ctx.wire:
+            return "lost"
+        return None
+
+
+class TestProbeSessionForgets:
+    """A probe session is its resolver's whole life: a healthy one ends
+    with the resolver's caches empty, its counters kept."""
+
+    @staticmethod
+    def _resolver(testbed, policy="cloudflare"):
+        return testbed["inet"].make_resolver(VENDOR_POLICIES[policy])
+
+    @staticmethod
+    def _probe(testbed, ip, unique):
+        inet = testbed["inet"]
+        before = inet.network.stats.datagrams
+        matrix = probe_resolver(
+            inet.network, ip, testbed["probes"], inet.allocator.next_v4(),
+            unique, iterations=SMOKE_ITERATIONS,
+        )
+        return matrix, inet.network.stats.datagrams - before
+
+    def test_probe_empties_caches_and_keeps_counters(self, testbed, monkeypatch):
+        resolver = self._resolver(testbed)
+        forget = resolver.forget
+        held = {}
+
+        def recording_forget():
+            held["entries"] = (len(resolver.cache), len(resolver._zone_security))
+            held["counters"] = (
+                resolver.cache.hits, resolver.cache.misses, resolver.cache.evictions,
+                resolver.packets.hits, resolver.packets.misses,
+            )
+            forget()
+
+        monkeypatch.setattr(resolver, "forget", recording_forget)
+        self._probe(testbed, resolver.ip, "forget-a")
+        assert held["entries"][0] > 0 and held["entries"][1] > 0
+        assert len(resolver.cache) == 0
+        assert not resolver._zone_security
+        assert not resolver.packets.entries and resolver.packets.bytes == 0
+        assert held["counters"] == (
+            resolver.cache.hits, resolver.cache.misses, resolver.cache.evictions,
+            resolver.packets.hits, resolver.packets.misses,
+        )
+        assert resolver.cache.misses > 0
+
+    def test_second_probe_is_as_cold_as_the_first(self, testbed):
+        resolver = self._resolver(testbed)
+        first, cold = self._probe(testbed, resolver.ip, "forget-b")
+        second, again = self._probe(testbed, resolver.ip, "forget-c")
+        assert again == cold > 0
+        assert second == first
+
+    @staticmethod
+    def _attempts(testbed, monkeypatch, ip, policy):
+        """Datagrams per attempt of one ``probe_with_policy`` session."""
+        inet = testbed["inet"]
+        attempts = []
+        matrix_of = resolver_scan._probe_matrix
+
+        def counting(*args):
+            before = inet.network.stats.datagrams
+            matrix = matrix_of(*args)
+            attempts.append(inet.network.stats.datagrams - before)
+            return matrix
+
+        monkeypatch.setattr(resolver_scan, "_probe_matrix", counting)
+        __, healthy = probe_with_policy(
+            inet.network, ip, testbed["probes"], inet.allocator.next_v4(),
+            "policy", SMOKE_ITERATIONS, policy,
+        )
+        return attempts, healthy
+
+    def test_stable_attempts_reprobe_a_warm_resolver(self, testbed, monkeypatch):
+        resolver = self._resolver(testbed)
+        attempts, healthy = self._attempts(
+            testbed, monkeypatch, resolver.ip, SurveyRetryPolicy(require_stable=True)
+        )
+        assert healthy and len(attempts) == 2
+        assert attempts[1] < attempts[0]
+        assert len(resolver.cache) == 0
+
+    def test_unhealthy_session_keeps_the_cache(self, testbed, monkeypatch):
+        resolver = self._resolver(testbed)
+        network = testbed["inet"].network
+        network.set_faults(FaultPlan([_LoseCell(resolver.ip, "it-2501-expired")]))
+        try:
+            attempts, healthy = self._attempts(
+                testbed, monkeypatch, resolver.ip,
+                SurveyRetryPolicy(max_attempts=2, stub_retries=0, confirm=0),
+            )
+        finally:
+            network.set_faults(None)
+        assert not healthy and len(attempts) == 2
+        assert len(resolver.cache) > 0 and resolver._zone_security
+
+    def test_copier_upstream_stays_resident(self, testbed):
+        inet = testbed["inet"]
+        upstream = self._resolver(testbed, "strict-rfc9276")
+        ip = inet.allocator.next_v4()
+        inet.network.attach(ip, QueryCopyingForwarder(inet.network, ip, upstream.ip))
+        self._probe(testbed, ip, "copier")
+        assert len(upstream.cache) > 0 and upstream._zone_security
