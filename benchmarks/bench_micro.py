@@ -370,7 +370,7 @@ def test_upstream_bytes_per_scanned_domain(benchmark):
     config = scaled_config(domains, 120)
     tlds = generate_tlds(config)
     population = Population(config, tlds=tlds)
-    inet = build_internet(population, tlds, seed=7, lazy_domains=True)
+    inet = build_internet(population, tlds, seed=7)
     upstream = inet.make_resolver(VENDOR_POLICIES["cloudflare"], name="bench-upstream")
     engine = ScanEngine(
         inet.network, inet.allocator.next_v4(), upstream.ip, max_qps=14_700
@@ -428,7 +428,7 @@ def test_resolver_bytes_per_probed_resolver(benchmark):
 
     config = scaled_config(20, 120)
     tlds = generate_tlds(config)
-    inet = build_internet(Population(config, tlds=tlds), tlds, seed=7, lazy_domains=True)
+    inet = build_internet(Population(config, tlds=tlds), tlds, seed=7)
     probes = rfc9276_wild.build_probe_zones(inet)
     deployment = resolvers.deploy_resolvers(inet, seed=7, **deployment_counts(24))
     scanner_source = inet.allocator.next_v4()

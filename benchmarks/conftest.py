@@ -21,12 +21,7 @@ from repro.scanner.engine import ScanEngine
 from repro.scanner.nsec3_scan import domain_rng, scan_domain, scan_tld
 from repro.scanner.resolver_scan import ResolverSurvey, SurveyEntry, requeue_label
 from repro.testbed.internet import build_internet
-from repro.testbed.population import (
-    PopulationConfig,
-    generate_population,
-    generate_tlds,
-    inject_tail_domains,
-)
+from repro.testbed.population import Population, PopulationConfig, generate_tlds
 from repro.testbed.resolvers import deploy_resolvers
 from repro.testbed.rfc9276_wild import build_probe_zones
 from repro.testbed.tranco import assign_tranco_ranks
@@ -71,9 +66,10 @@ def bench_metrics_snapshot():
 @pytest.fixture(scope="session")
 def bench_internet():
     tlds = generate_tlds(BENCH_CONFIG)
-    domains = inject_tail_domains(generate_population(BENCH_CONFIG, tlds=tlds))
-    domains = assign_tranco_ranks(domains, list_size=TRANCO_SIZE)
-    inet = build_internet(domains, tlds, seed=42)
+    population = Population(BENCH_CONFIG, tlds=tlds)
+    inet = build_internet(population, tlds, seed=42)
+    # Ranks feed the analyses only; no zone depends on them.
+    domains = assign_tranco_ranks(list(population), list_size=TRANCO_SIZE)
     probes = build_probe_zones(inet)
     return {"inet": inet, "probes": probes, "domains": domains, "tlds": tlds}
 

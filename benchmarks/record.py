@@ -38,20 +38,17 @@ def _measure(telemetry=False):
         survey_entries,
     )
     from repro.testbed.internet import build_internet
-    from repro.testbed.population import (
-        generate_population,
-        generate_tlds,
-        inject_tail_domains,
-    )
+    from repro.testbed.population import Population, generate_tlds
     from repro.testbed.resolvers import deploy_resolvers
     from repro.testbed.rfc9276_wild import build_probe_zones
     from repro.testbed.tranco import assign_tranco_ranks
 
     build_start = time.perf_counter()
     tlds = generate_tlds(BENCH_CONFIG)
-    domains = inject_tail_domains(generate_population(BENCH_CONFIG, tlds=tlds))
-    domains = assign_tranco_ranks(domains, list_size=TRANCO_SIZE)
-    inet = build_internet(domains, tlds, seed=42)
+    population = Population(BENCH_CONFIG, tlds=tlds)
+    inet = build_internet(population, tlds, seed=42)
+    # Ranks feed the analyses only; no zone depends on them.
+    domains = assign_tranco_ranks(list(population), list_size=TRANCO_SIZE)
     probes = build_probe_zones(inet)
     build_seconds = time.perf_counter() - build_start
 

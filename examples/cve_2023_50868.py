@@ -17,7 +17,7 @@ from repro.dnssec.costmodel import meter
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.resolver.stub import StubClient
 from repro.testbed.internet import build_internet
-from repro.testbed.population import PopulationConfig, generate_population, generate_tlds
+from repro.testbed.population import Population, PopulationConfig, generate_tlds
 from repro.testbed.rfc9276_wild import build_probe_zones
 
 
@@ -36,7 +36,9 @@ def main():
         tld_saltless=15, tld_salt8=12, tld_salt10=1,
     )
     tlds = generate_tlds(config)
-    inet = build_internet(generate_population(config, tlds=tlds), tlds, seed=3)
+    inet = build_internet(
+        Population(config, tlds=tlds, include_tail=False), tlds, seed=3
+    )
     probes = build_probe_zones(inet)
     stub = StubClient(inet.network, inet.allocator.next_v4())
 

@@ -20,7 +20,7 @@ from repro.core.resolver_compliance import classify_resolver
 from repro.scanner.atlas import AtlasCampaign
 from repro.scanner.resolver_scan import ResolverSurvey, SurveyEntry, requeue_label
 from repro.testbed.internet import build_internet
-from repro.testbed.population import PopulationConfig, generate_population, generate_tlds
+from repro.testbed.population import Population, PopulationConfig, generate_tlds
 from repro.testbed.resolvers import deploy_resolvers
 from repro.testbed.rfc9276_wild import build_probe_zones
 
@@ -38,7 +38,7 @@ def main(open_v4=60):
         tld_saltless=15, tld_salt8=12, tld_salt10=1,
     )
     tlds = generate_tlds(config)
-    domains = generate_population(config, tlds=tlds)
+    domains = Population(config, tlds=tlds, include_tail=False)
     inet = build_internet(domains, tlds, seed=11)
     probes = build_probe_zones(inet)
     print(f"probe zones online: {len(probes.zones) - 1} children of {probes.parent_name}")

@@ -21,12 +21,7 @@ from repro.scanner.dnskey_scan import dnssec_enabled
 from repro.scanner.engine import ScanEngine
 from repro.scanner.nsec3_scan import domain_rng, scan_domain
 from repro.testbed.internet import build_internet
-from repro.testbed.population import (
-    PopulationConfig,
-    generate_population,
-    generate_tlds,
-    inject_tail_domains,
-)
+from repro.testbed.population import Population, PopulationConfig, generate_tlds
 
 
 def main(n_domains=800):
@@ -43,13 +38,13 @@ def main(n_domains=800):
     )
     print(f"generating population of {n_domains} registered domains…")
     tlds = generate_tlds(config)
-    domains = inject_tail_domains(generate_population(config, tlds=tlds))
+    domains = Population(config, tlds=tlds)
 
     start = time.perf_counter()
     inet = build_internet(domains, tlds, seed=7)
     print(
-        f"built {len(inet.domain_zones)} signed zones under {len(tlds)} TLDs "
-        f"in {time.perf_counter() - start:.1f}s"
+        f"delegated {len(domains)} domains under {len(tlds)} signed TLDs "
+        f"in {time.perf_counter() - start:.1f}s (zones build on first query)"
     )
 
     # The shared resolver standing in for Cloudflare 1.1.1.1.

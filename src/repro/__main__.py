@@ -225,17 +225,13 @@ def _mem_summary(args):
 
 
 def _build_summary(inet):
-    """Build-cache and lazy-host fragments of the [sim] line, or ''."""
+    """Build-cache and lazy-host fragments of the [sim] line."""
     parts = ""
     cache = build_cache.active()
     if cache is not None and cache.events:
         parts += f" build_cache={cache.summary()}"
-    if inet.lazy_host is not None:
-        parts += (
-            f" lazy_zones=builds:{inet.lazy_host.builds}"
-            f",evictions:{inet.lazy_host.evictions}"
-        )
-    return parts
+    lazy = inet.lazy_host
+    return parts + f" lazy_zones=builds:{lazy.builds},evictions:{lazy.evictions}"
 
 
 def _sim_summary(args, inet):

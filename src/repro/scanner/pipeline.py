@@ -253,9 +253,8 @@ class World:
         goes on to measure. SLD zones materialise lazily on first query,
         so memory follows the working set, not the population. A *scope*
         (:class:`~repro.testbed.internet.BuildScope`, fleet workers)
-        defers TLD signing to first use and pre-warms the build cache
-        with the shard's own SLDs; *progress* is ticked as construction
-        advances. ``plan.state_dir`` hosts that cache, shared by every
+        pre-warms the build cache with the shard's own SLDs; *progress*
+        is ticked as construction advances. ``plan.state_dir`` hosts that cache, shared by every
         process pointed at it.
         """
         if plan.state_dir is not None:
@@ -267,7 +266,6 @@ class World:
             universe.population,
             universe.tld_specs,
             seed=plan.seed,
-            lazy_domains=True,
             build_scope=scope,
             progress=progress,
         )

@@ -333,11 +333,10 @@ def _worker_run(spec):
                 killer.after_unit(units_done)
             shutdown.check()
 
-        # Scoped construction: TLD signing is deferred to first use
-        # (split across the fleet via the build cache under the state
-        # dir, which every worker and restart shares) and this shard's
-        # own SLD artifacts are pre-warmed into the cache during the
-        # build phase.
+        # Scoped construction: zone signing goes through the build cache
+        # under the state dir, which every worker and restart shares, and
+        # this shard's own SLD artifacts are pre-warmed into it during
+        # the build phase.
         world = World.build(
             plan,
             scope=BuildScope(shard, plan.workers),

@@ -71,9 +71,9 @@ class KeyPool:
         """The pool pair owned by *name* — stable, order-independent.
 
         Keying on CRC32 of the zone name (never Python's salted
-        ``hash()``) means a zone built lazily on first query draws the
-        same keys it would have drawn in an eager build, so both paths
-        sign byte-identical zones.
+        ``hash()``) means a zone built on first query draws the same keys
+        whenever and in whichever process it is built, so every rebuild
+        signs a byte-identical zone and the parent's DS needs no zone.
         """
         index = zlib.crc32(str(name).rstrip(".").lower().encode("ascii"))
         return (
@@ -144,13 +144,12 @@ def _pooled_keys(seed, size=16, algorithm=ALG_RSASHA256, rsa_bits=512):
 
 @dataclass(frozen=True)
 class BuildScope:
-    """Which slice of the fleet's work this process builds eagerly.
+    """Which slice of the fleet's work this process pre-warms.
 
-    A scoped build signs shared infrastructure lazily-on-demand (TLD
-    zones) or once (root, operators, probe zones via their builders) and
-    pre-warms the build cache only for the SLD subtrees its own unit
-    sub-stream (``Population.iter_shard(shard, workers)``) resolves
-    through.
+    A scoped build signs the root and TLD zones like any other build
+    (through the build cache, so one process in the fleet signs and the
+    rest load), and pre-warms the cache with the SLD zones of its own
+    unit sub-stream (``Population.iter_shard(shard, workers)``).
     """
 
     shard: int
@@ -168,15 +167,15 @@ class Internet:
     root_zone: object
     tld_zones: dict
     tld_specs: list
-    domain_specs: list
-    domain_zones: dict
+    #: The streaming :class:`~repro.testbed.population.Population`.
+    domain_specs: object
     operator_servers: dict
     operator_ips: dict
     key_pool: KeyPool
+    #: The bounded :class:`LazyZoneHost` that builds every SLD zone.
+    lazy_host: object
     #: How many resolvers :meth:`make_resolver` has made, for default names.
     resolvers_made: int = 0
-    #: The bounded lazy SLD host when built with ``lazy_domains=True``.
-    lazy_host: object = None
 
     def make_resolver(
         self,
@@ -208,20 +207,18 @@ class Internet:
         return resolver
 
     def zone_of(self, domain):
-        zone = self.domain_zones.get(Name.from_text(domain))
-        if zone is None and self.lazy_host is not None:
-            spec = self.domain_specs.spec_for_name(str(domain))
-            if spec is not None:
-                server = self.operator_servers[spec.operator]
-                zone = server.zone_for(domain)
-        return zone
+        """The zone of population domain *domain*, built if not resident."""
+        spec = self.domain_specs.spec_for_name(str(domain))
+        if spec is None:
+            return None
+        return self.operator_servers[spec.operator].zone_for(domain)
 
 
 def zone_rng(seed, name):
     """The per-zone rng: every zone's random content (A-record addresses,
     NSEC3 salt bytes) derives from ``(seed, zone name)`` alone, so a zone
-    materialised lazily mid-campaign is byte-identical to one built
-    eagerly at startup."""
+    built on first query, evicted and built again, or pre-warmed by
+    another fleet worker, is byte-identical each time."""
     return random.Random(f"{seed}/zone/{str(name).rstrip('.').lower()}")
 
 
@@ -248,9 +245,10 @@ def build_domain_zone(spec, seed, pool, ns_pair, defer_signatures=False):
     """Build (and sign, per its spec) one registered-domain zone.
 
     Everything is derived from ``(spec, seed)``: addresses and salt from
-    the per-zone rng, keys from :meth:`KeyPool.pair_for`. The eager
-    build loop and the lazy on-first-query factory both call this, which
-    is what makes the two hosting modes wire-identical.
+    the per-zone rng, keys from :meth:`KeyPool.pair_for`. The
+    on-first-query :class:`LazyZoneHost` and the shard cache warm-up
+    both call this, so a zone rebuilt after eviction, or loaded from
+    what another worker stored, is the same zone.
 
     Assembled from values, not presentation text: *ns_pair* is the
     operator's shared ``(NS, NS)`` rdata, names derive from the origin
@@ -285,8 +283,8 @@ class LazyZoneHost:
     Registered as each operator server's ``zone_factory``: when a query
     misses every hosted zone, the candidate SLD (last two labels) is
     inverted back to its :class:`~repro.testbed.population.DomainSpec`
-    and the zone is built, signed, and hosted on the spot — byte-identical
-    to the eager build, because :func:`build_domain_zone` derives all
+    and the zone is built, signed, and hosted on the spot; every rebuild
+    is byte-identical, because :func:`build_domain_zone` derives all
     content from ``(spec, seed)``. Its signatures are deferred: each is
     computed when a query first reads it. A bounded FIFO keeps at most
     *limit* signed zones resident; evicted zones rebuild
@@ -354,62 +352,6 @@ def _count_lazy_zone(event):
     child.inc()
 
 
-class LazyTldZones(dict):
-    """TLD zones signed on first use instead of at build time.
-
-    Under a :class:`BuildScope` every worker would otherwise re-sign all
-    TLD zones up front. Instead the unsigned zones are parked here and
-    the dict materialises a zone — sign via the build cache, host on the
-    registry server — the first time anything looks it up: an
-    authoritative query (through the registry's ``zone_factory``), the
-    probe/adversary builders grabbing ``"com"``, or a data-source
-    collector. The first process in the fleet to touch a TLD signs it;
-    everyone else loads the cached entry. Lookup semantics (``in``,
-    ``len``, ``[]``, ``get``) match the eager dict exactly.
-    """
-
-    def __init__(self, force):
-        super().__init__()
-        self._pending = {}
-        self._force = force
-
-    def defer(self, label, zone, spec):
-        self._pending[label] = (zone, spec)
-
-    def __missing__(self, label):
-        pending = self._pending.pop(label, None)
-        if pending is None:
-            raise KeyError(label)
-        zone = self._force(*pending)
-        super().__setitem__(label, zone)
-        return zone
-
-    def get(self, label, default=None):
-        try:
-            return self[label]
-        except KeyError:
-            return default
-
-    def __contains__(self, label):
-        return super().__contains__(label) or label in self._pending
-
-    def __len__(self):
-        return super().__len__() + len(self._pending)
-
-    def __iter__(self):
-        yield from dict.__iter__(self)
-        yield from list(self._pending)
-
-    def keys(self):
-        return list(self)
-
-    def values(self):
-        return [self[label] for label in list(self)]
-
-    def items(self):
-        return [(label, self[label]) for label in list(self)]
-
-
 def _no_progress():
     pass
 
@@ -451,50 +393,42 @@ def _warm_shard_cache(population, scope, seed, pool, ns_rdata, progress):
 
 
 def build_internet(
-    domain_specs,
+    population,
     tld_specs,
     seed=7,
     network=None,
-    host_domains=True,
-    domains_per_zone_extra=1,
-    lazy_domains=False,
-    lazy_zone_limit=256,
+    lazy_domains=True,
     build_scope=None,
     progress=None,
 ):
     """Build and wire up the whole simulated Internet.
 
-    *domain_specs* / *tld_specs* come from :mod:`repro.testbed.population`;
-    *domain_specs* may be a materialised list or a streaming
-    :class:`~repro.testbed.population.Population`. With
-    ``host_domains=False`` only the root/TLD/operator infrastructure is
-    hosted (useful when an experiment needs the tree but not the
-    population).
+    *population* is a streaming
+    :class:`~repro.testbed.population.Population`; *tld_specs* come from
+    :func:`~repro.testbed.population.generate_tlds`. The build walks the
+    population once without retaining it: the parent TLD zones carry
+    every delegation and DS, the root and every TLD zone are signed
+    here, and each SLD zone is built and signed only when an
+    authoritative query first needs it, through a bounded
+    :class:`LazyZoneHost`. What stays resident grows with the working
+    set, not the population (about 3.8 KB per scanned domain).
+    *lazy_domains* has the one value ``True``.
 
-    With ``lazy_domains=True`` (requires a :class:`Population`) the
-    registered-domain zones are *not* built up front: the parent TLD
-    zones carry every delegation and DS exactly as in the eager build —
-    the build streams over the population once without retaining it — but
-    each SLD zone is built and signed only when an authoritative query
-    first needs it, through a bounded :class:`LazyZoneHost`. Peak memory
-    then stays flat in the number of domains while every datagram on the
-    wire is byte-identical to the eager build's.
-
-    A :class:`BuildScope` (fleet workers pass one) additionally defers
-    TLD-zone signing to first use via :class:`LazyTldZones` — split
-    across the fleet by the build cache — and, when both a cache and
-    ``lazy_domains`` are active, pre-warms the cache with the signed
-    artifacts of this shard's own SLD sub-stream. *progress* is an
-    optional zero-arg callback ticked as construction advances (the
-    supervised worker feeds it into its heartbeat).
+    A :class:`BuildScope` (fleet workers pass one) pre-warms an active
+    build cache with the signed artifacts of this shard's own SLD
+    sub-stream. *progress* is an optional zero-arg callback ticked as
+    construction advances (the supervised worker feeds it into its
+    heartbeat).
     """
     from repro.testbed.population import Population
 
+    if lazy_domains is not True or not isinstance(population, Population):
+        raise TypeError(
+            "build_internet hosts SLD zones on first query from a streaming Population"
+        )
     network = network or Network(seed=seed)
     allocator = AddressAllocator()
     pool = _pooled_keys(seed + 1)
-    if lazy_domains and not isinstance(domain_specs, Population):
-        raise TypeError("lazy_domains=True needs a streaming Population")
     if progress is None:
         progress = _no_progress
 
@@ -509,23 +443,6 @@ def build_internet(
     network.attach(registry_v4, registry_server)
     network.attach(registry_v6, registry_server)
 
-    operator_servers = {}
-    operator_ips = {}
-    # One streaming pass: which operators actually appear decides which
-    # servers exist (and therefore every later address allocation), so
-    # the rule must not depend on how the specs are stored.
-    operator_keys = set(spec.operator for spec in domain_specs)
-    operator_keys.add("generic-web")
-    for key in sorted(operator_keys):
-        server = AuthoritativeServer(f"op-{key}")
-        v4, v6 = allocator.next_v4(), allocator.next_v6()
-        network.attach(v4, server)
-        network.attach(v6, server)
-        operator_servers[key] = server
-        operator_ips[key] = (v4, v6)
-
-    # --- TLD zones ------------------------------------------------------------
-    tld_zones = {}
     tld_builders = {}
     for spec in tld_specs:
         builder = (
@@ -537,17 +454,47 @@ def build_internet(
         )
         tld_builders[spec.label] = builder
 
-    # --- operator nameserver infrastructure domains --------------------------------
-    # One immutable NS rdata pair per operator: a million delegations and
-    # every SLD apex share ~two dozen objects instead of re-parsing the
-    # same nameserver names once per cut and per zone (the rdata bytes —
-    # and hence the signed zones and every wire datagram — are identical).
+    # --- delegations ----------------------------------------------------------
+    # One pass over the population stream: each SLD is delegated (with
+    # its DS) in its parent TLD builder, and the operators that appear
+    # are collected. One immutable NS rdata pair per operator: a million
+    # delegations and every SLD apex share ~two dozen objects instead of
+    # re-parsing the same nameserver names once per cut and per zone.
+    ns_domains = {}
     ns_rdata = {}
-    for key in sorted(operator_keys):
-        profile = OPERATORS_BY_KEY.get(key)
-        ns_domain = profile.ns_domain if profile else f"{key.replace('.', '-')}-dns.net"
-        ns_rdata[key] = (NS(f"ns1.{ns_domain}."), NS(f"ns2.{ns_domain}."))
-        v4, v6 = operator_ips[key]
+
+    def operator_ns(key):
+        if key not in ns_rdata:
+            profile = OPERATORS_BY_KEY.get(key)
+            ns_domain = profile.ns_domain if profile else f"{key.replace('.', '-')}-dns.net"
+            ns_domains[key] = ns_domain
+            ns_rdata[key] = (NS(f"ns1.{ns_domain}."), NS(f"ns2.{ns_domain}."))
+        return ns_rdata[key]
+
+    operator_ns("generic-web")
+    for index, spec in enumerate(population):
+        ns_pair = operator_ns(spec.operator)
+        tld_builder = tld_builders.get(spec.tld)
+        if tld_builder is not None:
+            tld_builder.delegate(
+                Name.from_text(spec.name), *ns_pair, ds=domain_ds_records(spec, pool)
+            )
+        if not (index + 1) % 1024:
+            progress()
+
+    # --- operator servers and their nameserver domains --------------------------
+    # Which operators appear decides which servers exist and hence every
+    # later address allocation, so they are allocated in sorted order.
+    operator_servers = {}
+    operator_ips = {}
+    for key in sorted(ns_rdata):
+        server = AuthoritativeServer(f"op-{key}")
+        v4, v6 = allocator.next_v4(), allocator.next_v6()
+        network.attach(v4, server)
+        network.attach(v6, server)
+        operator_servers[key] = server
+        operator_ips[key] = (v4, v6)
+        ns_domain = ns_domains[key]
         zone = (
             ZoneBuilder(ns_domain)
             .soa(f"ns1.{ns_domain}", f"hostmaster.{ns_domain}")
@@ -558,7 +505,7 @@ def build_internet(
             .aaaa("ns2", v6)
             .build()
         )
-        operator_servers[key].add_zone(zone)
+        server.add_zone(zone)
         infra_tld = ns_domain.rsplit(".", 1)[-1]
         builder = tld_builders.get(infra_tld)
         if builder is not None:
@@ -570,37 +517,11 @@ def build_internet(
             builder.aaaa(f"ns1.{ns_domain}.", v6)
             builder.aaaa(f"ns2.{ns_domain}.", v6)
 
-    # --- domain zones ---------------------------------------------------------------
-    # One pass over the population stream, shared by both hosting modes:
-    # the parent-side state (delegations + DS in the TLD builders) is
-    # always materialised, the child zones only when ``not lazy_domains``.
-    domain_zones = {}
-    lazy_host = None
-    if host_domains:
-        for index, spec in enumerate(domain_specs):
-            ds_records = domain_ds_records(spec, pool)
-            if not lazy_domains:
-                zone = build_domain_zone(spec, seed, pool, ns_rdata[spec.operator])
-                operator_servers[spec.operator].add_zone(zone)
-                domain_zones[zone.origin] = zone
-            tld_builder = tld_builders.get(spec.tld)
-            if tld_builder is not None:
-                tld_builder.delegate(
-                    Name.from_text(spec.name),
-                    *ns_rdata[spec.operator],
-                    ds=ds_records,
-                )
-            if not (index + 1) % 1024:
-                progress()
-        if lazy_domains:
-            lazy_host = LazyZoneHost(
-                domain_specs, ns_rdata, seed, pool, limit=lazy_zone_limit
-            )
-            for key, server in operator_servers.items():
-                server.zone_factory = lazy_host.factory_for(key, server)
+    lazy_host = LazyZoneHost(population, ns_rdata, seed, pool)
+    for key, server in operator_servers.items():
+        server.zone_factory = lazy_host.factory_for(key, server)
 
     # --- sign and host the TLD zones -------------------------------------------------
-    tld_spec_by_label = {spec.label: spec for spec in tld_specs}
     root_builder = (
         ZoneBuilder(".")
         .soa("a.root-servers.net.", "nstld.verisign-grs.com.")
@@ -608,51 +529,20 @@ def build_internet(
         .a("a.root-servers.net.", root_v4)
         .aaaa("a.root-servers.net.", root_v6)
     )
-    if build_scope is not None:
-        # Scoped (fleet) build: park the unsigned TLD zones and let the
-        # first toucher — fleet-wide, thanks to the build cache — sign
-        # each one. The parent-side DS needs only the KSK, which
-        # ``pair_for`` yields without signing, so the root zone is
-        # byte-identical to the eager build's.
-        def _force_tld(zone, spec):
-            if spec.dnssec:
-                _sign_from_spec(zone, spec, pool, zone_rng(seed, spec.label), spec.label)
-            registry_server.host_lazily(zone)
-            return zone
-
-        tld_zones = LazyTldZones(_force_tld)
-
-        def _registry_factory(qname):
-            labels = str(qname).rstrip(".").lower().split(".")
-            if labels and labels[-1] in tld_zones._pending:
-                return tld_zones[labels[-1]]
-            return None
-
-        registry_server.zone_factory = _registry_factory
-        for label, builder in tld_builders.items():
-            spec = tld_spec_by_label[label]
-            tld_zones.defer(label, builder.build(), spec)
-            ds_records = None
-            if spec.dnssec:
-                ds_records = [make_ds(label, pool.pair_for(label)[0].dnskey)]
-            root_builder.delegate(Name.from_text(label), f"a.nic.{label}.", ds=ds_records)
-            root_builder.a(f"a.nic.{label}.", registry_v4)
-            root_builder.aaaa(f"a.nic.{label}.", registry_v6)
-            progress()
-    else:
-        for label, builder in tld_builders.items():
-            spec = tld_spec_by_label[label]
-            zone = builder.build()
-            ds_records = None
-            if spec.dnssec:
-                _sign_from_spec(zone, spec, pool, zone_rng(seed, label), label)
-                ds_records = [make_ds(label, zone.keys[0].dnskey)]
-            registry_server.add_zone(zone)
-            tld_zones[label] = zone
-            root_builder.delegate(Name.from_text(label), f"a.nic.{label}.", ds=ds_records)
-            root_builder.a(f"a.nic.{label}.", registry_v4)
-            root_builder.aaaa(f"a.nic.{label}.", registry_v6)
-            progress()
+    tld_zones = {}
+    for spec in tld_specs:
+        label = spec.label
+        zone = tld_builders[label].build()
+        ds_records = None
+        if spec.dnssec:
+            _sign_from_spec(zone, spec, pool, zone_rng(seed, label), label)
+            ds_records = [make_ds(label, zone.keys[0].dnskey)]
+        registry_server.add_zone(zone)
+        tld_zones[label] = zone
+        root_builder.delegate(Name.from_text(label), f"a.nic.{label}.", ds=ds_records)
+        root_builder.a(f"a.nic.{label}.", registry_v4)
+        root_builder.aaaa(f"a.nic.{label}.", registry_v6)
+        progress()
 
     # --- root zone (NSEC-signed, like the real root) ------------------------------------
     root_zone = root_builder.build()
@@ -662,13 +552,8 @@ def build_internet(
     trust_anchor = RRset(".", RdataType.DS, 3600, [make_ds(".", ksk.dnskey)])
 
     # --- scoped cache warm-up -----------------------------------------------------------
-    if (
-        build_scope is not None
-        and lazy_domains
-        and host_domains
-        and build_cache.active() is not None
-    ):
-        _warm_shard_cache(domain_specs, build_scope, seed, pool, ns_rdata, progress)
+    if build_scope is not None and build_cache.active() is not None:
+        _warm_shard_cache(population, build_scope, seed, pool, ns_rdata, progress)
 
     return Internet(
         network=network,
@@ -678,12 +563,7 @@ def build_internet(
         root_zone=root_zone,
         tld_zones=tld_zones,
         tld_specs=list(tld_specs),
-        domain_specs=(
-            domain_specs
-            if isinstance(domain_specs, Population)
-            else list(domain_specs)
-        ),
-        domain_zones=domain_zones,
+        domain_specs=population,
         operator_servers=operator_servers,
         operator_ips=operator_ips,
         key_pool=pool,

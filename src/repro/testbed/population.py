@@ -316,33 +316,21 @@ def _spec_at(tables, index):
 
 
 def tail_domains():
-    """The fixed long-tail exemplars appended to every population."""
+    """The fixed long-tail exemplars appended to every population.
+
+    At paper scale the >150-iteration tail is 43 domains out of 15.5 M —
+    invisible in a scaled-down sample. A :class:`Population` built with
+    ``include_tail=True`` (the default) appends these few (500
+    iterations, 160-byte salts) at indices ``n_domains ..``, so
+    tail-sensitive analyses and the probe experiments always have
+    witnesses. EXPERIMENTS.md documents the count.
+    """
     return [
         DomainSpec("tail-it500-a.com", "com", "other", True, "nsec3", 500, 8),
         DomainSpec("tail-it500-b.net", "net", "other", True, "nsec3", 500, 0),
         DomainSpec("tail-it200.org", "org", "other", True, "nsec3", 200, 8),
         DomainSpec("tail-salt160.com", "com", "other", True, "nsec3", 2, 160),
     ]
-
-
-def population_size(config, include_tail=True):
-    """Total stream length: generated domains plus the forced tail."""
-    return config.n_domains + (len(tail_domains()) if include_tail else 0)
-
-
-def iter_population(config=None, tlds=None, start=0, stride=1,
-                    include_tail=True):
-    """Yield :class:`DomainSpec` number ``start, start+stride, ...``.
-
-    The stream order (and content) is identical to
-    ``inject_tail_domains(generate_population(config, tlds=tlds))`` — the
-    tail exemplars occupy indices ``n_domains .. n_domains+3`` — but no
-    list is ever materialised, so memory stays O(1) at any population
-    scale. ``(start, stride)`` selects a round-robin sub-stream, which is
-    exactly the campaign supervisor's shard partition.
-    """
-    population = Population(config, tlds=tlds, include_tail=include_tail)
-    yield from population.iter_shard(start, stride)
 
 
 class Population:
@@ -414,31 +402,3 @@ class Population:
             return None
         spec = _spec_at(self._tables, index)
         return spec if spec.name == name else None
-
-
-def generate_population(config=None, rng=None, tlds=None):
-    """Generate the registered-domain population.
-
-    Returns a list of :class:`DomainSpec`. Operator assignment follows
-    Table 2 for NSEC3-enabled domains; NSEC-signed and unsigned domains go
-    to generic web hosters (which Table 2 does not cover).
-
-    This is the materialising front-end of :func:`iter_population`; the
-    *rng* parameter is retained for signature compatibility but unused —
-    every domain derives from its own index-seeded rng so the stream can
-    be entered at any offset.
-    """
-    config = config or PopulationConfig()
-    return list(iter_population(config, tlds=tlds, include_tail=False))
-
-
-def inject_tail_domains(specs, config=None):
-    """Force the long-tail exemplars §5.1 reports, regardless of scale.
-
-    At paper scale the >150-iteration tail is 43 domains out of 15.5 M —
-    invisible in a scaled-down sample. This helper appends a fixed set of
-    tail domains (500 iterations, 160-byte salts) so tail-sensitive
-    analyses and the probe experiments always have witnesses. The count is
-    deliberately tiny and documented in EXPERIMENTS.md.
-    """
-    return list(specs) + tail_domains()

@@ -25,7 +25,7 @@ from repro.server.authoritative import AuthoritativeServer
 from repro.testbed.internet import build_internet
 from repro.testbed.population import (
     PopulationConfig,
-    generate_population,
+    Population,
     generate_tlds,
 )
 from repro.testbed.rfc9276_wild import build_probe_zones
@@ -132,7 +132,7 @@ def mini_internet():
 def testbed():
     """A small generated testbed with probe zones."""
     tlds = generate_tlds(SMALL_CONFIG)
-    domains = generate_population(SMALL_CONFIG, tlds=tlds)
+    domains = Population(SMALL_CONFIG, tlds=tlds, include_tail=False)
     inet = build_internet(domains, tlds, seed=5)
     probe_set = build_probe_zones(inet)
     return {"inet": inet, "probes": probe_set, "domains": domains, "tlds": tlds}

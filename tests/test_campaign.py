@@ -38,7 +38,7 @@ from repro.scanner.resolver_scan import (
 from repro.testbed.internet import build_internet
 from repro.testbed.population import (
     PopulationConfig,
-    generate_population,
+    Population,
     generate_tlds,
 )
 from repro.testbed.resolvers import deploy_resolvers
@@ -492,7 +492,7 @@ SURVEY_ITERATIONS = (1, 25, 50, 100, 150, 151, 500)
 
 def _build_survey_world(seed=13):
     tlds = generate_tlds(ACCEPTANCE_CONFIG)
-    domains = generate_population(ACCEPTANCE_CONFIG, tlds=tlds)
+    domains = Population(ACCEPTANCE_CONFIG, tlds=tlds, include_tail=False)
     inet = build_internet(domains, tlds, seed=seed)
     probes = build_probe_zones(inet)
     deployment = deploy_resolvers(

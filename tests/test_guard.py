@@ -25,7 +25,7 @@ from repro.testbed.adversary import build_attack_zones
 from repro.testbed.internet import build_internet
 from repro.testbed.population import (
     PopulationConfig,
-    generate_population,
+    Population,
     generate_tlds,
 )
 
@@ -67,7 +67,7 @@ def _small_lab(seed=5):
         tld_salt10=1,
     )
     tlds = generate_tlds(config)
-    domains = generate_population(config, tlds=tlds)
+    domains = Population(config, tlds=tlds, include_tail=False)
     return build_internet(domains, tlds, seed=seed)
 
 

@@ -369,7 +369,7 @@ def unsigned_scan():
     config = scaled_config(240, 30)
     tlds = generate_tlds(config)
     population = Population(config, tlds=tlds)
-    inet = build_internet(population, tlds, seed=7, lazy_domains=True)
+    inet = build_internet(population, tlds, seed=7)
     resolver = inet.make_resolver(VENDOR_POLICIES["cloudflare"], name="retention")
     names = [spec.name for spec in population if not spec.dnssec][:200]
     for name in names:

@@ -23,7 +23,7 @@ from repro.net.transport import QueryFailure, Transport
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.scanner.engine import ScanEngine, shard_source_ip
 from repro.testbed.internet import build_internet
-from repro.testbed.population import generate_population, generate_tlds
+from repro.testbed.population import Population, generate_tlds
 from repro.testbed.resolvers import deploy_resolvers
 from repro.testbed.rfc9276_wild import build_probe_zones
 
@@ -263,7 +263,7 @@ class TestCampaignExecutor:
 
 def _small_internet(seed=11):
     tlds = generate_tlds(SMALL_CONFIG)
-    domains = generate_population(SMALL_CONFIG, tlds=tlds)
+    domains = Population(SMALL_CONFIG, tlds=tlds, include_tail=False)
     return build_internet(domains, tlds, seed=seed), domains
 
 

@@ -22,8 +22,6 @@ from repro.scanner.supervisor import (
 from repro.testbed.population import (
     Population,
     generate_tlds,
-    iter_population,
-    population_size,
     scaled_config,
     tail_domains,
 )
@@ -292,8 +290,9 @@ class TestStreamingPopulation:
 
     def test_stream_matches_indexing(self):
         population = Population(self.CONFIG)
-        streamed = list(iter_population(self.CONFIG, tlds=population.tlds))
-        assert len(streamed) == len(population) == population_size(self.CONFIG)
+        streamed = list(Population(self.CONFIG, tlds=population.tlds))
+        expected = self.CONFIG.n_domains + len(tail_domains())
+        assert len(streamed) == len(population) == expected
         assert streamed == [population.spec_at(i) for i in range(len(population))]
         assert streamed[-4:] == tail_domains()
 

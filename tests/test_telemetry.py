@@ -33,7 +33,7 @@ from repro.obs.trace import Tracer
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.scanner.engine import ScanEngine
 from repro.testbed.internet import build_internet
-from repro.testbed.population import generate_population, generate_tlds
+from repro.testbed.population import Population, generate_tlds
 
 from tests.conftest import SMALL_CONFIG
 
@@ -53,7 +53,7 @@ def clean_obs():
 
 def _small_internet(seed=11):
     tlds = generate_tlds(SMALL_CONFIG)
-    domains = generate_population(SMALL_CONFIG, tlds=tlds)
+    domains = Population(SMALL_CONFIG, tlds=tlds, include_tail=False)
     return build_internet(domains, tlds, seed=seed), domains
 
 

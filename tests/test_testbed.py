@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from repro.dns.name import Name
 from repro.dns.rcode import Rcode
 from repro.dns.rdata import NS
 from repro.dns.types import RdataType
@@ -14,15 +15,15 @@ from repro.testbed.internet import (
     KeyPool,
     _sign_from_spec,
     build_domain_zone,
+    build_internet,
     zone_rng,
 )
 from repro.testbed.operators import OPERATORS, normalized_param_mix
 from repro.testbed.population import (
     DomainSpec,
+    Population,
     PopulationConfig,
-    generate_population,
     generate_tlds,
-    inject_tail_domains,
 )
 from repro.testbed.tranco import assign_tranco_ranks
 
@@ -92,7 +93,7 @@ class TestDomainPopulation:
     @pytest.fixture(scope="class")
     def big_population(self):
         config = PopulationConfig(n_domains=20_000)
-        return config, generate_population(config)
+        return config, list(Population(config, include_tail=False))
 
     def test_size(self, big_population):
         config, specs = big_population
@@ -127,26 +128,29 @@ class TestDomainPopulation:
         assert len(set(names)) == len(names)
 
     def test_tail_injection(self):
-        specs = inject_tail_domains([])
+        config = PopulationConfig(n_domains=50)
+        specs = Population(config)[config.n_domains:]
         assert any(s.iterations == 500 for s in specs)
         assert any(s.salt_length == 160 for s in specs)
 
     def test_deterministic(self):
         config = PopulationConfig(n_domains=500)
-        assert generate_population(config) == generate_population(config)
+        assert list(Population(config)) == list(Population(config))
 
 
 class TestTranco:
     def test_ranks_dense_and_unique(self):
         config = PopulationConfig(n_domains=2000)
-        specs = assign_tranco_ranks(generate_population(config), list_size=600)
+        specs = assign_tranco_ranks(
+            list(Population(config, include_tail=False)), list_size=600
+        )
         ranks = [s.tranco_rank for s in specs if s.tranco_rank]
         assert len(ranks) == 600
         assert sorted(ranks) == list(range(1, 601))
 
     def test_boost_raises_compliant_share(self):
         config = PopulationConfig(n_domains=30_000)
-        specs = generate_population(config)
+        specs = list(Population(config, include_tail=False))
         ranked = assign_tranco_ranks(specs, list_size=8000)
         overall = [s for s in specs if s.nsec3]
         popular = [s for s in ranked if s.tranco_rank and s.nsec3]
@@ -158,9 +162,18 @@ class TestTranco:
 class TestBuiltInternet:
     def test_zones_hosted(self, testbed):
         inet = testbed["inet"]
-        assert len(inet.domain_zones) == len(testbed["domains"])
+        assert inet.domain_specs is testbed["domains"]
+        for spec in testbed["domains"]:
+            assert inet.zone_of(spec.name).origin == Name.from_text(spec.name)
         assert len(inet.tld_zones) == len(testbed["tlds"])
         assert inet.root_zone.signed
+
+    def test_build_takes_only_a_streaming_population(self, testbed):
+        domains, tlds = testbed["domains"], testbed["tlds"]
+        with pytest.raises(TypeError):
+            build_internet(list(domains), tlds)
+        with pytest.raises(TypeError):
+            build_internet(domains, tlds, lazy_domains=False)
 
     def test_signed_domains_have_ds_in_tld(self, testbed):
         inet = testbed["inet"]
@@ -181,9 +194,7 @@ class TestBuiltInternet:
         for spec in testbed["domains"]:
             if not spec.nsec3:
                 continue
-            zone = inet.domain_zones[
-                __import__("repro.dns.name", fromlist=["Name"]).Name.from_text(spec.name)
-            ]
+            zone = inet.zone_of(spec.name)
             param = zone.get_rrset(spec.name, RdataType.NSEC3PARAM)[0]
             assert param.iterations == spec.iterations
             assert len(param.salt) == spec.salt_length
