@@ -241,6 +241,15 @@ def test_verify_memoized(benchmark, ecdsa_pair):
     benchmark(validate_rrset, rrset, rrsigs, dnskeys)
 
 
+def test_memo_get_hit(benchmark):
+    """One counted hit on the bounded memo every hot-path table is."""
+    from repro.memo import Memo
+
+    memo = Memo("bench", 16)
+    memo.put(("bench", 1), b"value")
+    benchmark(memo.get, ("bench", 1))
+
+
 _NSEC3_OWNER = Name.from_text("bench.example.com").canonical_wire()
 _NSEC3_SALT = bytes.fromhex("aabbccdd")
 
@@ -253,7 +262,7 @@ def test_nsec3_hash_uncached(benchmark):
 
 
 def test_nsec3_hash_memoized(benchmark):
-    """Same hash through the hot-path memo keyed per (salt, iterations)."""
+    """Same hash through the hot-path memo keyed on (owner, salt, iterations)."""
     from repro.dnssec.nsec3hash import nsec3_hash
 
     nsec3_hash(_NSEC3_OWNER, _NSEC3_SALT, 150)  # warm
@@ -278,10 +287,10 @@ def test_nsec3_hash_batch(benchmark):
 def test_nsec3_hash_per_owner(benchmark):
     """The same 200 owners through :func:`nsec3_hash` one by one, the
     memo emptied first (a chain build's owners are all new to it)."""
-    from repro.dnssec.nsec3hash import _digest_memo, nsec3_hash
+    from repro.dnssec.nsec3hash import digest_memo, nsec3_hash
 
     def per_owner():
-        _digest_memo.clear()
+        digest_memo.clear()
         return [
             nsec3_hash(owner, _NSEC3_BATCH_SALT, 10) for owner in _NSEC3_BATCH_OWNERS
         ]
@@ -340,8 +349,8 @@ def test_timeseries_scrape_tick(benchmark):
     registry = MetricsRegistry()
     registry.counter("repro_scan_queries_total", "q").inc(1000)
     registry.counter(
-        "repro_cache_lookups_total", "c", labelnames=("result",)
-    ).labels(result="hit").inc(400)
+        "repro_cache_events_total", "c", labelnames=("cache", "event")
+    ).labels(cache="resolver", event="hit").inc(400)
     registry.gauge("repro_inflight_sessions", "g").set(32)
     scraper = TimeSeriesScraper(SimKernel(), registry, interval_ms=500.0)
     benchmark(scraper.scrape, 500.0)

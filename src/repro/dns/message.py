@@ -162,13 +162,12 @@ class Message:
     def encode(self):
         """Wire bytes, memoized for the send-side hot path.
 
-        A campaign resends identical query templates thousands of times
-        (transport retries, TCP fallback, per-shard clients): the first
-        call pays the full :meth:`to_wire`, later calls splice the current
-        ``id`` into the cached bytes, so :meth:`refresh_id` between sends
-        stays cheap. The memo is **not** invalidated on section edits —
-        callers that mutate a message after sending must use
-        :meth:`to_wire` (servers building responses already do).
+        A query is sent again on a transport retry or TCP fallback: the
+        first call pays the full :meth:`to_wire`, later calls splice the
+        current ``id`` into the cached bytes, so :meth:`refresh_id`
+        between sends stays cheap. The memo is **not** invalidated on
+        section edits — callers that mutate a message after sending must
+        use :meth:`to_wire` (servers building responses already do).
         """
         memo = self._wire_memo
         if memo is None:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import functools
 
+from repro.memo import Memo
+
 MAX_NAME_WIRE_LENGTH = 255
 MAX_LABEL_LENGTH = 63
 
@@ -21,13 +23,11 @@ class NameError_(ValueError):
     """Raised for malformed domain names (bad labels, overlong names)."""
 
 
-#: Bounded intern table for trusted (wire-parsed or sliced) names, keyed
-#: on the exact-case label tuple. A campaign decodes the same handful of
-#: owner names millions of times; interning lets every parse share one
-#: object and therefore one ``_key``/``_hash``/``_canonical_wire`` memo.
-#: Cleared outright at the cap — same policy as the other memo tables.
-_INTERN = {}
-_INTERN_LIMIT = 65536
+#: Intern table for trusted (wire-parsed or sliced) names, keyed on the
+#: exact-case label tuple. A campaign decodes the same handful of owner
+#: names millions of times; interning lets every parse share one object
+#: and therefore one ``_key``/``_hash``/``_canonical_wire`` memo.
+interned = Memo("names", 65536)
 
 
 def _validate_labels(labels):
@@ -80,7 +80,7 @@ class Name:
         Trusted names are interned (bounded) so repeated parses of the
         same owner share one object and its memoized canonical forms.
         """
-        self = _INTERN.get(labels)
+        self = interned.get(labels)
         if self is not None:
             return self
         self = object.__new__(cls)
@@ -89,9 +89,7 @@ class Name:
         object.__setattr__(self, "_canonical_key", None)
         object.__setattr__(self, "_canonical_wire", None)
         object.__setattr__(self, "_text", None)
-        if len(_INTERN) >= _INTERN_LIMIT:
-            _INTERN.clear()
-        _INTERN[labels] = self
+        interned.put(labels, self)
         return self
 
     @classmethod

@@ -13,7 +13,7 @@ class RRset:
     :mod:`repro.dnssec.signer` and the validator operate on.
     """
 
-    __slots__ = ("name", "rrtype", "rdclass", "ttl", "rdatas", "_canonical_memo")
+    __slots__ = ("name", "rrtype", "rdclass", "ttl", "rdatas")
 
     def __init__(self, name, rrtype, ttl, rdatas=(), rdclass=RdataClass.IN):
         self.name = Name.from_text(name)
@@ -25,7 +25,6 @@ class RRset:
         self.rdclass = rdclass if type(rdclass) is RdataClass else RdataClass(int(rdclass))
         self.ttl = int(ttl)
         self.rdatas = list(rdatas)
-        self._canonical_memo = None
 
     @classmethod
     def _trusted(cls, name, rrtype, ttl, rdatas, rdclass):
@@ -36,14 +35,12 @@ class RRset:
         self.rdclass = rdclass
         self.ttl = ttl
         self.rdatas = rdatas
-        self._canonical_memo = None
         return self
 
     def add(self, rdata):
         """Add *rdata* if not already present (RRsets are sets)."""
         if rdata not in self.rdatas:
             self.rdatas.append(rdata)
-            self._canonical_memo = None
         return self
 
     def __iter__(self):
@@ -65,27 +62,6 @@ class RRset:
     def sorted_rdatas(self):
         """Rdatas in RFC 4034 §6.3 canonical order (sorted by canonical wire form)."""
         return sorted(self.rdatas, key=lambda r: r.canonical_wire())
-
-    def canonical_memo_get(self, key):
-        """Cached canonical signing wire for *key*, or None.
-
-        The memo key must embed ``len(self.rdatas)`` (see
-        :func:`repro.dnssec.signer.canonical_rrset_wire`): rebinding or
-        slice-editing :attr:`rdatas` bypasses :meth:`add`, and a length
-        change is the only such edit the codebase performs.
-        """
-        memo = self._canonical_memo
-        return memo.get(key) if memo is not None else None
-
-    def canonical_memo_put(self, key, wire):
-        memo = self._canonical_memo
-        if memo is None:
-            memo = self._canonical_memo = {}
-        elif len(memo) >= 8:
-            # A given RRset is signed under at most a couple of
-            # (owner, TTL) combinations; clear rather than grow.
-            memo.clear()
-        memo[key] = wire
 
     def copy(self, ttl=None):
         # This RRset's fields are coerced already; only a new TTL is not.

@@ -20,19 +20,18 @@ from repro.dns.base32 import b32hex_encode
 from repro.dns.name import Name
 from repro.dns.rdata.nsec3 import NSEC3_HASH_SHA1
 from repro.dnssec.costmodel import meter
+from repro.memo import Memo
 
 
 class UnknownHashAlgorithm(ValueError):
     """Raised for NSEC3 hash algorithm numbers other than 1 (SHA-1)."""
 
 
-#: Digest memo, one table per chain parameters: the scan hot path hashes
-#: the same probe owners against the same ``(salt, iterations)`` over and
-#: over (closest-encloser proofs re-hash the zone apex for every query).
-#: Bounded: tables are cleared, not grown, past the limits.
-_MEMO_PARAMS_LIMIT = 64
-_MEMO_OWNERS_LIMIT = 4096
-_digest_memo = {}
+#: Digest memo: the scan hot path hashes the same probe owners against
+#: the same ``(salt, iterations)`` over and over (closest-encloser proofs
+#: re-hash the zone apex for every query). Those repeats fall within one
+#: zone's or one resolver's queries, so a few thousand entries keep them.
+digest_memo = Memo("nsec3", 4096)
 
 
 def _compute_iterated_digest(owner_wire, salt, iterations):
@@ -48,18 +47,11 @@ def _iterated_digest(owner_wire, salt, iterations):
     # The meter charges full price even on a memo hit: the cost model
     # describes a resolver that recomputes per query (the CVE-2023-50868
     # exposure), while the memo only saves *our* host CPU.
-    table_key = (salt, iterations)
-    table = _digest_memo.get(table_key)
-    if table is None:
-        if len(_digest_memo) >= _MEMO_PARAMS_LIMIT:
-            _digest_memo.clear()
-        table = _digest_memo.setdefault(table_key, {})
-    digest = table.get(owner_wire)
+    key = (owner_wire, salt, iterations)
+    digest = digest_memo.get(key)
     if digest is None:
         digest = _compute_iterated_digest(owner_wire, salt, iterations)
-        if len(table) >= _MEMO_OWNERS_LIMIT:
-            table.clear()
-        table[owner_wire] = digest
+        digest_memo.put(key, digest)
     meter.charge_nsec3(iterations, len(owner_wire), len(salt))
     return digest
 

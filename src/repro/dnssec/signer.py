@@ -29,18 +29,12 @@ SIMULATION_NOW = 1_700_000_000
 def canonical_rrset_wire(rrset, original_ttl=None, owner=None):
     """The canonical ``RR(1)..RR(n)`` concatenation for signing.
 
-    Memoized on the RRset: a campaign validates the same RRset object
-    against many signatures (and many resolvers validate shared zone
-    data), so the sort-and-concatenate work is paid once per
-    ``(owner, TTL, rdata count)``. :meth:`RRset.add` invalidates; the
-    rdata count in the key covers direct ``rdatas`` edits.
+    Computed afresh on every call; a validator that needs it for several
+    keys or signatures keeps it for the one call
+    (:func:`repro.dnssec.validator._signed_payload`).
     """
     owner_wire = (owner or rrset.name).canonical_wire()
     ttl = rrset.ttl if original_ttl is None else original_ttl
-    memo_key = (owner_wire, ttl, len(rrset.rdatas))
-    cached = rrset.canonical_memo_get(memo_key)
-    if cached is not None:
-        return cached
     header_fixed = struct.pack(
         "!HHI", int(rrset.rrtype), int(rrset.rdclass), ttl
     )
@@ -48,9 +42,7 @@ def canonical_rrset_wire(rrset, original_ttl=None, owner=None):
     for rdata in sorted(rrset.rdatas, key=lambda r: r.canonical_wire()):
         body = rdata.canonical_wire()
         chunks.append(owner_wire + header_fixed + struct.pack("!H", len(body)) + body)
-    wire = b"".join(chunks)
-    rrset.canonical_memo_put(memo_key, wire)
-    return wire
+    return b"".join(chunks)
 
 
 def rrsig_signed_owner(rrsig, rrset):

@@ -26,6 +26,7 @@ from repro.dnssec.signer import (
     canonical_rrset_wire,
     rrsig_signed_owner,
 )
+from repro.memo import Memo
 
 
 class SecurityStatus(enum.Enum):
@@ -66,92 +67,52 @@ class ValidationContext:
         return self.trusted_keys.get(Name.from_text(zone))
 
 
-class VerificationMemo:
-    """A bounded memo of RRSIG verification outcomes.
-
-    Verification is a pure function of the signed data, the signature,
-    and the public key; the study re-verifies the very same RRSIGs
-    thousands of times across resolvers. The key is
-    ``(RRSIG_RDATA prefix, signature, sha256(canonical RRset wire),
-    DNSKEY wire)`` — a key rollover changes the DNSKEY component and an
-    RRset change the digest, so both force a real verification. Temporal
-    validity is checked by the callers *before* the memo is consulted,
-    and :meth:`repro.dnssec.costmodel.CostMeter.charge_verification` is
-    charged on hit and miss alike, so guard budgets and cost experiments
-    never see the memo. Bounded: the table is cleared, not grown, past
-    the limit (deterministic, like the NSEC3 digest memo).
-    """
-
-    __slots__ = ("limit", "entries", "hits", "misses", "evictions")
-
-    def __init__(self, limit=65536):
-        self.limit = limit
-        self.entries = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def clear(self):
-        self.entries.clear()
+#: RRSIG verification outcomes. Verification is a pure function of the
+#: signed data, the signature and the public key, and the study
+#: re-verifies the very same RRSIGs thousands of times across resolvers.
+#: The key is ``(RRSIG_RDATA prefix, signature, sha256(canonical RRset
+#: wire), DNSKEY wire)``: a key rollover changes the DNSKEY component and
+#: an RRset change the digest, so both force a real verification.
+#: Temporal validity is checked by the callers *before* the memo is
+#: consulted, and :meth:`repro.dnssec.costmodel.CostMeter.charge_verification`
+#: is charged on hit and miss alike, so guard budgets and cost
+#: experiments never see the memo.
+verification_memo = Memo("verify", 65536)
 
 
-#: The process-global verification memo (cleared by tests as needed).
-verification_memo = VerificationMemo()
-
-
-#: Resolved per-outcome memo/status counters for the validation hot path.
+#: Resolved per-status counters for the validation hot path.
 _VALIDATOR_CHILDREN = obs.ChildCache()
 
 
-def _count_memo(outcome):
-    key = ("memo", outcome)
-    child = _VALIDATOR_CHILDREN.get(obs.registry, key)
-    if child is None:
-        child = _VALIDATOR_CHILDREN.put(
-            key,
-            obs.registry.counter(
-                "repro_validator_memo_events_total",
-                "RRSIG verification memo events, by outcome.",
-                labelnames=("outcome",),
-            ).labels(outcome=outcome),
-        )
-    child.inc()
+def _signed_payload(payloads, rrset, rrsig):
+    """``(payload, sha256(payload))``: the canonical wire of *rrset* as
+    *rrsig* signed it, kept in *payloads* by ``(original TTL, signed
+    owner)`` for one validation call. Several RRSIGs over one RRset and
+    colliding key tags (KeyTrap's lever) must not re-serialise it for
+    every candidate key."""
+    owner = rrsig_signed_owner(rrsig, rrset)
+    key = (rrsig.original_ttl, owner)
+    signed = payloads.get(key)
+    if signed is None:
+        wire = canonical_rrset_wire(rrset, rrsig.original_ttl, owner=owner)
+        signed = payloads[key] = (wire, hashlib.sha256(wire).digest())
+    return signed
 
 
-def _rrsig_verifies(rrsig, rrset, dnskey):
-    """One metered signature verification, through the bounded memo.
+def _rrsig_verifies(rrsig, dnskey, payload, digest):
+    """One metered signature verification over *payload* (the canonical
+    RRset wire, with its sha256 *digest*), through the bounded memo.
 
     The caller has already charged the meter; this only decides whether
     the bignum math actually runs.
     """
-    memo = verification_memo
-    payload = canonical_rrset_wire(
-        rrset, rrsig.original_ttl, owner=rrsig_signed_owner(rrsig, rrset)
-    )
-    key = (
-        rrsig.rdata_prefix(),
-        rrsig.signature,
-        hashlib.sha256(payload).digest(),
-        dnskey.to_wire(),
-    )
-    cached = memo.entries.get(key)
-    if cached is not None:
-        memo.hits += 1
-        if obs.enabled:
-            _count_memo("hit")
-        return cached
-    memo.misses += 1
-    result = verify_signature(
-        dnskey, rrsig.rdata_prefix() + payload, rrsig.signature
-    )
-    if len(memo.entries) >= memo.limit:
-        memo.clear()
-        memo.evictions += 1
-        if obs.enabled:
-            _count_memo("eviction")
-    memo.entries[key] = result
-    if obs.enabled:
-        _count_memo("miss")
+    key = (rrsig.rdata_prefix(), rrsig.signature, digest, dnskey.to_wire())
+    result = verification_memo.get(key)
+    if result is None:
+        result = verify_signature(
+            dnskey, rrsig.rdata_prefix() + payload, rrsig.signature
+        )
+        verification_memo.put(key, result)
     return result
 
 
@@ -218,6 +179,7 @@ def _validate_rrset(rrset, rrsig_rrset, dnskey_rrset, now):
             f"no RRSIG covers type {RdataType.to_text(rrset.rrtype)}",
         )
     last_reason = "no signature verified"
+    payloads = {}
     for rrsig in relevant:
         if not rrset.name.is_subdomain_of(rrsig.signer):
             last_reason = "signer is not an ancestor of the owner name"
@@ -236,7 +198,9 @@ def _validate_rrset(rrset, rrsig_rrset, dnskey_rrset, now):
             continue
         for dnskey in _candidate_keys(dnskey_rrset, rrsig):
             meter.charge_verification()
-            if _rrsig_verifies(rrsig, rrset, dnskey):
+            if _rrsig_verifies(
+                rrsig, dnskey, *_signed_payload(payloads, rrset, rrsig)
+            ):
                 return ValidationResult(SecurityStatus.SECURE, rrsig=rrsig)
         last_reason = "signature did not verify under any candidate key"
     return ValidationResult(SecurityStatus.BOGUS, last_reason)
@@ -271,6 +235,7 @@ def _validate_self_signature(dnskey_rrset, dnskey_rrsigs, anchor_key, now):
         return ValidationResult(
             SecurityStatus.INDETERMINATE, "DNSKEY RRset carries no RRSIGs"
         )
+    payloads = {}
     for rrsig in dnskey_rrsigs:
         if rrsig.type_covered != int(RdataType.DNSKEY):
             continue
@@ -279,7 +244,9 @@ def _validate_self_signature(dnskey_rrset, dnskey_rrsigs, anchor_key, now):
         if not rrsig.is_valid_at(now):
             continue
         meter.charge_verification()
-        if _rrsig_verifies(rrsig, dnskey_rrset, anchor_key):
+        if _rrsig_verifies(
+            rrsig, anchor_key, *_signed_payload(payloads, dnskey_rrset, rrsig)
+        ):
             return ValidationResult(SecurityStatus.SECURE, rrsig=rrsig)
     return ValidationResult(
         SecurityStatus.BOGUS, "DNSKEY RRset not signed by the DS-matched key"

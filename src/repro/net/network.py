@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, fields
 
 from repro import obs
+from repro.memo import Memo
 from repro.net.address import is_ipv6, normalize
 from repro.net.faults import FaultContext
 from repro.net.sim import SimKernel
@@ -24,10 +25,6 @@ PUBLIC = "public"
 
 #: Resolved per-transport metric children for the exchange hot path.
 _EXCHANGE_CHILDREN = obs.ChildCache()
-
-#: Cap on a network's address-spelling table; cleared outright when
-#: reached — same policy as the other memo tables.
-_ADDRESS_TABLE_LIMIT = 65536
 
 
 class Host:
@@ -78,7 +75,7 @@ class Network:
         self._network_of = {}
         #: address spelling -> canonical text, so a datagram between
         #: known endpoints costs two dict hits instead of two parses.
-        self._canonical = {}
+        self._canonical = Memo("addresses", 65536)
         self._rng = random.Random(seed)
         self.loss_rate = loss_rate
         self.base_latency_ms = base_latency_ms
@@ -114,9 +111,7 @@ class Network:
         known = self._canonical.get(ip)
         if known is None:
             known = normalize(ip)
-            if len(self._canonical) >= _ADDRESS_TABLE_LIMIT:
-                self._canonical.clear()
-            self._canonical[ip] = known
+            self._canonical.put(ip, known)
         return known
 
     def attach(self, ip, host, network_id=PUBLIC):

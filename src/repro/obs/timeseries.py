@@ -61,10 +61,13 @@ def family_sum(registry, name, **labels):
 
 
 def _cache_hit_rate(registry):
-    hits = family_sum(registry, "repro_cache_lookups_total", result="hit")
-    misses = family_sum(
-        registry, "repro_cache_lookups_total", result="miss"
-    ) + family_sum(registry, "repro_cache_lookups_total", result="expired")
+    """The resolver verdict cache's hit rate (an expired entry is a miss)."""
+    hits, misses = (
+        family_sum(
+            registry, "repro_cache_events_total", cache="resolver", event=event
+        )
+        for event in ("hit", "miss")
+    )
     total = hits + misses
     return hits / total if total else 0.0
 

@@ -38,12 +38,6 @@ class StubClient:
     clients.
     """
 
-    #: Query-template cache bound: campaign re-asks (target retries,
-    #: requeue passes) reuse the built+encoded message instead of
-    #: re-running make_query; survey probes use unique cache-busting
-    #: qnames, so the table is cleared rather than grown when full.
-    TEMPLATE_CACHE_LIMIT = 512
-
     def __init__(
         self,
         network,
@@ -62,30 +56,6 @@ class StubClient:
             breaker=breaker,
         )
         self.source_ip = source_ip
-        self._templates = {}
-
-    def _query_for(self, qname, qtype, want_dnssec, set_rd, checking_disabled):
-        """The (cached) query message; its id is fresh on every call."""
-        key = (
-            str(qname),
-            int(qtype),
-            bool(want_dnssec),
-            bool(set_rd),
-            bool(checking_disabled),
-        )
-        query = self._templates.get(key)
-        if query is None:
-            query = make_query(
-                qname, qtype, want_dnssec=want_dnssec, recursion_desired=set_rd
-            )
-            if checking_disabled:
-                query.set_flag(Flag.CD)
-            query.encode()  # warm the wire memo before the hot path
-            if len(self._templates) >= self.TEMPLATE_CACHE_LIMIT:
-                self._templates.clear()
-            self._templates[key] = query
-            return query
-        return query.refresh_id()
 
     def ask(
         self,
@@ -97,7 +67,11 @@ class StubClient:
         checking_disabled=False,
     ):
         """Send one recursive query to *resolver_ip* and summarise the reply."""
-        query = self._query_for(qname, qtype, want_dnssec, set_rd, checking_disabled)
+        query = make_query(
+            qname, qtype, want_dnssec=want_dnssec, recursion_desired=set_rd
+        )
+        if checking_disabled:
+            query.set_flag(Flag.CD)
         try:
             response = self.transport.query(resolver_ip, query)
         except QueryFailure:

@@ -27,7 +27,7 @@ from repro.dns.edns import (
 from repro.dns.flags import Flag
 from repro.dns.message import Message, make_response
 from repro.dns.name import Name, root
-from repro.dns.packed import MAX_CACHEABLE_QUERY, PackedAnswerCache
+from repro.dns.packed import MAX_CACHEABLE_QUERY, packed_memo
 from repro.dns.rcode import Rcode
 from repro.dns.types import Opcode, RdataType
 from repro.dns.wire import WireError
@@ -190,7 +190,7 @@ class ValidatingResolver(Host):
         #: Per-ceiling abort counts (kind -> n), kept even with obs off.
         self.guard_events = {}
         #: Replies to repeat questions, for :meth:`packed_answer`.
-        self.packets = PackedAnswerCache("packet")
+        self.packets = packed_memo("packet")
 
     def forget(self):
         """Empty the verdict and zone-cut cache, the packet cache and the
@@ -273,25 +273,22 @@ class ValidatingResolver(Host):
         by :meth:`handle_datagram`, the verdict cache's current entry
         (which must be the one the reply was built from) and the
         committed sim clock (which must not have passed its expiry). It
-        mutates nothing but the packet cache's hit counter. A hit skips
-        the guard and the cost meter, which a verdict-cache hit does not
-        charge either, and also the admission controller, which
+        mutates nothing but the packet cache's hit and miss counters. A
+        hit skips the guard and the cost meter, which a verdict-cache hit
+        does not charge either, and also the admission controller, which
         :meth:`handle_datagram` does charge for every RD query: hot
         repeats are no longer subject to sim-clock admission shedding.
         """
         if len(wire) > MAX_CACHEABLE_QUERY:
             return None
-        packed = self.packets.get((bytes(wire[2:]), via_tcp))
-        if packed is None:
-            return None
-        entry = packed.entry
-        if (
-            self.cache.peek(packed.key) is not entry
-            or entry.expires_ms <= self.network.kernel.now
-        ):
-            return None
-        self.packets.hits += 1
-        return bytes(wire[:2]) + packed.tail
+        packed = self.packets.peek((bytes(wire[2:]), via_tcp))
+        live = (
+            packed is not None
+            and self.cache.peek(packed.key) is packed.entry
+            and packed.entry.expires_ms > self.network.kernel.now
+        )
+        self.packets.count(live)
+        return bytes(wire[:2]) + packed.tail if live else None
 
     def shed_datagram(self, wire, via_tcp=False):
         """A complete wire reply for one shed arrival, without resolving.

@@ -12,7 +12,7 @@ from repro import obs
 from repro.dns.flags import Flag
 from repro.dns.message import Message, make_response
 from repro.dns.name import Name
-from repro.dns.packed import MAX_CACHEABLE_QUERY, PackedAnswerCache
+from repro.dns.packed import MAX_CACHEABLE_QUERY, packed_memo
 from repro.dns.rcode import Rcode
 from repro.dns.rrset import RRset
 from repro.dns.types import Opcode, RdataType
@@ -72,7 +72,7 @@ class AuthoritativeServer(Host):
     def __init__(self, name="auth"):
         self.name = name
         self.zones = {}
-        self.answer_cache = PackedAnswerCache("auth")
+        self.answer_cache = packed_memo("auth")
         #: Longest-prefix index over zone origins (canonical label keys).
         self._zone_index = {}
         #: Optional hook: called with a qname that matched no hosted
@@ -140,7 +140,7 @@ class AuthoritativeServer(Host):
             # so a hit needs no decode. Nothing is stored without a
             # successful decode, so unparseable bytes can never hit.
             cache_key = (bytes(wire[2:]), via_tcp)
-            entry = self.answer_cache.get(cache_key)
+            entry = self.answer_cache.peek(cache_key)
             if entry is not None:
                 return self._serve_cached(bytes(wire[:2]), entry)
         try:
@@ -150,9 +150,7 @@ class AuthoritativeServer(Host):
         if cache_key is not None and not self._cacheable(query):
             cache_key = None
         if cache_key is not None:
-            self.answer_cache.misses += 1
-            if obs.enabled:
-                self.answer_cache.count("miss")
+            self.answer_cache.count(False)
             recorder_charges = []
             previous_recorder = meter.recorder
             meter.recorder = recorder_charges
@@ -211,11 +209,10 @@ class AuthoritativeServer(Host):
 
     def _serve_cached(self, id_bytes, entry):
         """Re-charge the cost model and splice the query id in."""
-        self.answer_cache.hits += 1
+        self.answer_cache.count(True)
         if not obs.enabled:
             meter.replay(entry.charges)
         else:
-            self.answer_cache.count("hit")
             if obs.tracing:
                 with obs.span(
                     "auth.query", server=self.name, qname=entry.qname.to_text()

@@ -291,6 +291,11 @@ class LazyZoneHost:
     deterministically if queried again, so cached packed answers stay
     valid across evictions (eviction therefore does **not** invalidate
     answer caches).
+
+    The FIFO is a residency set, not a :class:`~repro.memo.Memo`: each
+    eviction must call the hosting server's ``evict_zone`` for that one
+    zone, and clearing every zone at once would rebuild the zones a scan
+    is still asking about.
     """
 
     def __init__(self, population, ns_rdata, seed, pool, limit=256):

@@ -159,41 +159,7 @@ def test_admission_controller_interval_accounting():
     assert admission.shed == 1
 
 
-# -- cache eviction -----------------------------------------------------------
-
-
-def test_cache_evicts_soonest_expiring_when_full():
-    clock = FakeClock()
-    cache = Cache(clock=clock, max_entries=3)
-    cache.put("a", 1, ttl_seconds=10)
-    cache.put("b", 2, ttl_seconds=5)
-    cache.put("c", 3, ttl_seconds=20)
-    cache.put("d", 4, ttl_seconds=30)
-    assert cache.get("b") is None
-    assert cache.get("a").value == 1
-    assert cache.get("d").value == 4
-    assert cache.evictions == 1
-
-
-def test_cache_eviction_tie_breaks_by_insertion_order():
-    cache = Cache(clock=FakeClock(), max_entries=3)
-    for key in ("first", "second", "third"):
-        cache.put(key, key, ttl_seconds=10)
-    cache.put("fourth", "fourth", ttl_seconds=10)
-    assert cache.get("first") is None
-    assert cache.get("second").value == "second"
-
-
-def test_cache_prefers_dropping_expired_entries():
-    clock = FakeClock()
-    cache = Cache(clock=clock, max_entries=2)
-    cache.put("dead", 1, ttl_seconds=1)
-    cache.put("live", 2, ttl_seconds=60)
-    clock.now = 5_000.0
-    cache.put("new", 3, ttl_seconds=60)
-    assert cache.get("live").value == 2
-    assert cache.get("new").value == 3
-    assert cache.evictions == 1
+# -- serve-stale reads -------------------------------------------------------
 
 
 def test_cache_peek_returns_expired_entries():

@@ -154,11 +154,9 @@ class TestCanonicalAddresses:
                 net.host_at("")
         assert net.stats.datagrams == 0
 
-    def test_spelling_table_is_bounded(self, monkeypatch):
-        from repro.net import network
-
-        monkeypatch.setattr(network, "_ADDRESS_TABLE_LIMIT", 8)
+    def test_spelling_table_is_bounded(self):
         net = Network()
+        net._canonical.limit = 8
         net.attach("192.0.2.1", Echo())
         wire = make_query("x.test", 1).to_wire()
         for index in range(40):

@@ -241,11 +241,14 @@ class TestDisabledPath:
     def test_enable_disable_toggle(self):
         obs.enable()
         nsec3_hash(b"\x07example\x03com\x00", b"", 150)
-        assert obs.registry.sample_count() == 1
+        # The iteration histogram and the digest memo's hit or miss.
+        assert obs.registry.sample_count() == 2
         obs.disable()
         nsec3_hash(b"\x07example\x03com\x00", b"", 150)
         family = obs.registry.get("repro_nsec3_iterations")
         assert family.labels().count == 1  # second hash left no trace
+        memo = obs.registry.get("repro_cache_events_total")
+        assert sum(child.value for __, child in memo.samples()) == 1
 
     def test_metrics_without_spans(self):
         obs.enable()  # tracing stays off

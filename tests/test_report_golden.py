@@ -59,15 +59,15 @@ def test_cli_stdout_matches_pinned_digest(case, concurrency, tmp_path):
         # answer-cache key became the raw query bytes (2332 hits of 4825
         # lookups; the RRSIG memo hits 3823 of 4109).
         metrics = json.loads(metrics_path.read_text())
-        assert _hit_ratio(metrics["repro_validator_memo_events_total"]) >= 0.5
-        answers = metrics["repro_answer_cache_events_total"]
-        assert _hit_ratio(answers, cache="auth") >= 0.483
+        caches = metrics["repro_cache_events_total"]
+        assert _hit_ratio(caches, cache="verify") >= 0.5
+        assert _hit_ratio(caches, cache="auth") >= 0.483
 
 
 def _hit_ratio(family, **labels):
-    outcomes = {
-        s["labels"]["outcome"]: s["value"]
+    events = {
+        s["labels"]["event"]: s["value"]
         for s in family["samples"]
         if labels.items() <= s["labels"].items()
     }
-    return outcomes["hit"] / (outcomes["hit"] + outcomes["miss"])
+    return events["hit"] / (events["hit"] + events["miss"])

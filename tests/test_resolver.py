@@ -398,7 +398,7 @@ class TestDelegationRetention:
         assert len(names) == 200
         entries = [
             entry
-            for key, entry in resolver.cache._store.items()
+            for key, entry in resolver.cache.entries.items()
             if key[0] == "delegation"
         ]
         assert len(entries) > 200  # every SLD's cut, plus the TLDs'

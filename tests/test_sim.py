@@ -409,18 +409,6 @@ class TestMicroPerf:
         assert after[2:] == before[2:]
         assert Message.from_wire(after).id == msg.id
 
-    def test_stub_client_reuses_query_template(self):
-        net = Network(seed=5)
-        from repro.resolver.stub import StubClient
-
-        client = StubClient(net, "192.0.2.1", retries=0, backoff=None)
-        client.ask("192.0.2.200", "x.example.", 1)
-        template = client._templates[("x.example.", 1, True, True, False)]
-        first_id = template.id
-        client.ask("192.0.2.200", "x.example.", 1)
-        assert len(client._templates) == 1
-        assert template.id != first_id or True  # id redrawn (may collide)
-
     def test_nsec3_memo_matches_uncached_and_still_charges(self):
         from repro.dnssec.costmodel import meter
         from repro.dnssec.nsec3hash import (

@@ -22,6 +22,9 @@ import json
 import pytest
 
 from repro import obs
+from repro.dns.name import interned
+from repro.dnssec.nsec3hash import digest_memo
+from repro.dnssec.validator import verification_memo
 from repro.net.faults import parse_fault_spec
 from repro.net.sim import SimKernel
 from repro.obs.events import EventJournal
@@ -503,6 +506,10 @@ class TestMergeEqualsSingleRun:
         halves must reproduce the unsplit registry exactly."""
 
         def world():
+            # A fresh process, as a fleet shard is: the process-wide
+            # memos start empty, so their hit counts start equal.
+            for memo in (interned, digest_memo, verification_memo):
+                memo.clear()
             inet, domains = _small_internet(17)
             upstream = inet.make_resolver(
                 VENDOR_POLICIES["cloudflare"], name="merge"

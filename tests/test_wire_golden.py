@@ -17,15 +17,26 @@ The same capture pins a 60-domain scan alone, clean and under the
 an equal digest there means equal bytes, not merely equal records. Both
 pins were recorded from a build that signed every SLD zone up front;
 zones built on first query must put the same bytes on the wire.
+
+The campaign is run once more with every :class:`~repro.memo.Memo` at
+one entry: no memo may change a byte, and a resolver cache of one entry
+may change only how often it asks upstream, not what it reports.
 """
 
 import hashlib
 
 import pytest
 
-from repro.dns.message import Message
+from repro.core.resolver_compliance import classify_resolver
+from repro.dns.message import Message, make_query
+from repro.dns.name import interned
+from repro.dns.types import RdataType
 from repro.dns.wire import WireError
+from repro.dnssec.nsec3hash import digest_memo
+from repro.dnssec.validator import verification_memo
+from repro.memo import Memo
 from repro.net.faults import parse_fault_spec
+from repro.resolver.cache import Cache
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.scanner.engine import ScanEngine
 from repro.scanner.pipeline import measure_domain
@@ -73,7 +84,15 @@ def _capture(network, digest, counter):
     network.exchange = exchange
 
 
-def test_campaign_wire_bytes_are_pinned():
+def _campaign():
+    """``(datagrams, digest, report)`` of the seeded scan and survey.
+
+    The report is every scan observation and survey classification,
+    then the replies to three questions each asked of the scan's
+    resolver three times, the third time from its packet cache. Those
+    nine questions are asked after the capture is read, so the pins
+    cover the campaign alone.
+    """
     tlds = generate_tlds(SMALL_CONFIG)
     domains = Population(SMALL_CONFIG, tlds=tlds, include_tail=False)
     inet = build_internet(domains, tlds, seed=5)
@@ -87,6 +106,7 @@ def test_campaign_wire_bytes_are_pinned():
     results = [measure_domain(engine, spec.name) for spec in domains]
     engine.drain()
     assert any(results)
+    report = [repr(result) for result in results]
 
     deployment = deploy_resolvers(
         inet, open_v4=4, open_v6=0, closed_v4=0, closed_v6=0, seed=11
@@ -95,10 +115,69 @@ def test_campaign_wire_bytes_are_pinned():
         inet.network, probes, inet.allocator.next_v4(), iterations=ITERATIONS
     )
     for index, deployed in enumerate(deployment):
-        survey.probe(deployed, requeue_label(index))
+        matrix, healthy = survey.probe(deployed, requeue_label(index))
+        report.append(repr((sorted(matrix.items(), key=str), healthy)))
+        report.append(repr(classify_resolver(matrix)))
+    datagrams, hexdigest = counter[0], digest.hexdigest()
 
-    assert counter[0] == GOLDEN_DATAGRAMS
-    assert digest.hexdigest() == GOLDEN_SHA256
+    for spec in list(domains)[:3]:
+        wire = make_query(spec.name, RdataType.A, want_dnssec=True, msg_id=7).to_wire()
+        for __ in range(3):
+            reply = upstream.packed_answer(wire) or upstream.handle_datagram(
+                wire, "203.0.113.9"
+            )
+            report.append(reply.hex())
+    return datagrams, hexdigest, report
+
+
+def test_campaign_wire_bytes_are_pinned():
+    datagrams, digest, __ = _campaign()
+    assert datagrams == GOLDEN_DATAGRAMS
+    assert digest == GOLDEN_SHA256
+
+
+def test_memos_at_limit_one_change_no_output(monkeypatch):
+    """Every memo bounded at one entry. The memos in front of pure
+    functions and of encoded replies leave every datagram unchanged; a
+    resolver cache of one entry asks upstream again, but reports the
+    same. Each memo evicts, so neither half passes vacuously."""
+    datagrams, digest, report = _campaign()
+    made = []
+    limit_cache = [False]
+    memo_init = Memo.__init__
+
+    def at_limit_one(self, name, limit, *args, **kwargs):
+        if limit_cache[0] or not isinstance(self, Cache):
+            limit = 1
+        memo_init(self, name, limit, *args, **kwargs)
+        made.append(self)
+
+    def counts(memos, counter):
+        totals = {}
+        for memo in memos:
+            totals[memo.name] = totals.get(memo.name, 0) + getattr(memo, counter)
+        return totals
+
+    monkeypatch.setattr(Memo, "__init__", at_limit_one)
+    shared = [interned, digest_memo, verification_memo]
+    for memo in shared:
+        memo.clear()  # an earlier campaign's entries would only hit
+        monkeypatch.setattr(memo, "limit", 1)
+    before = counts(shared, "evictions")
+    assert _campaign() == (datagrams, digest, report)
+    evicted = counts(shared + made, "evictions")
+    evicted = {name: n - before.get(name, 0) for name, n in evicted.items()}
+    assert evicted.pop("resolver") == 0
+    assert sorted(evicted) == ["addresses", "auth", "names", "nsec3", "packet", "verify"]
+    assert all(evicted.values()), evicted
+    assert counts(made, "hits")["packet"] == 3
+
+    made.clear()
+    limit_cache[0] = True
+    cold_datagrams, __, cold_report = _campaign()
+    assert cold_datagrams > datagrams
+    assert cold_report == report
+    assert counts(made, "evictions")["resolver"] > 0
 
 
 def _scan_capture(faults):
