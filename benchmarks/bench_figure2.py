@@ -6,9 +6,9 @@ domains are more compliant overall than the full population (22.8 % vs
 12.2 % zero-iteration; 23.6 % vs 8.6 % saltless).
 """
 
-from repro.analysis.figures import figure1_series, figure2_series
+from repro.analysis.figures import Figure1Accumulator, figure2_series
 
-from benchmarks.conftest import TRANCO_SIZE
+from benchmarks.conftest import TRANCO_SIZE, fold
 
 
 def test_figure2(benchmark, bench_internet, domain_scan):
@@ -27,7 +27,7 @@ def test_figure2(benchmark, bench_internet, domain_scan):
         if counts["ranked_nsec3"]
         else 0.0
     )
-    overall = figure1_series(results)
+    overall = fold(Figure1Accumulator, results).figure()
     overall_zero_pct = 100.0 * overall.iterations_cdf.fraction_at_or_below(0)
     print(f"\nranked NSEC3 domains: {counts['ranked_nsec3']}")
     print(

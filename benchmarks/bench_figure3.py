@@ -5,7 +5,9 @@ SERVFAIL share jumps after 150 and stays flat; the same shape across all
 four (open/closed × IPv4/IPv6) categories.
 """
 
-from repro.analysis.figures import figure3_series
+from repro.analysis.figures import Figure3Accumulator
+
+from benchmarks.conftest import fold
 
 GRID = (1, 10, 25, 50, 51, 100, 101, 150, 151, 200, 300, 400, 500)
 
@@ -25,9 +27,9 @@ def _entries_for(survey, access, family):
 def test_figure3(benchmark, resolver_survey):
     def build_all():
         return {
-            (access, family): figure3_series(
-                _entries_for(resolver_survey, access, family), title
-            )
+            (access, family): fold(
+                Figure3Accumulator, _entries_for(resolver_survey, access, family)
+            ).figure(title)
             for access, family, title in CATEGORIES
         }
 

@@ -9,13 +9,15 @@ saltless, 85.4 % opt-out.
 
 from collections import Counter
 
-from repro.analysis.stats import domain_headline_stats
+from repro.analysis.stats import DomainHeadlineAccumulator
+
+from benchmarks.conftest import fold
 
 
 def test_headline_domains(benchmark, bench_internet, domain_scan):
     results = domain_scan["results"]
     total = len(bench_internet["domains"])
-    headline = benchmark(domain_headline_stats, results, total)
+    headline = benchmark(fold, DomainHeadlineAccumulator, results).headline(total)
 
     print("\n=== §5.1 headline: registered domains (paper vs measured) ===")
     for label, paper, measured in headline.rows():

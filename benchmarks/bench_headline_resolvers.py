@@ -9,12 +9,14 @@ Item 6 (insecure above a limit); 18.4 % implement Item 8 (SERVFAIL);
 
 from collections import Counter
 
-from repro.analysis.stats import resolver_headline_stats
+from repro.analysis.stats import ResolverHeadlineAccumulator
+
+from benchmarks.conftest import fold
 
 
 def test_headline_resolvers(benchmark, resolver_survey):
     classifications = [entry.classification for entry in resolver_survey["all"]]
-    headline = benchmark(resolver_headline_stats, classifications)
+    headline = benchmark(fold, ResolverHeadlineAccumulator, classifications).headline()
 
     print("\n=== §5.2 headline: validating resolvers (paper vs measured) ===")
     for label, paper, measured in headline.rows():

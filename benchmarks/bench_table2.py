@@ -8,7 +8,9 @@ Paper values (of 15.5 M NSEC3-enabled domains):
     Hostnet 1.5 % @ 1/4,0/0; Hostpoint 1.3 % @ 1/40.
 """
 
-from repro.analysis.tables import format_operator_table, operator_table
+from repro.analysis.tables import OperatorTableAccumulator, format_operator_table
+
+from benchmarks.conftest import fold
 
 PAPER_SHARES = {
     "squarespacedns.com": 39.4,
@@ -26,7 +28,7 @@ PAPER_SHARES = {
 
 def test_table2(benchmark, domain_scan):
     results = domain_scan["results"]
-    rows = benchmark(operator_table, results)
+    rows = benchmark(fold, OperatorTableAccumulator, results).rows()
 
     print("\n=== Table 2: top authoritative operators (measured) ===")
     print(format_operator_table(rows))

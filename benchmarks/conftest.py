@@ -50,6 +50,15 @@ RESOLVER_COUNTS = dict(open_v4=110, open_v6=25, closed_v4=25, closed_v6=15)
 _METRICS_SNAPSHOT = os.environ.get("REPRO_BENCH_METRICS", "")
 
 
+def fold(accumulator_class, records):
+    """A fresh *accumulator_class* with every record folded in, in order,
+    as :class:`repro.core.report.StudyAggregates` folds a campaign."""
+    accumulator = accumulator_class()
+    for record in records:
+        accumulator.update(record)
+    return accumulator
+
+
 @pytest.fixture(scope="session", autouse=True)
 def bench_metrics_snapshot():
     if not _METRICS_SNAPSHOT:

@@ -14,8 +14,8 @@ import sys
 import time
 from collections import Counter
 
-from repro.analysis.figures import figure3_series
-from repro.analysis.stats import resolver_headline_stats
+from repro.analysis.figures import Figure3Accumulator
+from repro.analysis.stats import ResolverHeadlineAccumulator
 from repro.core.resolver_compliance import classify_resolver
 from repro.scanner.atlas import AtlasCampaign
 from repro.scanner.resolver_scan import ResolverSurvey, SurveyEntry, requeue_label
@@ -77,11 +77,11 @@ def main(open_v4=60):
         f"({len(probes.all_probe_keys())} zones each)"
     )
 
-    headline = resolver_headline_stats(
-        [e.classification for e in open_entries + closed_entries]
-    )
+    headline = ResolverHeadlineAccumulator()
+    for entry in open_entries + closed_entries:
+        headline.update(entry.classification)
     print("\n=== §5.2 headline numbers (paper vs this run) ===")
-    for label, paper, measured in headline.rows():
+    for label, paper, measured in headline.headline().rows():
         print(f"  {label:40s} paper={paper:>6}  measured={measured}")
 
     for access, family, title in (
@@ -91,8 +91,11 @@ def main(open_v4=60):
         ("closed", "v6", "(d) Closed, IPv6"),
     ):
         pool = open_entries if access == "open" else closed_entries
-        entries = [e for e in pool if e.resolver.family == family]
-        fig = figure3_series(entries, title)
+        figure3 = Figure3Accumulator()
+        for entry in pool:
+            if entry.resolver.family == family:
+                figure3.update(entry)
+        fig = figure3.figure(title)
         print(f"\n=== Figure 3 {title}: {fig.validators} validators ===")
         print(f"{'it-N':>6s} {'NXDOMAIN%':>10s} {'AD+NX%':>8s} {'SERVFAIL%':>10s}")
         for count in (1, 25, 50, 51, 100, 101, 150, 151, 300, 500):

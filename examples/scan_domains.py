@@ -13,9 +13,9 @@ Usage:  python examples/scan_domains.py [n_domains]
 import sys
 import time
 
-from repro.analysis.figures import figure1_series
-from repro.analysis.stats import domain_headline_stats
-from repro.analysis.tables import format_operator_table, operator_table
+from repro.analysis.figures import Figure1Accumulator
+from repro.analysis.stats import DomainHeadlineAccumulator
+from repro.analysis.tables import OperatorTableAccumulator, format_operator_table
 from repro.resolver.policy import VENDOR_POLICIES
 from repro.scanner.dnskey_scan import dnssec_enabled
 from repro.scanner.engine import ScanEngine
@@ -66,19 +66,27 @@ def main(n_domains=800):
         f"resolver cache hit rate {upstream.cache.hit_rate:.2f}"
     )
 
-    headline = domain_headline_stats(results, total_domains=len(domains))
+    # Each §5 artifact is an accumulator folded one result at a time, as
+    # the `study` command folds them while it scans.
+    headline = DomainHeadlineAccumulator()
+    figure1 = Figure1Accumulator()
+    operators = OperatorTableAccumulator()
+    for result in results:
+        for accumulator in (headline, figure1, operators):
+            accumulator.update(result)
+
     print("\n=== §5.1 headline numbers (paper vs this run) ===")
-    for label, paper, measured in headline.rows():
+    for label, paper, measured in headline.headline(len(domains)).rows():
         print(f"  {label:42s} paper={paper:>6}  measured={measured}")
 
-    fig = figure1_series(results)
+    fig = figure1.figure()
     print("\n=== Figure 1: CDF rows ===")
     print(f"{'x':>5s} {'iterations ≤ x (%)':>20s} {'salt ≤ x bytes (%)':>20s}")
     for x, it_pct, salt_pct in fig.rows((0, 1, 5, 10, 25, 50, 150, 500)):
         print(f"{x:5d} {it_pct:20.1f} {salt_pct:20.1f}")
 
     print("\n=== Table 2: operator breakdown ===")
-    print(format_operator_table(operator_table(results)))
+    print(format_operator_table(operators.rows()))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Figure regeneration: the data series behind the paper's Figures 1–3.
 
-Figures 1 and 3 exist in two equivalent forms: the original
-list-at-once functions and ``update(record)``-style accumulators
-(:class:`Figure1Accumulator`, :class:`Figure3Accumulator`) folding
-results as they arrive with memory bounded by the number of *distinct*
-x-axis values, not the number of samples. The list forms are thin
-wrappers over the accumulators.
+Figures 1 and 3 are ``update(record)`` accumulators
+(:class:`Figure1Accumulator`, :class:`Figure3Accumulator`) that fold
+results as they arrive, with memory bounded by the number of *distinct*
+x-axis values, not the number of samples. The study report folds them
+in :class:`repro.core.report.StudyAggregates`. Figure 2 needs the
+synthetic Tranco ranking (:mod:`repro.testbed.tranco`), which no
+campaign builds, so :func:`figure2_series` reads a list of results.
 """
 
 from __future__ import annotations
@@ -13,15 +14,15 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.analysis.cdf import Cdf, StreamingCdf
+from repro.analysis.cdf import StreamingCdf
 
 
 @dataclass
 class Figure1:
     """CDFs of additional iterations and salt length (Figure 1)."""
 
-    iterations_cdf: object
-    salt_length_cdf: object
+    iterations_cdf: StreamingCdf
+    salt_length_cdf: StreamingCdf
 
     def rows(self, xs=(0, 1, 2, 5, 8, 10, 16, 25, 50, 100, 150, 500)):
         """(x, %domains with iterations ≤ x, %domains with salt ≤ x B)."""
@@ -53,24 +54,16 @@ class Figure1Accumulator:
         return Figure1(self.iterations, self.salt_lengths)
 
 
-def figure1_series(scan_results):
-    """Figure 1 from stage-2 scan results (NSEC3-enabled domains only)."""
-    accumulator = Figure1Accumulator()
-    for result in scan_results:
-        accumulator.update(result)
-    return accumulator.figure()
-
-
 @dataclass
 class Figure2:
     """CDFs over popularity ranks (Figure 2)."""
 
     #: Ranks of all NSEC3-enabled ranked domains.
-    nsec3_rank_cdf: Cdf
+    nsec3_rank_cdf: StreamingCdf
     #: Ranks of NSEC3-enabled ranked domains with zero iterations.
-    zero_it_rank_cdf: Cdf
+    zero_it_rank_cdf: StreamingCdf
     #: Ranks of NSEC3-enabled ranked domains without salt.
-    no_salt_rank_cdf: Cdf
+    no_salt_rank_cdf: StreamingCdf
     list_size: int
     counts: dict
 
@@ -97,7 +90,7 @@ def figure2_series(scan_results, specs, list_size):
     name); *list_size* is the ranking's length.
     """
     rank_of = {spec.name: spec.tranco_rank for spec in specs if spec.tranco_rank}
-    nsec3_ranks, zero_ranks, nosalt_ranks = [], [], []
+    nsec3_ranks, zero_ranks, nosalt_ranks = StreamingCdf(), StreamingCdf(), StreamingCdf()
     ranked_dnssec = 0
     for result in scan_results:
         rank = rank_of.get(result.domain)
@@ -106,21 +99,18 @@ def figure2_series(scan_results, specs, list_size):
         ranked_dnssec += 1
         if not result.nsec3_enabled:
             continue
-        nsec3_ranks.append(rank)
+        nsec3_ranks.update(rank)
         if result.report.iterations == 0:
-            zero_ranks.append(rank)
+            zero_ranks.update(rank)
         if result.report.salt_length == 0:
-            nosalt_ranks.append(rank)
+            nosalt_ranks.update(rank)
     counts = {
         "ranked_dnssec": ranked_dnssec,
         "ranked_nsec3": len(nsec3_ranks),
         "zero_iterations": len(zero_ranks),
         "no_salt": len(nosalt_ranks),
-        "both": 0,
     }
-    return Figure2(
-        Cdf(nsec3_ranks), Cdf(zero_ranks), Cdf(nosalt_ranks), list_size, counts
-    )
+    return Figure2(nsec3_ranks, zero_ranks, nosalt_ranks, list_size, counts)
 
 
 @dataclass
@@ -179,15 +169,3 @@ class Figure3Accumulator:
                 series[count] = (0.0, 0.0, 0.0)
         return Figure3Category(category=category, validators=total, series=series)
 
-
-def figure3_series(entries, category):
-    """Build one Figure 3 subfigure from survey entries.
-
-    *entries* are :class:`repro.scanner.resolver_scan.SurveyEntry` for one
-    (open/closed, v4/v6) category; only validating resolvers contribute,
-    as in the paper.
-    """
-    accumulator = Figure3Accumulator()
-    for entry in entries:
-        accumulator.update(entry)
-    return accumulator.figure(category)

@@ -1,19 +1,14 @@
 """Headline statistics — the numbers quoted in the paper's §5 prose.
 
-Both headline computations exist in two equivalent forms: the original
-list-at-once functions (:func:`domain_headline_stats`,
-:func:`resolver_headline_stats`) and ``update(record)``-style
-accumulators (:class:`DomainHeadlineAccumulator`,
-:class:`ResolverHeadlineAccumulator`) that fold results as they arrive
-in O(1) memory. The list forms are thin wrappers over the accumulators,
-so the streamed and materialised paths literally share the arithmetic.
+Each headline is computed one way: an ``update(record)`` accumulator
+(:class:`DomainHeadlineAccumulator`, :class:`ResolverHeadlineAccumulator`)
+that folds results as they arrive in O(1) memory, as
+:class:`repro.core.report.StudyAggregates` does during a campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.analysis.sketch import StreamStats
 
 
 def _pct(part, whole):
@@ -29,10 +24,8 @@ class DomainHeadline:
     nsec3_enabled: int
     zero_iterations: int
     no_salt: int
-    both_compliant: int
     opt_out: int
     max_iterations: int
-    over_150_iterations: int
 
     @property
     def dnssec_pct(self):
@@ -74,10 +67,8 @@ class DomainHeadline:
 
 class DomainHeadlineAccumulator:
     """Fold stage-2 scan results into §5.1 headline counters, one at a
-    time — the streaming front-end of :func:`domain_headline_stats`.
-
-    Mirrors :func:`repro.core.zone_compliance.summarize` counter for
-    counter so the folded headline equals the list-at-once one exactly.
+    time. Every result folded is a DNSSEC-enabled domain (stage 1's
+    output); only NSEC3-enabled ones reach the iteration counters.
     """
 
     def __init__(self):
@@ -85,10 +76,8 @@ class DomainHeadlineAccumulator:
         self.nsec3_enabled = 0
         self.zero_iterations = 0
         self.no_salt = 0
-        self.both_compliant = 0
         self.opt_out = 0
-        self.over_150_iterations = 0
-        self.iterations = StreamStats()
+        self.max_iterations = 0
 
     def update(self, result):
         self.results_seen += 1
@@ -98,49 +87,29 @@ class DomainHeadlineAccumulator:
         self.nsec3_enabled += 1
         self.zero_iterations += report.item2_zero_iterations
         self.no_salt += report.item3_no_salt
-        self.both_compliant += report.rfc9276_compliant
         self.opt_out += report.opt_out
-        if report.iterations is not None:
-            self.iterations.update(report.iterations)
-            self.over_150_iterations += report.iterations > 150
+        if report.iterations > self.max_iterations:
+            self.max_iterations = report.iterations
         return self
 
-    def headline(self, total_domains, dnssec_enabled=None):
+    def headline(self, total_domains):
+        """The §5.1 headline over a universe of *total_domains* registered
+        domains (the 302 M equivalent)."""
         return DomainHeadline(
             total_domains=total_domains,
-            dnssec_enabled=(
-                dnssec_enabled if dnssec_enabled is not None else self.results_seen
-            ),
+            dnssec_enabled=self.results_seen,
             nsec3_enabled=self.nsec3_enabled,
             zero_iterations=self.zero_iterations,
             no_salt=self.no_salt,
-            both_compliant=self.both_compliant,
             opt_out=self.opt_out,
-            max_iterations=(
-                self.iterations.maximum if self.iterations.count else 0
-            ),
-            over_150_iterations=self.over_150_iterations,
+            max_iterations=self.max_iterations,
         )
-
-
-def domain_headline_stats(scan_results, total_domains, dnssec_enabled=None):
-    """Compute §5.1 headlines from stage-2 scan results.
-
-    *total_domains* is the size of the registered-domain universe the scan
-    started from (the 302 M equivalent); *dnssec_enabled* defaults to the
-    number of scanned domains (stage 1 output).
-    """
-    accumulator = DomainHeadlineAccumulator()
-    for result in scan_results:
-        accumulator.update(result)
-    return accumulator.headline(total_domains, dnssec_enabled)
 
 
 @dataclass
 class ResolverHeadline:
     """§5.2 headline numbers, computed from resolver classifications."""
 
-    resolvers_probed: int
     validators: int
     limit_iterations: int
     item6: int
@@ -187,9 +156,8 @@ class ResolverHeadline:
 
 
 class ResolverHeadlineAccumulator:
-    """Fold resolver classifications into §5.2 headline counters — the
-    streaming front-end of :func:`resolver_headline_stats`. Mirrors
-    :func:`repro.core.resolver_compliance.summarize` exactly.
+    """Fold resolver classifications into §5.2 headline counters, one at
+    a time. Only validating resolvers count towards the headline.
     """
 
     def __init__(self):
@@ -219,7 +187,6 @@ class ResolverHeadlineAccumulator:
 
     def headline(self):
         return ResolverHeadline(
-            resolvers_probed=self.resolvers,
             validators=self.validating,
             limit_iterations=self.limit_iterations,
             item6=self.item6,
@@ -230,10 +197,3 @@ class ResolverHeadlineAccumulator:
             item12_gaps=self.item12_gaps,
         )
 
-
-def resolver_headline_stats(classifications):
-    """Compute §5.2 headlines from a set of resolver classifications."""
-    accumulator = ResolverHeadlineAccumulator()
-    for classification in classifications:
-        accumulator.update(classification)
-    return accumulator.headline()

@@ -5,22 +5,16 @@ aggregates the NS targets by *registered domain* (even across public
 suffixes), and reports the 10 operators that exclusively serve the most
 domains, with each operator's dominant NSEC3 parameter settings.
 
-:class:`OperatorTableAccumulator` is the ``update(result)``-style
-streaming form: per-operator tallies ride on a
-:class:`~repro.analysis.sketch.SpaceSavingTopK` so memory is bounded by
-the sketch capacity, not the scan size. While the true operator
-cardinality fits the capacity (the calibrated universe is a dozen
-operators; real-world NS namespaces are a few thousand) the sketch is
-exact and :func:`operator_table` — now a thin fold over the accumulator
-— renders byte-identical tables from a stream or a list.
+:class:`OperatorTableAccumulator` computes it one ``update(result)`` at a
+time, with exact counts. It holds one counter per operator and parameter
+setting, not per domain; the operators come from the closed
+:data:`repro.testbed.operators.OPERATORS` catalogue.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-
-from repro.analysis.sketch import SpaceSavingTopK
 
 
 def registered_domain(ns_target):
@@ -53,16 +47,13 @@ class OperatorTableAccumulator:
     """Fold stage-2 scan results into Table 2 tallies, one at a time.
 
     Only *exclusively served* domains count (all NS targets under one
-    registered domain), mirroring the paper. *capacity* bounds the
-    distinct operators tracked; overflow falls back to space-saving
-    eviction (counts become upper bounds, flagged via :attr:`exact`).
+    registered domain), mirroring the paper.
     """
 
-    def __init__(self, capacity=4096):
+    def __init__(self):
         self.nsec3_total = 0
-        self._domains = SpaceSavingTopK(capacity)
-        #: operator -> Counter of (iterations, salt_length), evicted in
-        #: lockstep with the count sketch.
+        #: operator -> Counter of (iterations, salt_length) over the
+        #: domains it exclusively serves, in first-seen order.
         self._params = {}
 
     def update(self, result):
@@ -73,35 +64,26 @@ class OperatorTableAccumulator:
         if len(operators) != 1:
             return self  # not exclusively served
         operator = next(iter(operators))
-        self._domains.update(operator)
         params = self._params.get(operator)
         if params is None:
             params = self._params[operator] = Counter()
-            for evicted in [key for key in self._params if key not in self._domains]:
-                del self._params[evicted]
         params[(result.report.iterations, result.report.salt_length)] += 1
         return self
 
-    @property
-    def exact(self):
-        """True while no operator has been evicted (counts are exact)."""
-        return self._domains.exact
-
     def rows(self, top_n=10, params_coverage=0.999):
-        """The rendered Table 2 rows, largest operators first.
-
-        Iterates operators in first-seen order before the stable sort,
-        so tie-breaks match the materialised computation exactly.
+        """The rendered Table 2 rows, largest operators first. The sort is
+        stable over first-seen order, so operators with equal counts keep
+        the order in which the scan first met them.
         """
         rows = []
-        for operator, count in self._domains.counts.items():
-            params = self._params.get(operator, Counter())
+        for operator, params in self._params.items():
+            count = params.total()
             covered = 0
             top = []
             for (iterations, salt), param_count in params.most_common():
                 top.append((param_count, iterations, salt))
                 covered += param_count
-                if count and covered / count >= params_coverage:
+                if covered / count >= params_coverage:
                     break
             rows.append(
                 OperatorRow(
@@ -115,20 +97,6 @@ class OperatorTableAccumulator:
             )
         rows.sort(key=lambda row: -row.domains)
         return rows[:top_n]
-
-
-def operator_table(scan_results, top_n=10, params_coverage=0.999):
-    """Build Table 2 from stage-2 scan results.
-
-    Only *exclusively served* domains count (all NS targets under one
-    registered domain), mirroring the paper. ``top_params`` lists the
-    parameter settings covering ≥ *params_coverage* of the operator's
-    domains.
-    """
-    accumulator = OperatorTableAccumulator()
-    for result in scan_results:
-        accumulator.update(result)
-    return accumulator.rows(top_n, params_coverage)
 
 
 def format_operator_table(rows):

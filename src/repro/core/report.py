@@ -4,11 +4,10 @@
 entries into bounded-memory accumulators as they arrive, and renders the
 paper's §5 structure from the aggregates alone — the streaming study
 pipeline feeds it one record at a time and never holds the result lists.
+These accumulators are the only computation of the report's numbers.
 
-:func:`render_study_report` keeps the original list-at-once signature as
-a thin wrapper that folds the lists through the *same* accumulators, so
-the streamed and materialised paths are byte-identical by construction
-(CI asserts it end-to-end, clean and under chaos faults).
+:func:`render_study_report` folds lists of results, already held, through
+one :class:`StudyAggregates`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.analysis.stats import (
 from repro.analysis.tables import OperatorTableAccumulator, format_operator_table
 from repro.core.guidance import GUIDANCE
 
-DEFAULT_TITLE = "RFC 9276 compliance study (synthetic reproduction)"
+TITLE = "RFC 9276 compliance study (synthetic reproduction)"
 
 
 def _section(title):
@@ -49,7 +48,6 @@ class StudyAggregates:
         self.tld_nsec3 = 0
         self.tld_iteration_counts = Counter()
         self.tld_opt_out = 0
-        self.survey_seen = 0
         self.resolver_headline = ResolverHeadlineAccumulator()
         self.item6_thresholds = Counter()
         self.figure3 = Figure3Accumulator()
@@ -72,7 +70,6 @@ class StudyAggregates:
 
     def update_survey(self, entry):
         """Fold one resolver :class:`SurveyEntry`."""
-        self.survey_seen += 1
         classification = entry.classification
         self.resolver_headline.update(classification)
         if (
@@ -83,9 +80,9 @@ class StudyAggregates:
         self.figure3.update(entry)
         return self
 
-    def render(self, total_domains, title=DEFAULT_TITLE):
+    def render(self, total_domains):
         """Render the full study as text from the folded aggregates."""
-        lines = [title, "*" * len(title)]
+        lines = [TITLE, "*" * len(TITLE)]
 
         lines.append(_section("Guidance under test (RFC 9276, paper Table 1)"))
         for item in GUIDANCE:
@@ -122,7 +119,7 @@ class StudyAggregates:
                 else "  (no NSEC3 TLDs)"
             )
 
-        if self.survey_seen:
+        if self.resolver_headline.resolvers:
             lines.append(_section("Validating resolvers (paper §5.2)"))
             resolver_headline = self.resolver_headline.headline()
             for label, paper, measured in resolver_headline.rows():
@@ -157,15 +154,12 @@ def render_study_report(
     total_domains,
     tld_results=None,
     survey_entries=None,
-    title=DEFAULT_TITLE,
 ):
     """Render the full study as text.
 
     *domain_results* — stage-2 scan results; *tld_results* — TLD scan
     results; *survey_entries* — resolver survey entries (open + closed).
-    Sections without data are omitted. Folds the lists through
-    :class:`StudyAggregates`, the same accumulators the streaming
-    pipeline updates record by record.
+    Sections without data are omitted.
     """
     aggregates = StudyAggregates()
     for result in domain_results:
@@ -174,4 +168,4 @@ def render_study_report(
         aggregates.update_tld(result)
     for entry in survey_entries or ():
         aggregates.update_survey(entry)
-    return aggregates.render(total_domains, title=title)
+    return aggregates.render(total_domains)

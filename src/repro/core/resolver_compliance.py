@@ -204,30 +204,3 @@ def classify_resolver(matrix, resolver=""):
             )
     return cls
 
-
-def summarize(classifications):
-    """Population-level counters matching the paper's §5.2 reporting."""
-    totals = {
-        "resolvers": 0,
-        "validating": 0,
-        "limit_iterations": 0,
-        "item6": 0,
-        "item8": 0,
-        "servfail_at_one": 0,
-        "ede27": 0,
-        "item7_violations": 0,
-        "item12_gaps": 0,
-    }
-    for cls in classifications:
-        totals["resolvers"] += 1
-        if not cls.is_validating:
-            continue
-        totals["validating"] += 1
-        totals["limit_iterations"] += cls.limits_iterations
-        totals["item6"] += cls.implements_item6
-        totals["item8"] += cls.implements_item8
-        totals["servfail_at_one"] += cls.strict_servfail_at_one
-        totals["ede27"] += cls.ede27_support
-        totals["item7_violations"] += cls.item7_violation
-        totals["item12_gaps"] += cls.item12_gap
-    return totals

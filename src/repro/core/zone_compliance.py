@@ -124,26 +124,3 @@ def check_zone_compliance(observation):
         )
     return report
 
-
-def summarize(reports):
-    """Aggregate counters over a collection of reports (paper §5.1 style)."""
-    totals = {
-        "domains": 0,
-        "nsec3_enabled": 0,
-        "item2_compliant": 0,
-        "item3_compliant": 0,
-        "both_compliant": 0,
-        "opt_out": 0,
-        "excluded": 0,
-    }
-    for report in reports:
-        totals["domains"] += 1
-        if not report.nsec3_enabled:
-            totals["excluded"] += 1
-            continue
-        totals["nsec3_enabled"] += 1
-        totals["item2_compliant"] += report.item2_zero_iterations
-        totals["item3_compliant"] += report.item3_no_salt
-        totals["both_compliant"] += report.rfc9276_compliant
-        totals["opt_out"] += report.opt_out
-    return totals

@@ -189,3 +189,12 @@ def run_survey(inet, probes, deployment, iterations, concurrency=1, retry_policy
     entries = []
     run_units(world, survey_units(deployment), FoldSink(_keeping(deployment, entries)))
     return entries
+
+
+def fold(accumulator_class, records):
+    """A fresh *accumulator_class* with every record folded in, in order,
+    as :class:`repro.core.report.StudyAggregates` folds a campaign."""
+    accumulator = accumulator_class()
+    for record in records:
+        accumulator.update(record)
+    return accumulator

@@ -1,52 +1,45 @@
-"""Tests for CDFs, headline stats, Table 2 and figure series builders."""
+"""Tests for the CDF, headline stats, Table 2 and figure accumulators."""
 
 import pytest
 
-from repro.analysis.cdf import Cdf
-from repro.analysis.figures import figure1_series, figure2_series, figure3_series
-from repro.analysis.stats import domain_headline_stats, resolver_headline_stats
-from repro.analysis.tables import format_operator_table, operator_table, registered_domain
+from repro.analysis.cdf import StreamingCdf
+from repro.analysis.figures import Figure1Accumulator, Figure3Accumulator, figure2_series
+from repro.analysis.stats import DomainHeadlineAccumulator, ResolverHeadlineAccumulator
+from repro.analysis.tables import (
+    OperatorTableAccumulator,
+    format_operator_table,
+    registered_domain,
+)
 from repro.core.resolver_compliance import PROBE_ITERATIONS, ProbeResult, classify_resolver
 from repro.core.zone_compliance import Nsec3Observation, check_zone_compliance
 from repro.dns.rcode import Rcode
 from repro.scanner.nsec3_scan import DomainScanResult
 from repro.scanner.resolver_scan import SurveyEntry
 
+from tests.conftest import fold
+
 
 class TestCdf:
     def test_fractions(self):
-        cdf = Cdf([1, 2, 2, 3, 10])
+        cdf = StreamingCdf([1, 2, 2, 3, 10])
         assert cdf.fraction_at_or_below(0) == 0.0
         assert cdf.fraction_at_or_below(2) == pytest.approx(0.6)
         assert cdf.fraction_at_or_below(10) == 1.0
 
     def test_percentile(self):
-        cdf = Cdf(range(1, 101))
+        cdf = StreamingCdf(range(1, 101))
         assert cdf.percentile(0.5) == 50
         assert cdf.percentile(0.999) == 100
         assert cdf.percentile(1.0) == 100
 
-    def test_points_deduplicate(self):
-        cdf = Cdf([5, 5, 5])
-        assert cdf.points() == [(5, 1.0)]
-
-    def test_points_max_points(self):
-        cdf = Cdf(range(1000))
-        assert len(cdf.points(max_points=10)) == 10
-
-    def test_series_at(self):
-        cdf = Cdf([1, 2, 3, 4])
-        series = cdf.series_at([2, 4])
-        assert series == [(2, 0.5), (4, 1.0)]
-
     def test_empty(self):
-        assert Cdf([]).fraction_at_or_below(5) == 0.0
+        assert StreamingCdf().fraction_at_or_below(5) == 0.0
         with pytest.raises(ValueError):
-            Cdf([]).percentile(0.5)
+            StreamingCdf().percentile(0.5)
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
-            Cdf([1]).percentile(0.0)
+            StreamingCdf([1]).percentile(0.0)
 
 
 def fake_result(domain, iterations=None, salt=0, ns=("ns1.op.net.",), opt_out=False):
@@ -77,7 +70,7 @@ class TestHeadlines:
             fake_result("c.com", 10, 8, opt_out=True),
             fake_result("d.com", None),
         ]
-        headline = domain_headline_stats(results, total_domains=40)
+        headline = fold(DomainHeadlineAccumulator, results).headline(40)
         assert headline.nsec3_enabled == 3
         assert headline.zero_iterations == 1
         assert headline.zero_iterations_pct == pytest.approx(33.3, abs=0.1)
@@ -98,7 +91,7 @@ class TestHeadlines:
             classify_resolver(matrix(servfail_above=0)),
             classify_resolver(matrix()),
         ]
-        headline = resolver_headline_stats(classifications)
+        headline = fold(ResolverHeadlineAccumulator, classifications).headline()
         assert headline.validators == 3
         assert headline.item6 == 1
         assert headline.item8 == 1
@@ -119,7 +112,7 @@ class TestOperatorTable:
             # Mixed operators: not exclusively served, excluded.
             fake_result("d.com", 5, 5, ns=("ns1.big.net.", "ns1.small.org.")),
         ]
-        rows = operator_table(results)
+        rows = fold(OperatorTableAccumulator, results).rows()
         assert rows[0].operator == "big.net"
         assert rows[0].domains == 2
         assert rows[0].top_params[0][1:] == (1, 8)
@@ -127,11 +120,11 @@ class TestOperatorTable:
 
     def test_share_over_all_nsec3(self):
         results = [fake_result(f"x{i}.com", 1, 8) for i in range(4)]
-        rows = operator_table(results)
+        rows = fold(OperatorTableAccumulator, results).rows()
         assert rows[0].share_pct == pytest.approx(100.0)
 
     def test_format(self):
-        rows = operator_table([fake_result("a.com", 1, 8)])
+        rows = fold(OperatorTableAccumulator, [fake_result("a.com", 1, 8)]).rows()
         text = format_operator_table(rows)
         assert "op.net" in text and "1/8" in text
 
@@ -140,7 +133,7 @@ class TestFigures:
     def test_figure1(self):
         results = [fake_result(f"d{i}.com", it, salt) for i, (it, salt) in
                    enumerate([(0, 0), (1, 8), (5, 8), (500, 8)])]
-        fig = figure1_series(results)
+        fig = fold(Figure1Accumulator, results).figure()
         assert fig.iterations_cdf.fraction_at_or_below(0) == pytest.approx(0.25)
         assert fig.iterations_cdf.fraction_at_or_below(5) == pytest.approx(0.75)
         assert fig.salt_length_cdf.fraction_at_or_below(0) == pytest.approx(0.25)
@@ -174,7 +167,7 @@ class TestFigures:
             return SurveyEntry(None, matrix, classify_resolver(matrix))
 
         entries = [entry(150), entry(150), entry(50)]
-        fig = figure3_series(entries, "open-v4")
+        fig = fold(Figure3Accumulator, entries).figure("open-v4")
         assert fig.validators == 3
         nx, adnx, servfail = fig.series[100]
         assert nx == pytest.approx(100.0)
@@ -188,5 +181,5 @@ class TestFigures:
 
         matrix = matrix_for(validating=False)
         entries = [SurveyEntry(None, matrix, classify_resolver(matrix))]
-        fig = figure3_series(entries, "open-v6")
+        fig = fold(Figure3Accumulator, entries).figure("open-v6")
         assert fig.validators == 0

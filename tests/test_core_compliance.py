@@ -1,23 +1,26 @@
 """Tests for the RFC 9276 compliance engine (the paper's core logic)."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.analysis.stats import DomainHeadlineAccumulator, ResolverHeadlineAccumulator
 from repro.core.guidance import GUIDANCE, Audience, Requirement, item
 from repro.core.resolver_compliance import (
     PROBE_ITERATIONS,
     ProbeResult,
     classify_resolver,
 )
-from repro.core.resolver_compliance import summarize as summarize_resolvers
 from repro.core.zone_compliance import (
     SMALL_ZONE_DELEGATIONS,
     Nsec3Observation,
     check_rfc5155_consistency,
     check_zone_compliance,
 )
-from repro.core.zone_compliance import summarize as summarize_zones
 from repro.dns.edns import EDE_UNSUPPORTED_NSEC3_ITERATIONS
 from repro.dns.rcode import Rcode
+
+from tests.conftest import fold
 
 
 class TestGuidance:
@@ -152,11 +155,11 @@ class TestZoneCompliance:
             ),
             check_zone_compliance(observation(nsec3param_records=())),
         ]
-        totals = summarize_zones(reports)
-        assert totals["domains"] == 3
-        assert totals["nsec3_enabled"] == 2
-        assert totals["item2_compliant"] == 1
-        assert totals["excluded"] == 1
+        totals = fold(DomainHeadlineAccumulator, (SimpleNamespace(report=r) for r in reports))
+        assert totals.results_seen == 3
+        assert totals.nsec3_enabled == 2
+        assert totals.zero_iterations == 1
+        assert totals.results_seen - totals.nsec3_enabled == 1
 
 
 def matrix_for(
@@ -258,8 +261,8 @@ class TestResolverClassification:
             classify_resolver(matrix_for()),
             classify_resolver(matrix_for(validating=False)),
         ]
-        totals = summarize_resolvers(classifications)
-        assert totals["resolvers"] == 4
-        assert totals["validating"] == 3
-        assert totals["limit_iterations"] == 2
-        assert totals["servfail_at_one"] == 1
+        totals = fold(ResolverHeadlineAccumulator, classifications)
+        assert totals.resolvers == 4
+        assert totals.validating == 3
+        assert totals.limit_iterations == 2
+        assert totals.servfail_at_one == 1

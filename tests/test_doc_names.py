@@ -1,4 +1,7 @@
-"""Every code name README.md and DESIGN.md put in backticks still exists.
+"""Every code name the docs put in backticks still exists.
+
+The docs are README.md, DESIGN.md, EXPERIMENTS.md and the benchmark
+ledger's README.
 
 A backticked token is a code name when it is an identifier, optionally
 dotted and optionally ending in ``()``, that is snake_case, camelCase
@@ -19,7 +22,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DOCS = ("README.md", "DESIGN.md")
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "benchmarks/ledger/README.md")
 TREES = ("src", "tests", "benchmarks", "examples")
 SUFFIXES = {".py", ".json", ".yml", ".toml", ".cfg", ".ini"}
 

@@ -8,9 +8,9 @@ larger populations than a test should build.
 
 import pytest
 
-from repro.analysis.figures import figure1_series, figure3_series
-from repro.analysis.stats import domain_headline_stats, resolver_headline_stats
-from repro.analysis.tables import operator_table
+from repro.analysis.figures import Figure1Accumulator, Figure3Accumulator
+from repro.analysis.stats import DomainHeadlineAccumulator, ResolverHeadlineAccumulator
+from repro.analysis.tables import OperatorTableAccumulator
 from repro.dns.rcode import Rcode
 from repro.dns.types import RdataType
 from repro.dnssec.costmodel import meter
@@ -21,7 +21,7 @@ from repro.scanner.nsec3_scan import scan_tld
 from repro.scanner.pipeline import measure_domain
 from repro.testbed.resolvers import deploy_resolvers
 
-from tests.conftest import run_survey
+from tests.conftest import fold, run_survey
 
 SMOKE_ITERATIONS = (1, 10, 25, 50, 51, 100, 101, 150, 151, 300, 500)
 
@@ -59,7 +59,7 @@ class TestDomainPipeline:
 
     def test_headline_shape(self, testbed, domain_pipeline):
         __, __, results = domain_pipeline
-        headline = domain_headline_stats(results, total_domains=len(testbed["domains"]))
+        headline = fold(DomainHeadlineAccumulator, results).headline(len(testbed["domains"]))
         # The paper's core finding: a large majority is non-compliant.
         if headline.nsec3_enabled >= 5:
             assert headline.non_compliant_pct > 50.0
@@ -68,13 +68,13 @@ class TestDomainPipeline:
         __, __, results = domain_pipeline
         nsec3 = [r for r in results if r.nsec3_enabled]
         if len(nsec3) >= 5:
-            fig = figure1_series(results)
+            fig = fold(Figure1Accumulator, results).figure()
             assert fig.iterations_cdf.fraction_at_or_below(25) > 0.8
 
     def test_operator_table_nonempty(self, domain_pipeline):
         __, __, results = domain_pipeline
         if any(r.nsec3_enabled for r in results):
-            rows = operator_table(results)
+            rows = fold(OperatorTableAccumulator, results).rows()
             assert rows
             assert rows[0].domains >= rows[-1].domains
 
@@ -112,7 +112,7 @@ class TestResolverPipeline:
         classifications = [
             e.classification for e in open_entries + closed_entries
         ]
-        headline = resolver_headline_stats(classifications)
+        headline = fold(ResolverHeadlineAccumulator, classifications).headline()
         assert headline.validators > 0
         # Majority of validators limit iterations (paper: 78.3 %).
         assert headline.limit_pct > 40.0
@@ -122,7 +122,7 @@ class TestResolverPipeline:
     def test_figure3_ad_share_declines(self, resolver_pipeline):
         __, open_entries, __ = resolver_pipeline
         entries = [e for e in open_entries if e.resolver.family == "v4"]
-        fig = figure3_series(entries, "open-v4")
+        fig = fold(Figure3Accumulator, entries).figure("open-v4")
         if fig.validators >= 5:
             ad_at_1 = fig.series[1][1]
             ad_at_500 = fig.series[500][1]
@@ -130,7 +130,7 @@ class TestResolverPipeline:
 
     def test_figure3_servfail_rises_after_150(self, resolver_pipeline):
         __, open_entries, closed_entries = resolver_pipeline
-        fig = figure3_series(open_entries + closed_entries, "all")
+        fig = fold(Figure3Accumulator, open_entries + closed_entries).figure("all")
         servfail_150 = fig.series[150][2]
         servfail_151 = fig.series[151][2]
         assert servfail_151 >= servfail_150

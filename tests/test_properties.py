@@ -1,11 +1,13 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import bisect
+import math
 import string
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cdf import Cdf
+from repro.analysis.cdf import StreamingCdf
 from repro.dns.base32 import b32hex_decode, b32hex_encode
 from repro.dns.bitmap import decode_bitmap, encode_bitmap
 from repro.dns.message import Message, Question, make_query
@@ -287,14 +289,21 @@ class TestTxtProperties:
 class TestCdfProperties:
     @given(st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1))
     def test_monotone_and_bounded(self, samples):
-        cdf = Cdf(samples)
-        values = [cdf.fraction_at_or_below(x) for x in range(-1001, 1002, 97)]
+        cdf = StreamingCdf(samples)
+        ordered = sorted(samples)
+        xs = range(-1001, 1002, 97)
+        values = [cdf.fraction_at_or_below(x) for x in xs]
+        # Oracle: the textbook empirical CDF over the sorted samples.
+        assert values == [bisect.bisect_right(ordered, x) / len(samples) for x in xs]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert values == sorted(values)
         assert cdf.fraction_at_or_below(1000) == 1.0
 
     @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1))
     def test_percentile_consistent(self, samples):
-        cdf = Cdf(samples)
+        cdf = StreamingCdf(samples)
+        ordered = sorted(samples)
         median = cdf.percentile(0.5)
         assert cdf.fraction_at_or_below(median) >= 0.5
+        # Oracle: the smallest sample whose rank reaches half the samples.
+        assert median == ordered[math.ceil(0.5 * len(ordered)) - 1]
